@@ -71,7 +71,7 @@ class ModelDomain:
 
     def require_interior(self, p, margin=0.0):
         d = self.R - self.norm(p)
-        if d <= margin:
+        if not d > margin:  # also refuses NaN
             raise DomainError(
                 f"point {p} is not interior to the {self.kind} of radius {self.R}"
                 + (f" (required clearance {margin})" if margin > 0.0 else "")

@@ -29,7 +29,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
 from .domains import DISK, INTERVAL, ray_exit
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, SingularityError, ToleranceError
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
@@ -41,7 +41,6 @@ from .report import Report, check
 from .specfun import (
     boundary_integral_B_array,
     frac_laplacian_constant,
-    green_constant,
     torsion_constant,
 )
 
@@ -324,59 +323,97 @@ def mollified_green_value(domain, a, moll, z, quad=None):
     """v_{x,eps}(z) = int G_a(z, y) rho_eps(y - x) dy by direct quadrature."""
     if quad is None:
         quad = _DEFAULT_QUAD
-    z = domain.require_interior(z)
     if domain.kind == INTERVAL:
-        return _moll_value_interval(domain, a, moll, z, quad)
-    return _moll_value_disk(domain, a, moll, z, quad)
+        return float(_moll_values_interval(domain, a, moll, [z], quad)[0])
+    return _moll_value_disk(domain, a, moll, domain.require_interior(z), quad)
 
 
-def _moll_value_interval(domain, a, moll, z, quad):
+# z rows evaluated together by _moll_values_interval; at the default
+# resolution each (rows, y-nodes) array of a block stays under 0.4 MB
+_Z_BLOCK = 64
+
+
+def _moll_values_interval(domain, a, moll, zs, quad):
+    """v_{x,eps} at an array of interior z, each checked coarse against fine.
+
+    Inside the bump's support the rule is split at the Green singularity and
+    taken in the distance variable on each side; graded_mesh(0, L) is
+    L * graded_mesh(0, 1), so every z scales one unit rule by its own L.
+    Outside the support all z on one side share the y-nodes and the density
+    values, and the Green values form one (z, y) array.  The first z in
+    array order whose rule meets y == z, or whose coarse and fine values
+    disagree, is refused.
+    """
+    from . import green  # kappa is read per call, so debug controls reach it
+
+    zs = np.array([domain.require_interior(z) for z in np.atleast_1d(zs)])
+    kappa = green.green_constant(1, a)
     R2 = domain.R**2
-    kappa = green_constant(1, a)
     lo, hi = moll.center - moll.width, moll.center + moll.width
     grading = max(2.0, 2.0 / a)
+    groups = [
+        (rows, toward)
+        for rows, toward in (
+            (np.flatnonzero(zs <= lo), "lo"),
+            (np.flatnonzero((lo < zs) & (zs < hi)), None),
+            (np.flatnonzero(zs >= hi), "hi"),
+        )
+        if rows.size
+    ]
+    singular = np.zeros(zs.shape, dtype=bool)
 
-    if lo < z < hi:
-        # split at the Green singularity and integrate in the distance
-        # variable on each side
-        def value(panels):
-            total = 0.0
-            for sgn, L in ((-1.0, z - lo), (1.0, hi - z)):
-                if L <= 0.0:
-                    continue
+    def green_rows(rows, y, dist2):
+        # G_a(z, y) for z = zs[rows] against y; a row that meets y == z is
+        # flagged here and refused below, as is any non-finite value
+        z = zs[rows, None]
+        singular[rows] |= np.any(dist2 == 0.0, axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            r0 = (R2 - z * z) * (R2 - y * y) / (R2 * dist2)
+            return kappa * dist2 ** (a - 0.5) * boundary_integral_B_array(r0, a, 1)
 
-                def f(uu, sgn=sgn):
-                    y = z + sgn * uu
-                    r0 = (R2 - z * z) * (R2 - y * y) / (R2 * uu * uu)
-                    green = (
-                        kappa
-                        * (uu * uu) ** (a - 0.5)
-                        * boundary_integral_B_array(r0, a, 1)
-                    )
-                    return green * moll.density(y)
+    def inside(rows, t, w):
+        z = zs[rows]
+        total = 0.0
+        for sgn, L in ((-1.0, z - lo), (1.0, hi - z)):
+            uu = L[:, None] * t
+            y = z[:, None] + sgn * uu
+            total = total + L * ((green_rows(rows, y, uu * uu) * moll.density(y)) @ w)
+        return total
 
-                mesh = graded_mesh(0.0, L, panels, grading, toward="lo")
-                total += panel_integrate(f, mesh, quad.gl_order)
-            return total
-
-    else:
-        from .green import green_fractional_profile
-
-        def value(panels):
-            def f(y):
-                return green_fractional_profile(domain, a, z, y) * moll.density(y)
-
-            toward = "hi" if z >= hi else "lo"
-            mesh = graded_mesh(lo, hi, panels, 2.0, toward=toward)
-            return panel_integrate(f, mesh, quad.gl_order)
+    def value(panels):
+        out = np.empty(zs.shape)
+        for idx, toward in groups:
+            if toward is None:
+                t, w = panel_nodes_weights(
+                    graded_mesh(0.0, 1.0, panels, grading, toward="lo"), quad.gl_order
+                )
+            else:
+                y, w = panel_nodes_weights(
+                    graded_mesh(lo, hi, panels, 2.0, toward=toward), quad.gl_order
+                )
+                rho = moll.density(y)
+            for start in range(0, idx.size, _Z_BLOCK):
+                rows = idx[start:start + _Z_BLOCK]
+                if toward is None:
+                    out[rows] = inside(rows, t, w)
+                else:
+                    dist2 = (zs[rows, None] - y) ** 2
+                    out[rows] = (green_rows(rows, y, dist2) * rho) @ w
+        return out
 
     coarse = value(max(4, quad.resolution // 2))
     fine = value(quad.resolution)
-    if abs(fine - coarse) > quad.tolerance_for(fine):
+    err = np.abs(fine - coarse)
+    tol = np.array([quad.tolerance_for(v) for v in fine])
+    failed = singular | ~(err <= tol)
+    if failed.any():
+        i = int(np.argmax(failed))
+        if singular[i]:
+            raise SingularityError("green_fractional is singular at x == y")
         raise ToleranceError(
             "mollified Green quadrature did not converge near the singularity",
-            estimate=fine,
-            achieved_tol=abs(fine - coarse),
+            estimate=float(fine[i]),
+            achieved_tol=float(err[i]),
         )
     return fine
 
@@ -385,8 +422,10 @@ def _moll_value_disk(domain, a, moll, z, quad):
     # polar product rule around the mollifier center; accurate for z outside
     # the support (analytic integrand) and smoke-grade when the Green
     # singularity sits inside it
+    from . import green  # kappa is read per call, so debug controls reach it
+
     R2 = domain.R**2
-    kappa = green_constant(2, a)
+    kappa = green.green_constant(2, a)
     r_nodes, r_weights = panel_nodes_weights(
         np.linspace(0.0, moll.width, max(8, quad.resolution // 4) + 1), quad.gl_order
     )
@@ -409,11 +448,13 @@ def _moll_value_disk(domain, a, moll, z, quad):
 def mollified_green(domain, a, moll, quad=None, n_nodes=512):
     """The field v_{x,eps} = G_a * rho_eps as a SampledInteriorField.
 
-    On the interval the field is sampled at boundary-clustered nodes and
-    stored through the weight (R^2-z^2)^a, so the spline interpolates the
-    smooth quotient v/(R^2-z^2)^a right up to the boundary (this is what
-    makes the field's own weighted trace extractable).  On the disk the
-    field evaluates the convolution on demand.
+    On the interval the field is sampled at the n_nodes - 1 interior
+    Chebyshev nodes R cos(pi k / n_nodes), all evaluated in one batched call
+    that refuses the whole build if any node's coarse and fine rules
+    disagree, and stored through the weight (R^2-z^2)^a, so the spline
+    interpolates the smooth quotient v/(R^2-z^2)^a right up to the boundary
+    (this is what makes the field's own weighted trace extractable).  On the
+    disk the field evaluates the convolution on demand.
     """
     if quad is None:
         quad = _DEFAULT_QUAD
@@ -425,7 +466,7 @@ def mollified_green(domain, a, moll, quad=None, n_nodes=512):
     R = domain.R
     k = np.arange(1, n_nodes)
     zs = np.sort(R * np.cos(np.pi * k / n_nodes))
-    vals = np.array([_moll_value_interval(domain, a, moll, z, quad) for z in zs])
+    vals = _moll_values_interval(domain, a, moll, zs, quad)
     weight = (R * R - zs * zs) ** a
     spline = CubicSpline(zs, vals / weight)
 

@@ -33,16 +33,10 @@ from .specfun import (
 )
 
 
-def _require_inside(domain, p, what="point"):
-    if not domain.is_interior(p):
-        raise DomainError(f"{what} {p} must be strictly interior")
-    return domain.point(p)
-
-
 def green_classical(domain, x, y):
     """Green function of -Delta with Dirichlet data on the model domain."""
-    x = _require_inside(domain, x)
-    y = _require_inside(domain, y)
+    x = domain.require_interior(x)
+    y = domain.require_interior(y)
     if domain.kind == INTERVAL:
         if x == y:
             raise SingularityError("green_classical is singular at x == y")
@@ -87,7 +81,7 @@ def green_fractional_profile(domain, a, x, y_arr):
     """green_fractional at one interior x against an array of interval points."""
     if domain.kind != INTERVAL:
         raise DomainError("array profile is implemented for the interval")
-    x = _require_inside(domain, x)
+    x = domain.require_interior(x)
     y = np.asarray(y_arr, dtype=float)
     R2 = domain.R**2
     out = np.zeros_like(y)
@@ -111,7 +105,7 @@ def poisson_kernel_classical(grid, x):
     u == 1 with boundary integral exactly 1.
     """
     domain = grid.domain
-    x = _require_inside(domain, x)
+    x = domain.require_interior(x)
     R = domain.R
     if domain.kind == INTERVAL:
         return BoundaryField(grid, np.array([(R - x), (R + x)]) / (2.0 * R))
@@ -130,7 +124,7 @@ def fractional_trace_green(grid, a, x):
     (kappa_{N,a}/a) (2/R)^a (R^2-|x|^2)^a |x - z|^(-N).
     """
     domain = grid.domain
-    x = _require_inside(domain, x)
+    x = domain.require_interior(x)
     N = domain.N
     R = domain.R
     front = (
@@ -146,7 +140,7 @@ def fractional_trace_green(grid, a, x):
 
 def torsion_reference(domain, a, x):
     """Exact Getoor mass kappa* (R^2 - |x|^2)^a at an interior point."""
-    x = _require_inside(domain, x)
+    x = domain.require_interior(x)
     return torsion_constant(domain.N, a) * (domain.R**2 - domain.norm(x) ** 2) ** a
 
 
@@ -160,7 +154,7 @@ def green_mass(domain, a, x, quad=None):
     """
     if quad is None:
         quad = QuadratureSpec()
-    x = _require_inside(domain, x)
+    x = domain.require_interior(x)
     budget = EvalBudget(quad.budget, label="green_mass")
     if domain.kind == INTERVAL:
         estimate = _refine(

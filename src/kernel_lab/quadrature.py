@@ -4,7 +4,8 @@ Singular integrands (Green-function masses, the principal-value kernel of
 the fractional Laplacian) are handled by composite Gauss-Legendre rules on
 meshes graded algebraically toward the singular endpoint; the grading
 exponent is chosen by the caller.  Everything is deterministic: fixed node
-tables, fixed summation order.
+tables, and each composite rule is applied as one flattened node/weight
+array.
 """
 
 from dataclasses import dataclass
@@ -71,33 +72,27 @@ def graded_mesh(lo, hi, panels, exponent, toward="lo"):
 def panel_integrate(fn, breakpoints, order=12):
     """Composite Gauss-Legendre over consecutive panels, fixed order.
 
-    fn must accept a numpy array of abscissae and return an array of values.
-    Panels are summed in index order.
+    fn is called once, on every node of the flattened rule that
+    panel_nodes_weights returns, so it must be vectorized: it takes a numpy
+    array of abscissae and returns an array of values of the same length.
+    Zero-width panels are dropped.
     """
-    x, w = _gl_nodes(order)
-    total = 0.0
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi == lo:
-            continue
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        total += half * float(np.dot(w, fn(mid + half * x)))
-    return total
+    nodes, weights = panel_nodes_weights(breakpoints, order)
+    return float(np.dot(weights, fn(nodes)))
 
 
 def panel_nodes_weights(breakpoints, order=12):
-    """Flattened Gauss-Legendre nodes and weights of the composite rule."""
+    """Flattened Gauss-Legendre nodes and weights of the composite rule,
+    panel by panel in breakpoint order, zero-width panels dropped."""
     x, w = _gl_nodes(order)
-    nodes = []
-    weights = []
-    for lo, hi in zip(breakpoints[:-1], breakpoints[1:]):
-        if hi == lo:
-            continue
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    b = np.asarray(breakpoints, dtype=float)
+    lo, hi = b[:-1], b[1:]
+    keep = hi != lo
+    half = 0.5 * (hi[keep] - lo[keep])
+    mid = 0.5 * (hi[keep] + lo[keep])
+    nodes = mid[:, None] + half[:, None] * x[None, :]
+    weights = half[:, None] * w[None, :]
+    return nodes.ravel(), weights.ravel()
 
 
 class EvalBudget:

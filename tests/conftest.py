@@ -2,8 +2,15 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import kernel_lab
+
+# Property tests draw the same examples on every run, and a slow host
+# cannot fail them on time: one mollified_green build takes ~0.3 s at
+# a = 0.25, over hypothesis' default 200 ms deadline.
+settings.register_profile("kernel-lab", deadline=None, derandomize=True)
+settings.load_profile("kernel-lab")
 
 
 @pytest.fixture

@@ -120,6 +120,10 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
     unparseable.write_text("domain: [unclosed\n", encoding="utf-8")
     assert main(["kernel", "--scenario", str(unparseable), "--out", str(tmp_path)]) == 2
     assert main(["kernel", "--nodes", "7", "--out", str(tmp_path)]) == 2
+    for override in ("mollifier: {center: .nan}", "points: [.nan]"):
+        nan = tmp_path / "nan.yaml"
+        nan.write_text(f"residual:\n  {override}\n", encoding="utf-8")
+        assert main(["residual", "--scenario", str(nan), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "invalid input" in err
 
@@ -143,6 +147,16 @@ def test_debug_corrupt_kappa_fails_selftest(tmp_path):
     rep = _load(out / "selftest_report.json")
     assert rep["overall_pass"] is False
     assert any(not r["passed"] and "C1" in r["name"] for r in rep["records"])
+
+
+def test_debug_corrupt_kappa_fails_residual(tmp_path):
+    out = tmp_path / "dbg3"
+    assert main(["residual", "--debug", "corrupt-kappa", "--out", str(out)]) == 1
+    rep = _load(out / "residual_report.json")
+    failing = {r["name"] for r in rep["records"] if not r["passed"]}
+    # x = 0 is the bump's center: the corrupted kappa reaches the part of the
+    # field computed inside the support too
+    assert "residual at x=0" in failing
 
 
 def test_debug_unit_gamma_fails_reproduce(tmp_path):

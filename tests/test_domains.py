@@ -28,6 +28,10 @@ def test_domain_basics():
     with pytest.raises(DomainError):
         dk.require_interior(np.array([2.0, 0.1]))
     with pytest.raises(DomainError):
+        iv.require_interior(math.nan)
+    with pytest.raises(DomainError):
+        dk.require_interior(np.array([math.nan, 0.1]))
+    with pytest.raises(DomainError):
         interval(-1.0)
 
 
@@ -91,6 +95,22 @@ def test_panel_integrate_polynomial_exact():
     assert val == pytest.approx(1.0 / 12.0, rel=1e-14)
     nodes, weights = panel_nodes_weights(mesh, 12)
     assert float(np.dot(weights, nodes**11)) == pytest.approx(1.0 / 12.0, rel=1e-14)
+
+
+def test_panel_integrate_one_call_drops_empty_panels():
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return np.exp(x)
+
+    mesh = np.array([0.0, 0.3, 0.7, 1.0])
+    val = panel_integrate(fn, mesh, 12)
+    assert calls == [36]  # every node of the three panels, in one call
+    repeated = np.array([0.0, 0.3, 0.3, 0.7, 1.0, 1.0])
+    assert panel_integrate(fn, repeated, 12) == val
+    assert calls == [36, 36]
+    assert val == pytest.approx(math.e - 1.0, rel=1e-14)
 
 
 def test_eval_budget():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kernel_lab import debug
 from kernel_lab.domains import disk, interval
-from kernel_lab.errors import DomainError, ToleranceError
+from kernel_lab.errors import DomainError, SingularityError, ToleranceError
 from kernel_lab.fracop import (
     MollifierSpec,
     SampledInteriorField,
@@ -167,6 +170,65 @@ def test_mollified_green_spline_matches_direct(interval_mollified):
     for z in (-0.63, 0.11, 0.4):
         direct = mollified_green_value(IV, 0.5, moll, z)
         assert abs(field(z) - direct) < 1e-6 * max(1.0, abs(direct))
+
+
+@given(
+    a=st.floats(0.2, 0.8),
+    center=st.floats(-0.6, 0.6),
+    frac=st.floats(0.05, 0.95),
+    offset=st.integers(0, 6),
+)
+@settings(max_examples=8)
+def test_batched_build_matches_pointwise(a, center, frac, offset):
+    # the build evaluates all nodes in row blocks; each node alone must give
+    # the same value (every 7th node keeps the check cheap and still spans
+    # every block and both sides of the support)
+    moll = MollifierSpec(IV, center, frac * (1.0 - abs(center)))
+    field = mollified_green(IV, a, moll)
+    zs = field.grid[offset::7]
+    pointwise = np.array([mollified_green_value(IV, a, moll, z) for z in zs])
+    np.testing.assert_allclose(field(zs), pointwise, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("center", [0.0, 0.1])
+def test_mollified_green_refusal_names_first_node(interval_mollified, center):
+    # off center, v is not even in z, so the first node's figures differ
+    # from the last node's
+    moll = MollifierSpec(IV, center, 0.4)
+    first_node = interval_mollified[1].grid[0]
+    quad = QuadratureSpec(rel_tol=1e-15, abs_tol=1e-300, resolution=8)
+    with pytest.raises(ToleranceError) as batched:
+        mollified_green(IV, 0.5, moll, quad)
+    with pytest.raises(ToleranceError) as first:
+        mollified_green_value(IV, 0.5, moll, first_node, quad)
+    est, tol = batched.value.estimate, batched.value.achieved_tol
+    assert est == pytest.approx(first.value.estimate, rel=1e-12)
+    assert tol == pytest.approx(first.value.achieved_tol, rel=1e-3)
+    if center == 0.0:
+        assert est == pytest.approx(1.979e-3, rel=1e-3)
+        assert tol == pytest.approx(4.59e-9, rel=1e-2)
+
+
+def test_mollified_green_refuses_underflowing_distance():
+    # at a = 0.01 the 2/a grading puts the first node so close to z that
+    # its squared distance underflows to 0: refuse rather than return NaN
+    moll = MollifierSpec(IV, 0.0, 0.4)
+    with pytest.raises(SingularityError):
+        mollified_green_value(IV, 0.01, moll, 0.1)
+
+
+def test_corrupt_kappa_reaches_whole_mollified_field(interval_mollified):
+    moll, clean = interval_mollified
+    disk_moll = MollifierSpec(DK, np.array([0.2, -0.1]), 0.3)
+    z = np.array([-0.5, 0.2])
+    disk_clean = mollified_green_value(DK, 0.5, disk_moll, z)
+    with debug.corrupted_green_constant():
+        bad = mollified_green(IV, 0.5, moll)
+        disk_bad = mollified_green_value(DK, 0.5, disk_moll, z)
+    np.testing.assert_allclose(
+        bad(clean.grid), 1.02 * clean(clean.grid), rtol=1e-13, atol=0.0
+    )
+    assert disk_bad == pytest.approx(1.02 * disk_clean, rel=1e-13)
 
 
 def test_residual_check_report(interval_mollified):
