@@ -41,7 +41,6 @@ from .green import (
     fractional_trace_green,
     green_classical,
     green_fractional,
-    green_fractional_profile,
     green_mass,
     poisson_kernel_classical,
     torsion_reference,
@@ -122,7 +121,6 @@ __all__ = [
     "green_classical",
     "green_constant",
     "green_fractional",
-    "green_fractional_profile",
     "green_mass",
     "hadamard_prediction",
     "hadamard_report",

@@ -30,7 +30,7 @@ def unit_gamma_normalization():
 
 @contextmanager
 def corrupted_green_constant(scale=1.02):
-    """Scale kappa_{N,a} as consumed by the Green-function evaluators."""
+    """Scale kappa_{N,a} as every consumer reads it, via green.green_constant."""
     original = _green.green_constant
 
     def crooked(N, a):

@@ -62,7 +62,7 @@ class ModelDomain:
 
     def distance_to_boundary(self, p):
         d = self.R - self.norm(p)
-        if d < 0.0:
+        if not d >= 0.0:  # also refuses NaN
             raise DomainError(f"point {p} lies outside the domain")
         return d
 

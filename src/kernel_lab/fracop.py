@@ -30,6 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from .domains import DISK, INTERVAL, ray_exit
 from .errors import DomainError, SingularityError, ToleranceError
+from .green import green_fractional_radial
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
@@ -38,11 +39,7 @@ from .quadrature import (
     panel_nodes_weights,
 )
 from .report import Report, check
-from .specfun import (
-    boundary_integral_B_array,
-    frac_laplacian_constant,
-    torsion_constant,
-)
+from .specfun import frac_laplacian_constant, torsion_constant
 
 
 def _gk_quad(f, lo, hi, **kw):
@@ -118,7 +115,7 @@ class SampledInteriorField:
 
     def require_evaluable(self, x):
         d = self.domain.distance_to_boundary(x)
-        if d < self.delta_min:
+        if not d >= self.delta_min:  # also refuses NaN
             raise DomainError(
                 f"point at boundary distance {d:.3g} violates the field's "
                 f"clearance delta_min={self.delta_min:.3g} ({self.tag})"
@@ -344,11 +341,7 @@ def _moll_values_interval(domain, a, moll, zs, quad):
     array order whose rule meets y == z, or whose coarse and fine values
     disagree, is refused.
     """
-    from . import green  # kappa is read per call, so debug controls reach it
-
     zs = np.array([domain.require_interior(z) for z in np.atleast_1d(zs)])
-    kappa = green.green_constant(1, a)
-    R2 = domain.R**2
     lo, hi = moll.center - moll.width, moll.center + moll.width
     grading = max(2.0, 2.0 / a)
     groups = [
@@ -368,8 +361,7 @@ def _moll_values_interval(domain, a, moll, zs, quad):
         z = zs[rows, None]
         singular[rows] |= np.any(dist2 == 0.0, axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            r0 = (R2 - z * z) * (R2 - y * y) / (R2 * dist2)
-            return kappa * dist2 ** (a - 0.5) * boundary_integral_B_array(r0, a, 1)
+            return green_fractional_radial(1, a, domain.R, z * z, y * y, dist2)
 
     def inside(rows, t, w):
         z = zs[rows]
@@ -422,10 +414,6 @@ def _moll_value_disk(domain, a, moll, z, quad):
     # polar product rule around the mollifier center; accurate for z outside
     # the support (analytic integrand) and smoke-grade when the Green
     # singularity sits inside it
-    from . import green  # kappa is read per call, so debug controls reach it
-
-    R2 = domain.R**2
-    kappa = green.green_constant(2, a)
     r_nodes, r_weights = panel_nodes_weights(
         np.linspace(0.0, moll.width, max(8, quad.resolution // 4) + 1), quad.gl_order
     )
@@ -437,8 +425,7 @@ def _moll_value_disk(domain, a, moll, z, quad):
     y2 = np.sum(pts * pts, axis=1)
     vals = np.zeros(len(pts))
     ok = dist2 > 0.0
-    r0 = (R2 - float(z @ z)) * np.maximum(R2 - y2[ok], 0.0) / (R2 * dist2[ok])
-    vals[ok] = kappa * dist2[ok] ** (a - 1.0) * boundary_integral_B_array(r0, a, 2)
+    vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])
     vals *= moll.density(pts)
     vals = vals.reshape(len(r_nodes), quad.n_angles)
     dphi = 2.0 * math.pi / quad.n_angles

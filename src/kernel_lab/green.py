@@ -16,6 +16,11 @@ boundary trace G_a(x, y)/d(y)^a has the closed limit
 and the domain integral of G_a(x, .) reproduces the torsion function
 kappa* (R^2 - |x|^2)^a, which is the Getoor oracle used throughout the
 test-suite to pin down every constant.
+
+The fractional formula is written once, in green_fractional_radial, and
+reads kappa from this module at call time, so a control that patches
+green.green_constant reaches every caller.  boundary_representer is the one
+representer of point evaluation: the weighted trace, the Poisson kernel at a = 1.
 """
 
 import math
@@ -25,12 +30,7 @@ import numpy as np
 from .domains import INTERVAL, BoundaryField, ray_exit
 from .errors import DomainError, SingularityError
 from .quadrature import EvalBudget, QuadratureSpec, graded_mesh, panel_integrate
-from .specfun import (
-    boundary_integral_B,
-    boundary_integral_B_array,
-    green_constant,
-    torsion_constant,
-)
+from .specfun import boundary_integral_B_array, green_constant, torsion_constant
 
 
 def green_classical(domain, x, y):
@@ -52,49 +52,43 @@ def green_classical(domain, x, y):
     return (0.5 * math.log(q) - 0.5 * math.log(dist2) - math.log(R)) / (2.0 * math.pi)
 
 
-def _r0(domain, x, y, dist2):
-    R2 = domain.R**2
-    if domain.kind == INTERVAL:
-        return (R2 - x * x) * (R2 - y * y) / (R2 * dist2)
-    return (R2 - float(x @ x)) * (R2 - float(y @ y)) / (R2 * dist2)
+def green_fractional_radial(N, a, R, x2, y2, dist2):
+    """kappa_{N,a} |x-y|^(2a-N) B(r0) from |x|^2, |y|^2, |x-y|^2 (broadcast).
+
+    R^2 - |y|^2 is clamped at 0.  Callers pass dist2 (a quadrature in the
+    distance u passes u*u, so the singular factor never meets a rounded
+    x - y) and handle dist2 == 0 themselves.
+    """
+    R2 = R * R
+    r0 = (R2 - x2) * np.maximum(R2 - y2, 0.0) / (R2 * dist2)
+    return (
+        green_constant(N, a) * dist2 ** (a - 0.5 * N) * boundary_integral_B_array(r0, a, N)
+    )
 
 
 def green_fractional(domain, a, x, y):
-    """Green function of (-Delta)^a on the model domain, zero outside it."""
-    x = domain.point(x)
-    y = domain.point(y)
-    if domain.norm(x) >= domain.R or domain.norm(y) >= domain.R:
-        return 0.0
-    if domain.kind == INTERVAL:
-        dist2 = (x - y) ** 2
-    else:
-        diff = x - y
-        dist2 = float(diff @ diff)
-    if dist2 == 0.0:
-        raise SingularityError("green_fractional is singular at x == y")
+    """Green function of (-Delta)^a on the model domain, zero outside it.
+
+    y is one point or an array of m points; the result is a float or an
+    array.  NaN raises DomainError, y == x inside raises SingularityError.
+    """
     N = domain.N
-    r0 = _r0(domain, x, y, dist2)
-    return green_constant(N, a) * dist2 ** (0.5 * (2.0 * a - N)) * boundary_integral_B(r0, a, N)
-
-
-def green_fractional_profile(domain, a, x, y_arr):
-    """green_fractional at one interior x against an array of interval points."""
-    if domain.kind != INTERVAL:
-        raise DomainError("array profile is implemented for the interval")
-    x = domain.require_interior(x)
-    y = np.asarray(y_arr, dtype=float)
+    x = np.reshape(domain.point(x), N)
+    y = np.asarray(y, dtype=float)
+    if y.ndim > N or (N == 2 and y.shape[-1:] != (2,)):
+        raise DomainError(f"{domain.kind} points cannot have shape {y.shape}")
+    single = y.ndim == N - 1
+    y = y.reshape(-1, N)
+    x2, y2, dist2 = float(x @ x), np.sum(y * y, axis=1), np.sum((x - y) ** 2, axis=1)
+    if math.isnan(x2) or np.isnan(y2).any():
+        raise DomainError("green_fractional got a NaN coordinate")
     R2 = domain.R**2
-    out = np.zeros_like(y)
-    inside = np.abs(y) < domain.R
-    yi = y[inside]
-    dist2 = (x - yi) ** 2
-    if np.any(dist2 == 0.0):
+    inside = (y2 < R2) & (x2 < R2)
+    if np.any(dist2[inside] == 0.0):
         raise SingularityError("green_fractional is singular at x == y")
-    r0 = (R2 - x * x) * (R2 - yi * yi) / (R2 * dist2)
-    out[inside] = (
-        green_constant(1, a) * dist2 ** (a - 0.5) * boundary_integral_B_array(r0, a, 1)
-    )
-    return out
+    out = np.zeros(len(y))
+    out[inside] = green_fractional_radial(N, a, domain.R, x2, y2[inside], dist2[inside])
+    return float(out[0]) if single else out
 
 
 def poisson_kernel_classical(grid, x):
@@ -136,6 +130,15 @@ def fractional_trace_green(grid, a, x):
     diff = grid.nodes - x
     dist2 = np.sum(diff * diff, axis=1)
     return BoundaryField(grid, front / dist2)
+
+
+def boundary_representer(grid, a, x):
+    """Representer of point evaluation at x: the weighted trace psi_x, and at
+    a = 1 its formal limit P(x, .) (G_1 vanishes on the boundary, so
+    gamma_0^1 G_1 = -gamma_N G_1)."""
+    if a == 1.0:
+        return poisson_kernel_classical(grid, x)
+    return fractional_trace_green(grid, a, x)
 
 
 def torsion_reference(domain, a, x):
@@ -190,9 +193,6 @@ def _mass_interval(domain, a, x, panels, order, budget):
     # toward u = 0 cannot collide with the singularity in floating point
     # because the singular factor is computed from u itself
     R = domain.R
-    R2 = R * R
-    kappa = green_constant(1, a)
-    side_front = R2 - x * x
     grading = 2.0 / a
     total = 0.0
     for sgn, L in ((-1.0, x + R), (1.0, R - x)):
@@ -200,9 +200,7 @@ def _mass_interval(domain, a, x, panels, order, budget):
         def f(u):
             budget.spend(u.size)
             y = x + sgn * u
-            dist2 = u * u
-            r0 = side_front * np.maximum(R2 - y * y, 0.0) / (R2 * dist2)
-            return kappa * dist2 ** (a - 0.5) * boundary_integral_B_array(r0, a, 1)
+            return green_fractional_radial(1, a, R, x * x, y * y, u * u)
 
         # cluster toward the point singularity at u = 0 and toward the
         # boundary weight at u = L
@@ -218,8 +216,6 @@ def _mass_interval(domain, a, x, panels, order, budget):
 
 def _mass_disk(domain, a, x, panels, quad, budget):
     grading = 2.0 / a
-    kappa = green_constant(2, a)
-    R2 = domain.R**2
     ax2 = float(x @ x)
     total = 0.0
     angles = 2.0 * math.pi * np.arange(quad.n_angles) / quad.n_angles
@@ -232,9 +228,7 @@ def _mass_disk(domain, a, x, panels, quad, budget):
             budget.spend(r.size)
             pts = x[None, :] + r[:, None] * e[None, :]
             y2 = np.sum(pts * pts, axis=1)
-            dist2 = r * r
-            r0 = (R2 - ax2) * np.maximum(R2 - y2, 0.0) / (R2 * dist2)
-            return kappa * dist2 ** (a - 1.0) * boundary_integral_B_array(r0, a, 2) * r
+            return green_fractional_radial(2, a, domain.R, ax2, y2, r * r) * r
 
         mid = 0.5 * T
         total += dphi * panel_integrate(

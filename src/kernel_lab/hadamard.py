@@ -24,17 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import green
 from .boundary import boundary_integrate
 from .domains import INTERVAL, BoundaryField, BoundaryGrid
 from .errors import DomainError, GridMismatchError, SingularityError
-from .green import (
-    fractional_trace_green,
-    green_classical,
-    green_fractional,
-    poisson_kernel_classical,
-)
+from .green import boundary_representer, green_classical, green_fractional
 from .report import Report, check, flag
-from .specfun import boundary_integral_B_derivative, gamma_fn, green_constant
+from .specfun import boundary_integral_B_derivative, gamma_fn
 
 # central differences below this step lose the quotient to cancellation
 # (|G(1+t) - G(1-t)| approaches the 1e-12 |G| roundoff floor)
@@ -91,7 +87,7 @@ def dilation_derivative_exact(domain, a, x, y):
     # R * dr0/dR, with r0 = A B2 / (R^2 dist2) and dA/dR = dB2/dR = 2R
     r_dr0 = (2.0 / dist2) * (A + B2 - A * B2 / (R * R))
     return (
-        green_constant(N, a)
+        green.green_constant(N, a)
         * dist2 ** (0.5 * (2.0 * a - N))
         * boundary_integral_B_derivative(r0, a, N)
         * r_dr0
@@ -125,14 +121,10 @@ def hadamard_prediction(domain, a, x, y, alpha):
     if grid.domain != domain:
         raise GridMismatchError("alpha lives on a different domain")
     x, y = _require_distinct_interior(domain, x, y)
-    if a == 1.0:
-        fx = poisson_kernel_classical(grid, x)
-        fy = poisson_kernel_classical(grid, y)
-        front = 1.0
-    else:
-        fx = fractional_trace_green(grid, a, x)
-        fy = fractional_trace_green(grid, a, y)
-        front = gamma_fn(1.0 + a) ** 2
+    fx = boundary_representer(grid, a, x)
+    fy = boundary_representer(grid, a, y)
+    # Gamma(1 + a)^2 is 1 at a = 1, where the Lanczos gamma_fn(2) is not
+    front = gamma_fn(1.0 + a) ** 2 if a < 1.0 else 1.0
     return front * boundary_integrate(
         fx.pointwise_product(fy).pointwise_product(alpha.field)
     )

@@ -30,7 +30,7 @@ import numpy as np
 from .boundary import apply_M_power, boundary_integrate, sobolev_inner
 from .domains import DISK, INTERVAL, BoundaryGrid
 from .errors import ConsistencyError, DomainError, GridMismatchError
-from .green import fractional_trace_green, poisson_kernel_classical
+from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
 from .report import Report, check, flag
 from .specfun import FracParams, gamma_fn
 
@@ -61,6 +61,14 @@ def _gamma_factor(a):
     return gamma_fn(a) * gamma_fn(a + 1.0)
 
 
+def _two_routes(name, front, g, rep, t):
+    # front * int g rep dsigma, checked against front * <g, M^{-t} rep>_t
+    direct = front * boundary_integrate(g.pointwise_product(rep))
+    spectral = front * sobolev_inner(g, apply_M_power(rep, -t), t)
+    _route_guard(name, direct, spectral)
+    return direct
+
+
 def poisson_extend_classical(domain, s, g, x):
     """Value at x of the harmonic extension of boundary data g.
 
@@ -69,10 +77,7 @@ def poisson_extend_classical(domain, s, g, x):
     """
     _check_field_domain(g, domain)
     P = poisson_kernel_classical(g.grid, x)
-    direct = boundary_integrate(g.pointwise_product(P))
-    spectral = sobolev_inner(g, apply_M_power(P, -s), s)
-    _route_guard("poisson_extend_classical", direct, spectral)
-    return direct
+    return _two_routes("poisson_extend_classical", 1.0, g, P, s)
 
 
 def poisson_extend_fractional(domain, a, s, phi, x):
@@ -86,15 +91,9 @@ def poisson_extend_fractional(domain, a, s, phi, x):
     (R^2-|x|^2)^{a-1} exactly, which pins the Gamma normalization.
     """
     _check_field_domain(phi, domain)
-    params = FracParams(a, s)
+    t = 2.0 * FracParams(a, s).theta
     psi = fractional_trace_green(phi.grid, a, x)
-    front = _gamma_factor(a)
-    direct = front * boundary_integrate(phi.pointwise_product(psi))
-    spectral = front * sobolev_inner(
-        phi, apply_M_power(psi, -2.0 * params.theta), 2.0 * params.theta
-    )
-    _route_guard("poisson_extend_fractional", direct, spectral)
-    return direct
+    return _two_routes("poisson_extend_fractional", _gamma_factor(a), phi, psi, t)
 
 
 def _kernel_grid(domain, n_nodes):
@@ -103,20 +102,30 @@ def _kernel_grid(domain, n_nodes):
     return BoundaryGrid(domain, n_nodes)
 
 
-def _trace_field(grid, a, x):
-    # a = 1 is the formal limit of the weighted trace: G_1 vanishes on the
-    # boundary, so gamma_0^1 G_1 = -gamma_N G_1 = P(x,.)
-    if a == 1.0:
-        return poisson_kernel_classical(grid, x)
-    return fractional_trace_green(grid, a, x)
+def _representers(grid, kind, params, points):
+    """(front, V): the kernel's prefactor and the (m, n) rows M^{-t} rep(x_i),
+    t = s/2 for kind "classical" (params = s), theta for "fractional"."""
+    if kind == "classical":
+        front, a, t = 1.0, 1.0, 0.5 * float(params)
+    elif kind == "fractional":
+        front, a, t = _gamma_factor(params.a) ** 2, params.a, params.theta
+    else:
+        raise ValueError(f"unknown kernel selector {kind!r}")
+    V = np.array(
+        [apply_M_power(boundary_representer(grid, a, p), -t).values for p in points]
+    )
+    return front, V
+
+
+def _two_point(domain, kind, params, x, y, n_nodes):
+    grid = _kernel_grid(domain, n_nodes)
+    front, V = _representers(grid, kind, params, [x, y])
+    return front * float(np.dot(grid.weights, V[0] * V[1]))
 
 
 def kernel_classical(domain, s, x, y, n_nodes=DEFAULT_NODES):
     """Two-point kernel of the order-s harmonic extension isometry."""
-    grid = _kernel_grid(domain, n_nodes)
-    fx = apply_M_power(poisson_kernel_classical(grid, x), -0.5 * s)
-    fy = apply_M_power(poisson_kernel_classical(grid, y), -0.5 * s)
-    return boundary_integrate(fx.pointwise_product(fy))
+    return _two_point(domain, "classical", s, x, y, n_nodes)
 
 
 def kernel_classical_spectral_oracle(domain, s, x, y):
@@ -147,12 +156,7 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
 
 def kernel_fractional(domain, a, s, x, y, n_nodes=DEFAULT_NODES):
     """Two-point kernel of the (a, s) fractional extension isometry."""
-    params = FracParams(a, s)
-    grid = _kernel_grid(domain, n_nodes)
-    front = _gamma_factor(a) ** 2
-    fx = apply_M_power(_trace_field(grid, a, x), -params.theta)
-    fy = apply_M_power(_trace_field(grid, a, y), -params.theta)
-    return front * boundary_integrate(fx.pointwise_product(fy))
+    return _two_point(domain, "fractional", FracParams(a, s), x, y, n_nodes)
 
 
 @dataclass
@@ -160,7 +164,7 @@ class KernelMatrix:
     """Gram matrix of kernel representers at a fixed point set.
 
     params is the classical order s (a float) or a FracParams; entries is
-    exactly symmetric because each unordered pair is computed once.
+    exactly symmetric because its upper triangle mirrors the lower one.
     """
 
     params: object
@@ -185,38 +189,18 @@ def gram_matrix(domain, kind, params, points, n_nodes=DEFAULT_NODES):
     "fractional" (params = FracParams).  Duplicate points are allowed and
     flagged; they make the matrix singular, which is not an error.
     """
-    pts = [domain.point(p) for p in points]
-    if not pts:
+    pts = np.array([domain.point(p) for p in points])
+    if not len(pts):
         raise DomainError("gram_matrix needs at least one point")
     grid = _kernel_grid(domain, n_nodes)
-    if kind == "classical":
-        s = float(params)
-        front = 1.0
-        fields = [
-            apply_M_power(poisson_kernel_classical(grid, p), -0.5 * s) for p in pts
-        ]
-    elif kind == "fractional":
-        front = _gamma_factor(params.a) ** 2
-        fields = [
-            apply_M_power(_trace_field(grid, params.a, p), -params.theta) for p in pts
-        ]
-    else:
-        raise ValueError(f"unknown kernel selector {kind!r}")
+    front, V = _representers(grid, kind, params, pts)
+    lower = np.tril(front * ((V * grid.weights) @ V.T))
+    entries = lower + np.tril(lower, -1).T
 
     m = len(pts)
-    w = grid.weights
-    vals = [f.values for f in fields]
-    entries = np.empty((m, m))
-    for i in range(m):
-        for j in range(i + 1):
-            entries[i, j] = entries[j, i] = front * float(np.dot(w * vals[i], vals[j]))
-
-    dup = False
-    for i in range(m):
-        for j in range(i):
-            if np.max(np.abs(np.asarray(pts[i]) - np.asarray(pts[j]))) < 1e-14 * domain.R:
-                dup = True
-    return KernelMatrix(params, np.array(pts), entries, has_duplicates=dup)
+    gaps = np.abs(pts[:, None] - pts[None, :]).reshape(m, m, -1).max(axis=2)
+    dup = bool(np.any(np.tril(gaps < 1e-14 * domain.R, -1)))
+    return KernelMatrix(params, pts, entries, has_duplicates=dup)
 
 
 def reproducing_residual(domain, a, s, phi, x, fine_factor=2):

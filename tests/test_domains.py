@@ -32,6 +32,10 @@ def test_domain_basics():
     with pytest.raises(DomainError):
         dk.require_interior(np.array([math.nan, 0.1]))
     with pytest.raises(DomainError):
+        iv.distance_to_boundary(math.nan)
+    with pytest.raises(DomainError):
+        dk.distance_to_boundary(np.array([math.nan, 0.1]))
+    with pytest.raises(DomainError):
         interval(-1.0)
 
 

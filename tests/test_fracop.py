@@ -99,6 +99,10 @@ def test_evaluable_margin_guards():
         v.require_evaluable(0.99)  # singular tag keeps a 0.2 R margin
     u = getoor_field(IV, 0.5)
     assert u.require_evaluable(0.9) == pytest.approx(0.1, abs=1e-15)
+    with pytest.raises(DomainError):
+        u.require_evaluable(math.nan)
+    with pytest.raises(DomainError):
+        getoor_field(DK, 0.5).require_evaluable(np.array([math.nan, 0.0]))
 
 
 def test_sampled_field_from_grid():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
-from scipy.special import hyp2f1
 
 from kernel_lab.domains import BoundaryGrid, disk, interval
 from kernel_lab.errors import DomainError, SingularityError, ToleranceError
@@ -12,13 +13,12 @@ from kernel_lab.green import (
     fractional_trace_green,
     green_classical,
     green_fractional,
-    green_fractional_profile,
     green_mass,
     poisson_kernel_classical,
     torsion_reference,
 )
 from kernel_lab.quadrature import QuadratureSpec
-from kernel_lab.specfun import green_constant
+from kernel_lab.specfun import boundary_integral_B, green_constant
 
 IV = interval(1.0)
 DK = disk(1.0)
@@ -110,8 +110,9 @@ def test_green_vanishes_toward_boundary():
 @pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
 def test_fractional_green_hypergeometric_oracle(domain, a):
-    # recompute kappa |x-y|^{2a-N} B(r0) from scratch with scipy; this also
-    # crosses the closed-form asinh/atan branches at a = 1/2
+    # green_fractional evaluates B through its hypergeometric form; recompute
+    # kappa |x-y|^{2a-N} B(r0) with the independent scalar-quad B instead.
+    # This also crosses the closed-form asinh/atan branches at a = 1/2
     rng = np.random.default_rng(5)
     N = domain.N
     for _ in range(50):
@@ -129,12 +130,7 @@ def test_fractional_green_hypergeometric_oracle(domain, a):
         if dist2 < 1e-8:
             continue
         r0 = fx * fy / dist2
-        oracle = (
-            green_constant(N, a)
-            * dist2 ** (a - N / 2.0)
-            * (r0**a / a)
-            * hyp2f1(N / 2.0, a, a + 1.0, -r0)
-        )
+        oracle = green_constant(N, a) * dist2 ** (a - N / 2.0) * boundary_integral_B(r0, a, N)
         got = green_fractional(domain, a, x, y)
         assert abs(got - oracle) <= 1e-11 * abs(oracle)
 
@@ -151,11 +147,50 @@ def test_fractional_green_singularity_guard():
         green_fractional(DK, 0.5, np.array([0.1, 0.2]), np.array([0.1, 0.2]))
 
 
-def test_green_profile_matches_pointwise():
-    ys = np.linspace(-0.9, 0.9, 41)
-    prof = green_fractional_profile(IV, 0.6, 0.17, ys)
-    singles = np.array([green_fractional(IV, 0.6, 0.17, y) for y in ys])
-    assert np.max(np.abs(prof - singles)) < 1e-14
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_green_array_matches_pointwise(domain):
+    # the last two points lie on and outside the boundary, where G_a is 0
+    t = np.append(np.linspace(-0.9, 0.9, 41), [1.0, 1.3])
+    if domain.kind == "interval":
+        x, ys = 0.17, t
+    else:
+        x, ys = np.array([0.17, -0.05]), np.column_stack([t, 0.3 * t])
+    got = green_fractional(domain, 0.6, x, ys)
+    singles = np.array([green_fractional(domain, 0.6, x, y) for y in ys])
+    assert isinstance(singles[0], float)
+    np.testing.assert_allclose(got, singles, rtol=1e-15, atol=0.0)
+    assert np.all(got[:-2] > 0.0) and np.all(got[-2:] == 0.0)
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_fractional_green_refuses_nan(domain):
+    inside = 0.2 if domain.kind == "interval" else np.array([0.2, 0.1])
+    nan = math.nan if domain.kind == "interval" else np.array([math.nan, 0.1])
+    for x, y in ((nan, inside), (inside, nan), (inside, np.stack([inside, nan]))):
+        with pytest.raises(DomainError):
+            green_fractional(domain, 0.5, x, y)
+
+
+def _draw_point(data, domain, radius):
+    if domain.kind == "interval":
+        return data.draw(st.floats(-radius, radius))
+    r = data.draw(st.floats(0.0, radius))
+    th = data.draw(st.floats(0.0, 2.0 * math.pi))
+    return r * np.array([math.cos(th), math.sin(th)])
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+@given(data=st.data(), a=st.floats(0.05, 0.95), scale=st.floats(0.25, 4.0))
+def test_fractional_green_symmetry_and_scaling(domain, data, a, scale):
+    # symmetry, and G_R(x, y) = R^(2a-N) G_1(x/R, y/R)
+    x = _draw_point(data, domain, 0.95)
+    y = _draw_point(data, domain, 0.95)
+    assume(np.max(np.abs(np.asarray(x) - np.asarray(y))) > 1e-3)
+    g1 = green_fractional(domain, a, x, y)
+    assert green_fractional(domain, a, y, x) == pytest.approx(g1, rel=1e-12)
+    big = domain.scaled(scale)
+    gR = green_fractional(big, a, scale * np.asarray(x), scale * np.asarray(y))
+    assert gR == pytest.approx(scale ** (2.0 * a - domain.N) * g1, rel=1e-12)
 
 
 def test_green_mass_matches_torsion():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kernel_lab import debug
 from kernel_lab.domains import BoundaryGrid, disk, interval
 from kernel_lab.errors import DomainError, GridMismatchError, SingularityError
 from kernel_lab.hadamard import (
@@ -34,6 +35,23 @@ def test_exact_anchor_interval_fractional():
     # a = 1/2, x = 0, y = 1/2 on (-1,1): closed form is 2/(pi sqrt(3))
     got = dilation_derivative_exact(IV, 0.5, 0.0, 0.5)
     assert got == pytest.approx(2.0 / (math.pi * math.sqrt(3.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "domain,x,y",
+    [(IV, 0.0, 0.5), (DK, np.zeros(2), np.array([0.5, 0.0]))],
+    ids=["interval", "disk"],
+)
+def test_corrupt_kappa_reaches_exact_and_fd_routes(domain, x, y):
+    # both routes are linear in kappa, so the control must scale both alike
+    # rather than show up only as a disagreement between them
+    exact = dilation_derivative_exact(domain, 0.5, x, y)
+    fd = dilation_derivative_fd(domain, 0.5, x, y, 1e-3)
+    with debug.corrupted_green_constant():
+        bad_exact = dilation_derivative_exact(domain, 0.5, x, y)
+        bad_fd = dilation_derivative_fd(domain, 0.5, x, y, 1e-3)
+    assert bad_exact == pytest.approx(1.02 * exact, rel=1e-14)
+    assert bad_fd == pytest.approx(1.02 * fd, rel=1e-12)
 
 
 def test_fd_error_and_order():

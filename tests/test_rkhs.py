@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kernel_lab.rkhs as rkhs
 from kernel_lab.domains import BoundaryGrid, disk, interval
@@ -136,6 +138,46 @@ def test_gram_duplicate_flagged_degenerate():
     # a repeated point makes the matrix exactly rank deficient
     assert lam[0] < 1e-12 * lam[-1]
     assert km.is_psd()
+
+
+def _draw_points(data, domain, max_size):
+    if domain.kind == "interval":
+        point = st.floats(-0.9, 0.9)
+    else:
+        point = st.builds(_circle_pt, st.floats(0.0, 0.9), st.floats(0.0, 2.0 * math.pi))
+    return data.draw(st.lists(point, min_size=1, max_size=max_size))
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+@settings(max_examples=20)
+@given(data=st.data(), kind=st.sampled_from(["classical", "fractional"]),
+       a=st.floats(0.2, 1.0), s=st.floats(-0.6, 1.0))
+def test_gram_symmetric_and_matches_two_point_kernels(domain, data, kind, a, s):
+    pts = _draw_points(data, domain, 6)
+    if kind == "classical":
+        params = s
+        kernel = lambda x, y: kernel_classical(domain, s, x, y, n_nodes=64)
+    else:
+        params = FracParams(a, s)
+        kernel = lambda x, y: kernel_fractional(domain, a, s, x, y, n_nodes=64)
+    K = gram_matrix(domain, kind, params, pts, n_nodes=64).entries
+    assert np.array_equal(K, K.T)
+    for i in range(len(pts)):
+        for j in range(i, len(pts)):
+            # relative to the Cauchy-Schwarz scale, which bounds |K[i, j]|
+            scale = math.sqrt(K[i, i] * K[j, j])
+            assert abs(K[i, j] - kernel(pts[i], pts[j])) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+@given(picks=st.lists(st.integers(0, 5), min_size=1, max_size=8))
+def test_has_duplicates_exactly_when_a_point_repeats(domain, picks):
+    if domain.kind == "interval":
+        pool = [-0.8 + 0.3 * k for k in range(6)]
+    else:
+        pool = [_circle_pt(0.1 + 0.15 * k, 0.7 * k) for k in range(6)]
+    km = gram_matrix(domain, "classical", 0.0, [pool[k] for k in picks], n_nodes=16)
+    assert km.has_duplicates == (len(set(picks)) < len(picks))
 
 
 def test_gram_selector_validation():
