@@ -187,10 +187,8 @@ def criterion_8_psd_and_cauchy_schwarz(seed=DEFAULT_SEED):
         ("fractional a=1/2 s=0", "fractional", FracParams(0.5, 0.0)),
     ):
         km = gram_matrix(dd, kind, params, pts)
-        lam = km.eigenvalues()
-        out.append(flag(
-            f"C8: Gram PSD, {label} (min {lam[0]:.3e}, max {lam[-1]:.3e})", km.is_psd()
-        ))
+        lo, hi, psd = km.psd_verdict()
+        out.append(flag(f"C8: Gram PSD, {label} (min {lo:.3e}, max {hi:.3e})", psd))
 
     worst = math.inf
     for _ in range(200):

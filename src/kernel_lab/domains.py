@@ -83,15 +83,26 @@ class ModelDomain:
         return ModelDomain(self.kind, self.R * factor)
 
 
+def ray_directions(n):
+    """The n unit vectors at angles 2 pi k / n, as an (n, 2) array."""
+    phis = 2.0 * math.pi * np.arange(n) / n
+    return np.column_stack([np.cos(phis), np.sin(phis)])
+
+
 def ray_exit(domain, x, direction):
-    """Distance from an interior disk point to the boundary along a unit ray."""
+    """Distance from an interior disk point to the boundary along a unit ray.
+
+    direction is one unit 2-vector (float out) or an (n, 2) array of them
+    ((n,) array out).
+    """
     if domain.kind != DISK:
         raise DomainError("ray_exit is defined on the disk")
     x = domain.point(x)
     direction = np.asarray(direction, dtype=float)
-    b = float(x @ direction)
+    b = direction[..., 0] * x[0] + direction[..., 1] * x[1]
     c = float(x @ x) - domain.R**2
-    return -b + math.sqrt(b * b - c)
+    dist = -b + np.sqrt(b * b - c)
+    return float(dist) if direction.ndim == 1 else dist
 
 
 def interval(R=1.0):
@@ -129,8 +140,7 @@ class BoundaryGrid:
         R = self.domain.R
         if self.domain.kind == INTERVAL:
             return np.array([-R, R])
-        th = self.angles
-        return R * np.column_stack([np.cos(th), np.sin(th)])
+        return R * ray_directions(self.n)
 
     @property
     def weights(self):

@@ -9,10 +9,17 @@ at an interior point x is split three ways:
                which cancels the principal value for C^2 fields; graded
                composite Gauss-Legendre with nodes clustered as j^2
                toward h = 0, h0 = min(d(x)/2, 0.1R),
-  far field    c int_{Omega, |y-x|>h0} (u(x)-u(y)) |x-y|^(-N-2a) dy by
-               adaptive Gauss-Kronrod (per ray on the disk),
+  far field    c int_{Omega, |y-x|>h0} (u(x)-u(y)) |x-y|^(-N-2a) dy,
+               by adaptive Gauss-Kronrod on the interval; on the disk by
+               one fixed rule on every ray's [h0, T], Gauss-Legendre panels
+               graded toward h0 and a Gauss-Jacobi exit panel carrying the
+               boundary exponent of the field's tag, all rays evaluated as
+               one array,
   exact tail   c u(x) int_{|y-x|>T} |y-x|^(-N-2a) dy once y has left the
                support, integrated analytically.
+
+On the disk the convergence estimate compares the half-resolution and
+full-resolution rules in both the near and the far field.
 
 The same machinery powers the mollified-Green residual oracle: with
 v(z) = int G_a(z,y) rho_eps(y-x) dy one must get (-Delta)^a v = rho_eps(.-x),
@@ -28,12 +35,13 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
-from .domains import DISK, INTERVAL, ray_exit
+from .domains import DISK, INTERVAL, ray_directions, ray_exit
 from .errors import DomainError, SingularityError, ToleranceError
 from .green import green_fractional_radial
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
+    exit_graded_rule,
     graded_mesh,
     panel_integrate,
     panel_nodes_weights,
@@ -72,7 +80,10 @@ class SampledInteriorField:
     applies the zero extension.  The smoothness tag states the boundary
     behavior (d^a, d^(a-1), or compactly supported smooth) and fixes the
     default clearance delta_min below which the principal-value quadrature
-    refuses to evaluate.
+    refuses to evaluate.  On the disk it also sets the exponent beta (a,
+    a-1, 0) of the far field's Gauss-Jacobi exit panel; a tag that claims a
+    milder boundary than the profile has makes that rule disagree with
+    itself under refinement, and the principal value refuses.
     """
 
     def __init__(self, domain, profile, tag, delta_min=None, grid=None):
@@ -272,11 +283,9 @@ def _apply_interval(u, a, x, h0, quad, budget, c):
 
 
 def _apply_disk(u, a, x, h0, quad, budget, c):
-    domain = u.domain
     ux = u(x)
     n_ang = quad.n_angles
-    phis = 2.0 * math.pi * np.arange(n_ang) / n_ang
-    dirs = np.column_stack([np.cos(phis), np.sin(phis)])
+    dirs = ray_directions(n_ang)
     exponent = -1.0 - 2.0 * a
 
     def near(panels):
@@ -294,26 +303,31 @@ def _apply_disk(u, a, x, h0, quad, budget, c):
     near_half = near(max(4, quad.resolution // 2))
     near_full = near(quad.resolution)
 
-    dphi = 2.0 * math.pi / n_ang
-    far = 0.0
-    far_err = 0.0
-    tail = 0.0
-    for e in dirs:
-        T = ray_exit(domain, x, e)
-
-        def g(r, e=e):
-            budget.spend(1)
-            return (ux - u(x + r * e)) * r**exponent
-
-        val, err = _gk_quad(
-            g, h0, T, epsabs=0.1 * quad.abs_tol, epsrel=0.1 * quad.rel_tol, limit=200
-        )
-        far += dphi * val
-        far_err += dphi * err
-        tail += dphi * ux * T ** (-2.0 * a) / (2.0 * a)
-    value = c * (near_full + far + tail)
-    estimate = c * (abs(near_full - near_half) + far_err)
+    far_half = _disk_far(u, a, x, h0, dirs, max(4, quad.resolution // 2), quad, budget)
+    far_full = _disk_far(u, a, x, h0, dirs, quad.resolution, quad, budget)
+    value = c * (near_full + far_full)
+    estimate = c * (abs(near_full - near_half) + abs(far_full - far_half))
     return value, estimate
+
+
+def _disk_far(u, a, x, h0, dirs, panels, quad, budget):
+    """Far field plus exact tail of the disk principal value, summed over rays.
+
+    Per ray e, int_{h0}^{T} (u(x) - u(x+re)) r^(-1-2a) dr and the tail
+    u(x) T^(-2a)/(2a) add up to u(x) h0^(-2a)/(2a) - int_{h0}^{T} u(x+re)
+    r^(-1-2a) dr.  One exit_graded_rule on [0, 1] maps onto every ray's
+    [h0, T], its exit panel fitted to the boundary exponent that the field's
+    tag declares, and the field is evaluated once on all (ray, node) points.
+    """
+    beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[u.tag]
+    s, w = exit_graded_rule(panels, 2.0, beta, quad.gl_order)
+    budget.spend(len(dirs) * s.size)
+    lengths = ray_exit(u.domain, x, dirs) - h0
+    r = h0 + lengths[:, None] * s[None, :]
+    pts = x[None, None, :] + r[:, :, None] * dirs[:, None, :]
+    vals = u(pts.reshape(-1, 2)).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
+    dphi = 2.0 * math.pi / len(dirs)
+    return math.pi * u(x) * h0 ** (-2.0 * a) / a - dphi * float(lengths @ (vals @ w))
 
 
 def mollified_green_value(domain, a, moll, z, quad=None):
@@ -417,8 +431,7 @@ def _moll_value_disk(domain, a, moll, z, quad):
     r_nodes, r_weights = panel_nodes_weights(
         np.linspace(0.0, moll.width, max(8, quad.resolution // 4) + 1), quad.gl_order
     )
-    phis = 2.0 * math.pi * np.arange(quad.n_angles) / quad.n_angles
-    dirs = np.column_stack([np.cos(phis), np.sin(phis)])
+    dirs = ray_directions(quad.n_angles)
     pts = (moll.center[None, None, :] + r_nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     diff = pts - z[None, :]
     dist2 = np.sum(diff * diff, axis=1)

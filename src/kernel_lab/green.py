@@ -27,9 +27,15 @@ import math
 
 import numpy as np
 
-from .domains import INTERVAL, BoundaryField, ray_exit
+from .domains import INTERVAL, BoundaryField, ray_directions, ray_exit
 from .errors import DomainError, SingularityError
-from .quadrature import EvalBudget, QuadratureSpec, graded_mesh, panel_integrate
+from .quadrature import (
+    EvalBudget,
+    QuadratureSpec,
+    graded_mesh,
+    panel_integrate,
+    panel_nodes_weights,
+)
 from .specfun import boundary_integral_B_array, green_constant, torsion_constant
 
 
@@ -215,26 +221,19 @@ def _mass_interval(domain, a, x, panels, order, budget):
 
 
 def _mass_disk(domain, a, x, panels, quad, budget):
+    # one rule in s = r/T on [0, 1/2] and [1/2, 1], graded as on the
+    # interval, maps onto every ray's [0, T]; all rays are evaluated at once
     grading = 2.0 / a
-    ax2 = float(x @ x)
-    total = 0.0
-    angles = 2.0 * math.pi * np.arange(quad.n_angles) / quad.n_angles
-    dphi = 2.0 * math.pi / quad.n_angles
-    for phi in angles:
-        e = np.array([math.cos(phi), math.sin(phi)])
-        T = ray_exit(domain, x, e)
-
-        def radial(r):
-            budget.spend(r.size)
-            pts = x[None, :] + r[:, None] * e[None, :]
-            y2 = np.sum(pts * pts, axis=1)
-            return green_fractional_radial(2, a, domain.R, ax2, y2, r * r) * r
-
-        mid = 0.5 * T
-        total += dphi * panel_integrate(
-            radial, graded_mesh(0.0, mid, panels, grading, toward="lo"), quad.gl_order
-        )
-        total += dphi * panel_integrate(
-            radial, graded_mesh(mid, T, panels, grading, toward="hi"), quad.gl_order
-        )
-    return total
+    dirs = ray_directions(quad.n_angles)
+    mesh = np.concatenate([
+        graded_mesh(0.0, 0.5, panels, grading, toward="lo"),
+        graded_mesh(0.5, 1.0, panels, grading, toward="hi"),
+    ])
+    s, w = panel_nodes_weights(mesh, quad.gl_order)
+    budget.spend(len(dirs) * s.size)
+    T = ray_exit(domain, x, dirs)
+    r = T[:, None] * s[None, :]
+    pts = x[None, None, :] + r[:, :, None] * dirs[:, None, :]
+    y2 = np.sum(pts * pts, axis=2)
+    vals = green_fractional_radial(2, a, domain.R, float(x @ x), y2, r * r) * r
+    return 2.0 * math.pi / len(dirs) * float(T @ (vals @ w))

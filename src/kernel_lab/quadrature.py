@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import roots_jacobi
 
 from .errors import ToleranceError
 
@@ -39,6 +40,13 @@ class QuadratureSpec:
 @lru_cache(maxsize=None)
 def _gl_nodes(order):
     x, w = np.polynomial.legendre.leggauss(order)
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def _gj_nodes(order, beta):
+    # Gauss-Jacobi on [-1, 1] for the weight (1 - x)^beta
+    x, w = roots_jacobi(order, beta, 0.0)
     return x, w
 
 
@@ -93,6 +101,25 @@ def panel_nodes_weights(breakpoints, order=12):
     nodes = mid[:, None] + half[:, None] * x[None, :]
     weights = half[:, None] * w[None, :]
     return nodes.ravel(), weights.ravel()
+
+
+def exit_graded_rule(panels, exponent, beta, order=12):
+    """Nodes and weights on [0, 1] for integrands that behave like
+    (1 - s)^beta at s = 1.
+
+    Composite Gauss-Legendre on panels graded toward s = 0 as
+    (j/panels)^exponent, except the last panel, which is Gauss-Jacobi with
+    the weight (1 - s)^beta folded into its weights: sum(w * f(s)) is exact
+    there for f = (1 - s)^beta times a polynomial of degree < 2 order.
+    """
+    mesh = graded_mesh(0.0, 1.0, panels, exponent, toward="lo")
+    nodes, weights = panel_nodes_weights(mesh[:-1], order)
+    x, w = _gj_nodes(order, beta)
+    half = 0.5 * (1.0 - mesh[-2])
+    return (
+        np.concatenate([nodes, 1.0 - half * (1.0 - x)]),
+        np.concatenate([weights, half * w * (1.0 - x) ** -beta]),
+    )
 
 
 class EvalBudget:

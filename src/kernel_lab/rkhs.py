@@ -176,10 +176,14 @@ class KernelMatrix:
         """Dense symmetric eigensolve, ascending."""
         return np.linalg.eigvalsh(self.entries)
 
+    def psd_verdict(self, tol=1e-10):
+        """(min eigenvalue, max eigenvalue, is_psd) from one eigensolve."""
+        lam = self.eigenvalues()
+        return lam[0], lam[-1], bool(lam[0] >= -tol * max(lam[-1], 0.0))
+
     def is_psd(self, tol=1e-10):
         """Min eigenvalue above -tol times the max; scale-free."""
-        lam = self.eigenvalues()
-        return lam[0] >= -tol * max(lam[-1], 0.0)
+        return self.psd_verdict(tol)[2]
 
 
 def gram_matrix(domain, kind, params, points, n_nodes=DEFAULT_NODES):

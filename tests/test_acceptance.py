@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from kernel_lab.acceptance import CRITERIA, DEFAULT_SEED
+from kernel_lab.rkhs import KernelMatrix
 
 _BY_NUMBER = dict(CRITERIA)
 
@@ -61,8 +62,15 @@ def test_criterion_07_reproducing_and_trace_recovery():
     _assert_all_pass(_run(7))
 
 
-def test_criterion_08_psd_and_cauchy_schwarz():
+def test_criterion_08_psd_and_cauchy_schwarz(monkeypatch):
+    # one eigensolve per Gram matrix serves the flag name and the verdict
+    solves = []
+    eigenvalues = KernelMatrix.eigenvalues
+    monkeypatch.setattr(
+        KernelMatrix, "eigenvalues", lambda km: solves.append(km) or eigenvalues(km)
+    )
     _assert_all_pass(_run(8))
+    assert len(solves) == 3
 
 
 def test_criterion_09_classical_limit():

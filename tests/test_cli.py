@@ -7,6 +7,7 @@ import pytest
 
 from kernel_lab.cli import main
 from kernel_lab.report import SCHEMA_VERSION
+from kernel_lab.rkhs import KernelMatrix
 
 
 def _load(path):
@@ -20,9 +21,16 @@ def _comparable(path):
     return d
 
 
-def test_kernel_defaults(tmp_path):
+def test_kernel_defaults(tmp_path, monkeypatch):
+    # one eigensolve serves the PSD flag's name and its verdict
+    solves = []
+    eigenvalues = KernelMatrix.eigenvalues
+    monkeypatch.setattr(
+        KernelMatrix, "eigenvalues", lambda km: solves.append(km) or eigenvalues(km)
+    )
     out = tmp_path / "k"
     assert main(["kernel", "--out", str(out)]) == 0
+    assert len(solves) == 1
     rep = _load(out / "kernel_report.json")
     assert rep["schema"] == SCHEMA_VERSION
     assert rep["overall_pass"] is True

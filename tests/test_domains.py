@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kernel_lab.domains import BoundaryGrid, disk, interval, ray_exit
+from kernel_lab.domains import BoundaryGrid, disk, interval, ray_directions, ray_exit
 from kernel_lab.errors import DomainError, GridMismatchError, ToleranceError
 from kernel_lab.quadrature import (
     EvalBudget,
     QuadratureSpec,
+    exit_graded_rule,
     graded_mesh,
     panel_integrate,
     panel_nodes_weights,
@@ -53,6 +54,16 @@ def test_ray_exit_disk():
     assert ray_exit(dk, x, np.array([-1.0, 0.0])) == pytest.approx(1.5, rel=1e-14)
     t = ray_exit(dk, x, np.array([0.0, 1.0]))
     assert np.hypot(0.5, t) == pytest.approx(1.0, rel=1e-14)
+    # an (n, 2) array of directions gives each direction's scalar answer
+    dirs = ray_directions(12)
+    np.testing.assert_allclose(np.hypot(dirs[:, 0], dirs[:, 1]), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(dirs[3], [0.0, 1.0], atol=1e-15)
+    y = np.array([0.3, -0.45])
+    exits = ray_exit(dk, y, dirs)
+    assert exits.shape == (12,)
+    assert exits.tolist() == [ray_exit(dk, y, e) for e in dirs]
+    ends = y + exits[:, None] * dirs
+    np.testing.assert_allclose(np.hypot(ends[:, 0], ends[:, 1]), 1.0, rtol=1e-14)
 
 
 def test_grid_constraints():
@@ -133,3 +144,15 @@ def test_quadrature_spec_tolerance():
     spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=32, budget=10)
     assert spec.tolerance_for(0.0) == 1e-6
     assert spec.tolerance_for(10.0) == pytest.approx(1e-2)
+
+
+@pytest.mark.parametrize("beta", [-0.75, -0.5, 0.0, 0.25, 0.9])
+def test_exit_graded_rule_endpoint_weight(beta):
+    # exact for (1-s)^beta times a polynomial on the exit panel, and plain
+    # Gauss-Legendre on the graded panels before it
+    s, w = exit_graded_rule(16, 2.0, beta)
+    assert s.size == 16 * 12 and np.all((0.0 < s) & (s < 1.0))
+    assert np.all(np.diff(s) > 0.0)
+    assert np.dot(w, (1.0 - s) ** beta) == pytest.approx(1.0 / (1.0 + beta), rel=1e-14)
+    moment = 2.0 / ((1.0 + beta) * (2.0 + beta) * (3.0 + beta))
+    assert np.dot(w, (1.0 - s) ** beta * s * s) == pytest.approx(moment, rel=1e-14)

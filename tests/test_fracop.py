@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
-from kernel_lab import debug
-from kernel_lab.domains import disk, interval
+from kernel_lab import debug, fracop
+from kernel_lab.domains import disk, interval, ray_directions, ray_exit
 from kernel_lab.errors import DomainError, SingularityError, ToleranceError
 from kernel_lab.fracop import (
+    TAG_DEGENERATE,
+    TAG_SINGULAR,
+    TAG_SMOOTH,
     MollifierSpec,
     SampledInteriorField,
     boundary_singular_field,
@@ -20,7 +25,7 @@ from kernel_lab.fracop import (
     residual_check,
 )
 from kernel_lab.green import green_classical, green_fractional
-from kernel_lab.quadrature import QuadratureSpec, panel_integrate
+from kernel_lab.quadrature import EvalBudget, QuadratureSpec, panel_integrate
 from kernel_lab.specfun import green_constant
 
 IV = interval(1.0)
@@ -41,6 +46,91 @@ def test_getoor_identity_disk():
     ref = getoor_reference(2, 0.5)
     got = frac_laplacian_apply(u, 0.5, np.array([0.3, -0.2]))
     assert abs(got - ref) < 1e-6 * ref
+
+
+@given(
+    a=st.floats(0.2, 0.7),
+    radius=st.floats(0.0, 0.6),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+@settings(max_examples=10)
+def test_getoor_identity_disk_property(a, radius, angle):
+    x = radius * np.array([math.cos(angle), math.sin(angle)])
+    ref = getoor_reference(2, a)
+    got = frac_laplacian_apply(getoor_field(DK, a), a, x)
+    assert abs(got - ref) < 1e-3 * ref
+
+
+# the C10 spec of the a-harmonic checks
+C10_QUAD = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-4, resolution=64, budget=10**6)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("make", [getoor_field, boundary_singular_field])
+@pytest.mark.parametrize(
+    "x", [np.array([0.3, -0.2]), np.array([0.0, 0.45])], ids=["x0", "x1"]
+)
+def test_disk_far_field_matches_per_ray_quad(a, make, x):
+    # far field plus exact tail, ray by ray with adaptive Gauss-Kronrod on
+    # the profile written out in floats (eight rays keep the reference
+    # cheap; the rule is the same on every ray)
+    u = make(DK, a)
+    p = a if make is getoor_field else a - 1.0
+    h0 = min(0.5 * DK.distance_to_boundary(x), 0.1 * DK.R)
+    dirs = ray_directions(8)
+    ux = u(x)
+    ref = 0.0
+    for e in dirs:
+        T = ray_exit(DK, x, e)
+
+        def g(r, e=e):
+            y0, y1 = x[0] + r * e[0], x[1] + r * e[1]
+            return (ux - (1.0 - y0 * y0 - y1 * y1) ** p) * r ** (-1.0 - 2.0 * a)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, _ = quad(g, h0, T, epsabs=1e-12, epsrel=1e-12, limit=200)
+        ref += (2.0 * math.pi / len(dirs)) * (val + ux * T ** (-2.0 * a) / (2.0 * a))
+    got = fracop._disk_far(u, a, x, h0, dirs, 64, C10_QUAD, EvalBudget(10**9))
+    assert abs(got - ref) < 1e-9
+
+
+def test_disk_a_harmonic_certified_at_quarter():
+    # per-ray Gauss-Kronrod refused this point (estimate 1.2e-4 > 1e-4)
+    x = np.array([0.5283134308537349, -0.28081405199583165])
+    got = frac_laplacian_apply(boundary_singular_field(DK, 0.25), 0.25, x, C10_QUAD)
+    assert abs(got) < 1e-3
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("tag", [TAG_DEGENERATE, TAG_SMOOTH])
+def test_disk_mislabelled_boundary_exponent_refuses(a, tag):
+    # a d^(a-1) profile tagged with a milder exponent: the exit panel is
+    # fitted to the wrong weight, and coarse and fine far fields disagree
+    # (values 0.1 and more off); the honest tag certifies the same point
+    x = np.array([0.1, 0.05])
+    profile = lambda pts: (1.0 - np.sum(pts * pts, axis=1)) ** (a - 1.0)
+    honest = SampledInteriorField(DK, profile, TAG_SINGULAR)
+    assert abs(frac_laplacian_apply(honest, a, x, C10_QUAD)) < 1e-3
+    field = SampledInteriorField(DK, profile, tag, delta_min=0.2)
+    with pytest.raises(ToleranceError):
+        frac_laplacian_apply(field, a, x, C10_QUAD)
+
+
+def test_disk_budget_counts_every_node(monkeypatch):
+    budgets = []
+
+    class Recorded(EvalBudget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append(self)
+
+    monkeypatch.setattr(fracop, "EvalBudget", Recorded)
+    frac_laplacian_apply(getoor_field(DK, 0.5), 0.5, np.array([0.3, -0.2]))
+    # 64 rays, 12 nodes per panel, 32 + 64 panels in each of the near field
+    # (two evaluations per node, at x + h e and x - h e) and the far field
+    (budget,) = budgets
+    assert budget.used == 3 * 64 * 12 * (32 + 64)
 
 
 def test_getoor_a09_exceeds_quadrature_grading():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
 
+from kernel_lab import green
 from kernel_lab.domains import BoundaryGrid, disk, interval
 from kernel_lab.errors import DomainError, SingularityError, ToleranceError
 from kernel_lab.green import (
@@ -17,7 +18,7 @@ from kernel_lab.green import (
     poisson_kernel_classical,
     torsion_reference,
 )
-from kernel_lab.quadrature import QuadratureSpec
+from kernel_lab.quadrature import EvalBudget, QuadratureSpec
 from kernel_lab.specfun import boundary_integral_B, green_constant
 
 IV = interval(1.0)
@@ -208,6 +209,19 @@ def test_green_mass_budget_exhaustion():
         green_mass(IV, 0.5, 0.0, quad=quad)
     assert exc.value.estimate is not None
     assert abs(exc.value.estimate - torsion_reference(IV, 0.5, 0.0)) < 0.05
+
+
+def test_disk_mass_budget_refusal_level():
+    # at a = 0.25 the levels m = 8, 16, 32 spend 64 rays * 12 nodes * 2m
+    # = 86,016 evaluations; level 64 needs 98,304 more than the default
+    # 100,000 allow, so the refusal carries the m = 32 value
+    x = np.array([0.2, 0.1])
+    quad = QuadratureSpec()
+    with pytest.raises(ToleranceError) as exc:
+        green_mass(DK, 0.25, x, quad)
+    level_32 = green._mass_disk(DK, 0.25, x, 32, quad, EvalBudget(10**9))
+    assert exc.value.estimate == level_32
+    assert level_32 == pytest.approx(torsion_reference(DK, 0.25, x), rel=1e-7)
 
 
 def test_poisson_kernel_normalization():
