@@ -63,6 +63,7 @@ from .rkhs import (
     limit_consistency,
     poisson_extend_classical,
     poisson_extend_fractional,
+    reproduce_report,
     reproducing_residual,
 )
 from .specfun import (
@@ -135,6 +136,7 @@ __all__ = [
     "poisson_extend_classical",
     "poisson_extend_fractional",
     "poisson_kernel_classical",
+    "reproduce_report",
     "reproducing_residual",
     "residual_check",
     "sobolev_inner",

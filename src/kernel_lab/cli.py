@@ -14,7 +14,6 @@ volatile field of the report.
 import argparse
 import contextlib
 import csv
-import math
 import sys
 from pathlib import Path
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .acceptance import run_selftest
 from .debug import DEBUG_CONTROLS
-from .domains import DISK, INTERVAL, BoundaryGrid
+from .domains import DISK, INTERVAL
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -31,25 +30,16 @@ from .errors import (
     SingularityError,
     ToleranceError,
 )
-from .fracop import (
-    MollifierSpec,
-    boundary_singular_field,
-    frac_laplacian_apply,
-    getoor_field,
-    getoor_reference,
-    residual_check,
-)
+from .fracop import residual_check
 from .hadamard import hadamard_report
-from .quadrature import QuadratureSpec
 from .report import Report, check, flag
 from .rkhs import (
     gram_matrix,
     kernel_classical_spectral_oracle,
     limit_consistency,
-    poisson_extend_fractional,
-    reproducing_residual,
+    reproduce_report,
 )
-from .scenarios import COMMANDS, boundary_data_field, load_scenario
+from .scenarios import COMMANDS, boundary_data_function, load_scenario
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -134,82 +124,15 @@ def cmd_kernel(scenario, out_dir):
     return rep, [table]
 
 
-def _preset_target(spec, theta=None, endpoint=None):
-    preset = spec["preset"]
-    if preset == "constant":
-        return float(spec["value"])
-    if preset == "cosine":
-        return float(spec.get("amplitude", 1.0)) * math.cos(int(spec.get("mode", 1)) * theta)
-    return float(spec["values"][0 if endpoint < 0 else 1])
-
-
-def _recovery_grid_n(base_n, d):
-    # the trace kernel has angular width ~ d; node count tracks it
-    n = base_n
-    while n < 64.0 / d and n < (1 << 16):
-        n *= 2
-    return n
-
-
 def cmd_reproduce(scenario, out_dir):
-    domain = scenario.domain()
     params = scenario.frac_params()
-    a, s = params.a, params.s
     grid = scenario.grid()
     spec = scenario.config.get("boundary_data")
-    phi = boundary_data_field(grid, spec)
+    data = boundary_data_function(grid, spec)
     x = scenario.interior_point("x")
-    d_values = sorted(scenario.number_list("d_values", lo=1e-12, hi=domain.R / 2.0),
-                      reverse=True)
-    if len(set(d_values)) != len(d_values):
-        raise ScenarioError("d_values must be distinct")
-
-    rep = Report(
-        "reproduce",
-        scenario={
-            "domain": domain.kind,
-            "R": domain.R,
-            "a": a,
-            "s": s,
-            "n_nodes": grid.n,
-            "boundary_data": spec,
-            "x": np.asarray(x).tolist(),
-            "d_values": d_values,
-        },
-    )
-    residual = reproducing_residual(domain, a, s, phi, x)
-    res_tol = 1e-12 if domain.kind == INTERVAL else 1e-8
-    rep.add(check("two-resolution reproducing residual", residual, 0.0, res_tol))
-
-    # weighted-trace recovery u((R-d) nu) d^(1-a) -> phi at probe nodes
-    if domain.kind == INTERVAL:
-        probes = [(-1.0, None), (1.0, None)]
-    else:
-        probes = [(None, 2.0 * math.pi * j / 8.0 + math.pi / 8.0) for j in range(8)]
-    scale = max(1.0, float(np.max(np.abs(phi.values))))
-    errors = []
-    for d in d_values:
-        if domain.kind == INTERVAL:
-            phi_d = phi
-        else:
-            n_d = _recovery_grid_n(grid.n, d / domain.R)
-            phi_d = boundary_data_field(BoundaryGrid(domain, n_d), spec)
-        worst = 0.0
-        for endpoint, theta in probes:
-            if domain.kind == INTERVAL:
-                xd = endpoint * (domain.R - d)
-                target = _preset_target(spec, endpoint=endpoint)
-            else:
-                zhat = np.array([math.cos(theta), math.sin(theta)])
-                xd = (domain.R - d) * zhat
-                target = _preset_target(spec, theta=theta)
-            u = poisson_extend_fractional(domain, a, s, phi_d, xd)
-            worst = max(worst, abs(u * d ** (1.0 - a) - target))
-        errors.append(worst)
-    rep.metadata["trace_recovery_errors"] = errors
-    monotone = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
-    rep.add(flag("trace-recovery errors decrease along d_values", monotone))
-    rep.add(check("final trace-recovery error", errors[-1], 0.0, 1e-2 * scale))
+    d_values = scenario.number_list("d_values", lo=1e-12, hi=grid.domain.R / 2.0)
+    rep = reproduce_report(grid, params.a, params.s, data, x, d_values)
+    rep.scenario["boundary_data"] = spec
     return rep, []
 
 
@@ -247,38 +170,10 @@ def cmd_residual(scenario, out_dir):
     domain = scenario.domain()
     if domain.kind != INTERVAL:
         raise ScenarioError("the residual command runs on the interval domain")
-    params = scenario.frac_params()
-    a = params.a
-    config = scenario.config
-    mspec = config.get("mollifier", {})
-    try:
-        moll = MollifierSpec(domain, float(mspec.get("center", 0.0)),
-                             float(mspec.get("width", 0.0)))
-    except (TypeError, ValueError, DomainError) as exc:
-        raise ScenarioError(f"invalid mollifier: {exc}") from exc
-    points = scenario.interior_points("points")
-    tolerance = scenario.positive("tolerance")
-    budget = scenario.positive("budget", kind=int)
-    quad = QuadratureSpec(rel_tol=1e-3, abs_tol=0.1 * tolerance,
-                          resolution=64, budget=budget)
-
-    inner = residual_check(domain, a, moll, points, quad=quad, tolerance=tolerance)
-    rep = Report(
-        "residual",
-        scenario=dict(inner.scenario, budget=budget),
-        metadata={"getoor_reference": getoor_reference(domain.N, a)},
-    )
-    rep.extend(inner.records)
-
-    u = getoor_field(domain, a)
-    ref = getoor_reference(domain.N, a)
-    for frac in (0.0, 0.4, -0.4):
-        xq = frac * domain.R
-        got = frac_laplacian_apply(u, a, xq, quad)
-        rep.add(check(f"Getoor identity at x={xq:g}", got, ref, 1e-3, rel=True))
-    v = boundary_singular_field(domain, a)
-    got = frac_laplacian_apply(v, a, 0.0, quad)
-    rep.add(check("a-harmonic profile annihilated at x=0", got, 0.0, 1e-3))
+    rep = residual_check(domain, scenario.frac_params().a, scenario.mollifier(),
+                         scenario.interior_points("points", allow_empty=False),
+                         tolerance=scenario.positive("tolerance"),
+                         budget=scenario.positive("budget", kind=int))
     return rep, []
 
 

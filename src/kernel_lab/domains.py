@@ -156,11 +156,8 @@ class BoundaryGrid:
 
     def field_from_function(self, fn):
         """Sample fn over the nodes; fn takes an angle (circle) or node (interval)."""
-        if self.domain.kind == DISK:
-            values = np.array([fn(theta) for theta in self.angles], dtype=float)
-        else:
-            values = np.array([fn(x) for x in self.nodes], dtype=float)
-        return BoundaryField(self, values)
+        args = self.angles if self.domain.kind == DISK else self.nodes
+        return BoundaryField(self, np.fromiter(map(fn, args.tolist()), float, self.n))
 
 
 @dataclass

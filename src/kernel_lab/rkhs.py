@@ -23,7 +23,7 @@ limit, which makes the trend checkable end to end.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -227,6 +227,76 @@ def reproducing_residual(domain, a, s, phi, x, fine_factor=2):
     return abs(pairing - u)
 
 
+def _recovery_grid_n(base_n, d):
+    # the trace kernel has angular width ~ d; node count tracks it
+    n = base_n
+    while n < 64.0 / d and n < (1 << 16):
+        n *= 2
+    return n
+
+
+def reproduce_report(grid, a, s, data, x, d_values):
+    """Report on the reproducing residual and weighted-trace recovery of data.
+
+    data is the boundary function, called with an angle on the circle and
+    a node on the interval (BoundaryGrid.field_from_function).  It is
+    sampled on grid for the two-resolution reproducing residual at x, and
+    on grids refined as 1/d for the recovery u((R-d) z) d^(1-a) -> data(z)
+    at probe points z, where it also gives the targets; the circle probes
+    sit off the zeros of cos.  d_values are sorted decreasing and must be
+    distinct; the recovery errors must decrease strictly along them, and
+    the last is bounded by 1e-2 max(1, max |data|) over the grid.
+    """
+    domain = grid.domain
+    d_values = sorted((float(d) for d in d_values), reverse=True)
+    if not d_values:
+        raise DomainError("d_values must not be empty")
+    if len(set(d_values)) != len(d_values):
+        raise DomainError("d_values must be distinct")
+    phi = grid.field_from_function(data)
+
+    rep = Report(
+        "reproduce",
+        scenario={
+            "domain": domain.kind,
+            "R": domain.R,
+            "a": a,
+            "s": s,
+            "n_nodes": grid.n,
+            "x": np.asarray(x).tolist(),
+            "d_values": d_values,
+        },
+    )
+    residual = reproducing_residual(domain, a, s, phi, x)
+    res_tol = 1e-12 if domain.kind == INTERVAL else 1e-8
+    rep.add(check("two-resolution reproducing residual", residual, 0.0, res_tol))
+
+    # probes: the boundary direction z and the argument data takes there
+    if domain.kind == INTERVAL:
+        probes = [(z, z * domain.R) for z in (-1.0, 1.0)]
+    else:
+        thetas = [2.0 * math.pi * j / 8.0 + math.pi / 8.0 for j in range(8)]
+        probes = [(np.array([math.cos(t), math.sin(t)]), t) for t in thetas]
+    errors = []
+    for d in d_values:
+        if domain.kind == INTERVAL:
+            phi_d = phi
+        else:
+            n_d = _recovery_grid_n(grid.n, d / domain.R)
+            phi_d = BoundaryGrid(domain, n_d).field_from_function(data)
+        errors.append(max(
+            abs(poisson_extend_fractional(domain, a, s, phi_d, (domain.R - d) * z)
+                * d ** (1.0 - a) - data(arg))
+            for z, arg in probes
+        ))
+    rep.metadata["trace_recovery_errors"] = errors
+    scale = max(1.0, float(np.max(np.abs(phi.values))))
+    monotone = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
+    rep.add(flag("trace-recovery errors decrease along d_values", monotone))
+    rep.add(check("final trace-recovery error", errors[-1], 0.0, 1e-2 * scale))
+    return rep
+
+
 def limit_consistency(domain, s, x, y, a_list):
     """Report on K_{a,s} -> K_{s+3/2} as a increases toward 1.
 
@@ -235,6 +305,8 @@ def limit_consistency(domain, s, x, y, a_list):
     final-error bound of 1e-2 times the classical value.
     """
     a_list = [float(a) for a in a_list]
+    if not a_list:
+        raise DomainError("a_list must not be empty")
     if sorted(a_list) != a_list:
         raise DomainError("a_list must increase toward 1")
     for a in a_list:

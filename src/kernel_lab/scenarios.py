@@ -8,15 +8,16 @@ derived object (domain, params, grids, boundary data) is validated here
 so the commands can assume a well-formed configuration.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
 import yaml
 
 from .domains import DISK, INTERVAL, BoundaryGrid, ModelDomain
 from .errors import DomainError, ScenarioError
+from .fracop import MollifierSpec
 from .specfun import FracParams
 
 DEFAULTS_ENV = "KERNEL_LAB_DEFAULTS"
@@ -68,6 +69,10 @@ def _deep_merge(base, extra):
     return out
 
 
+def _finite(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+
+
 @dataclass
 class Scenario:
     """A validated command configuration."""
@@ -81,8 +86,8 @@ class Scenario:
         if kind not in (INTERVAL, DISK):
             raise ScenarioError(f"domain.kind must be interval or disk, got {kind!r}")
         R = spec.get("R", 1.0)
-        if not isinstance(R, (int, float)) or not R > 0:
-            raise ScenarioError(f"domain.R must be positive, got {R!r}")
+        if not _finite(R) or not R > 0:
+            raise ScenarioError(f"domain.R must be finite and positive, got {R!r}")
         return ModelDomain(kind, float(R))
 
     def frac_params(self):
@@ -100,7 +105,7 @@ class Scenario:
 
     def seed(self):
         seed = self.config.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0 or seed > 2**64 - 1:
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= 2**64 - 1:
             raise ScenarioError(f"seed must be a u64, got {seed!r}")
         return seed
 
@@ -150,32 +155,48 @@ class Scenario:
 
     def positive(self, key, kind=float):
         val = self.config.get(key)
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not val > 0:
-            raise ScenarioError(f"{key} must be positive, got {val!r}")
+        if not _finite(val) or not val > 0 or (kind is int and not isinstance(val, int)):
+            raise ScenarioError(f"{key} must be a finite positive {kind.__name__}, got {val!r}")
         return kind(val)
 
     def number_list(self, key, lo=None, hi=None):
         raw = self.config.get(key)
-        if not isinstance(raw, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-        ):
-            raise ScenarioError(f"{key} must be a list of numbers")
+        if not isinstance(raw, list) or not all(map(_finite, raw)):
+            raise ScenarioError(f"{key} must be a list of finite numbers")
         vals = [float(v) for v in raw]
         for v in vals:
             if (lo is not None and v < lo) or (hi is not None and v > hi):
                 raise ScenarioError(f"{key} entries must lie in [{lo}, {hi}], got {v}")
         return vals
 
+    def mollifier(self):
+        domain = self.domain()
+        spec = self.config.get("mollifier")
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"mollifier must be a mapping, got {spec!r}")
+        center, width = spec.get("center", 0.0), spec.get("width", 0.0)
+        if not (_finite(center) and _finite(width)):
+            raise ScenarioError("mollifier center and width must be finite numbers")
+        try:
+            return MollifierSpec(domain, float(center), float(width))
+        except DomainError as exc:
+            raise ScenarioError(f"invalid mollifier: {exc}") from exc
+
     @staticmethod
     def _coerce_interior(domain, raw, label):
+        if not all(map(_finite, raw if isinstance(raw, list) else [raw])):
+            raise ScenarioError(f"{label} must be a finite number or a list of them, got {raw!r}")
         try:
             return domain.require_interior(raw)
-        except (DomainError, TypeError, ValueError) as exc:
+        except DomainError as exc:
             raise ScenarioError(f"{label}: {exc}") from exc
 
 
-def boundary_data_field(grid, spec):
-    """Build a BoundaryField from a named preset.
+def boundary_data_function(grid, spec):
+    """The boundary data of a named preset, as a function for grid.
+
+    The function takes an angle on the circle and a node on the interval,
+    as BoundaryGrid.field_from_function calls it.
 
     constant: {preset: constant, value: c}
     cosine:   {preset: cosine, mode: k, amplitude: A}   (circle only)
@@ -186,33 +207,31 @@ def boundary_data_field(grid, spec):
     preset = spec["preset"]
     if preset == "constant":
         value = spec.get("value")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError("constant preset needs a numeric 'value'")
-        return grid.constant_field(float(value))
+        if not _finite(value):
+            raise ScenarioError("constant preset needs a finite numeric 'value'")
+        value = float(value)
+        return lambda _: value
     if preset == "cosine":
         if grid.domain.kind != DISK:
             raise ScenarioError("the cosine preset lives on the circle")
         mode = spec.get("mode", 1)
-        if not isinstance(mode, int) or not 0 <= mode <= grid.n // 2 - 1:
+        if not isinstance(mode, int) or isinstance(mode, bool) or not 0 <= mode < grid.n // 2:
             raise ScenarioError(
                 f"cosine mode must be an int in [0, {grid.n // 2 - 1}], got {mode!r}"
             )
         amplitude = spec.get("amplitude", 1.0)
-        if not isinstance(amplitude, (int, float)) or isinstance(amplitude, bool):
-            raise ScenarioError("cosine amplitude must be numeric")
-        values = float(amplitude) * np.cos(mode * grid.angles)
-        return grid.field(values)
+        if not _finite(amplitude):
+            raise ScenarioError("cosine amplitude must be finite and numeric")
+        amplitude = float(amplitude)
+        return lambda theta: amplitude * math.cos(mode * theta)
     if preset == "endpoints":
         if grid.domain.kind != INTERVAL:
             raise ScenarioError("the endpoints preset lives on the interval")
         values = spec.get("values")
-        if (
-            not isinstance(values, list)
-            or len(values) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-        ):
-            raise ScenarioError("endpoints preset needs 'values: [v_minus, v_plus]'")
-        return grid.field([float(values[0]), float(values[1])])
+        if not isinstance(values, list) or len(values) != 2 or not all(map(_finite, values)):
+            raise ScenarioError("endpoints preset needs finite 'values: [v_minus, v_plus]'")
+        v_minus, v_plus = float(values[0]), float(values[1])
+        return lambda node: v_minus if node < 0.0 else v_plus
     raise ScenarioError(f"unknown boundary_data preset {preset!r}")
 
 

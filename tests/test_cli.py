@@ -1,13 +1,20 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from kernel_lab.acceptance import CRITERIA
 from kernel_lab.cli import main
 from kernel_lab.report import SCHEMA_VERSION
 from kernel_lab.rkhs import KernelMatrix
+from kernel_lab.scenarios import DEFAULTS_ENV
 
 
 def _load(path):
@@ -128,12 +135,80 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
     unparseable.write_text("domain: [unclosed\n", encoding="utf-8")
     assert main(["kernel", "--scenario", str(unparseable), "--out", str(tmp_path)]) == 2
     assert main(["kernel", "--nodes", "7", "--out", str(tmp_path)]) == 2
-    for override in ("mollifier: {center: .nan}", "points: [.nan]"):
-        nan = tmp_path / "nan.yaml"
-        nan.write_text(f"residual:\n  {override}\n", encoding="utf-8")
-        assert main(["residual", "--scenario", str(nan), "--out", str(tmp_path)]) == 2
+    for command, override in (
+        ("residual", "mollifier: {center: .nan}"),
+        ("residual", "points: [.nan]"),
+        ("residual", "mollifier: 5"),
+        ("residual", "tolerance: .inf"),
+        ("reproduce", "d_values: []"),
+        ("reproduce", "boundary_data: {preset: cosine, amplitude: .nan}"),
+        ("reproduce", "boundary_data: {preset: constant, value: .inf}"),
+        ("limit", "a_values: []"),
+    ):
+        scn = tmp_path / "invalid.yaml"
+        scn.write_text(f"{command}:\n  {override}\n", encoding="utf-8")
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 2, override
     err = capsys.readouterr().err
     assert "invalid input" in err
+
+
+# keys each command parses, with the sub-keys of the mapping-valued ones
+_PARSED_KEYS = (
+    ("reproduce", "boundary_data", ("preset", "mode", "amplitude")),
+    ("reproduce", "x", None),
+    ("reproduce", "d_values", None),
+    ("limit", "x", None),
+    ("limit", "y", None),
+    ("limit", "a_values", None),
+    ("residual", "mollifier", ("center", "width")),
+    ("residual", "points", None),
+    ("residual", "tolerance", None),
+    ("residual", "budget", None),
+)
+_BAD_ATOMS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, None]),
+    st.text(alphabet="abxyz", max_size=3),
+)
+_NOT_A_MAPPING = st.one_of(_BAD_ATOMS, st.just([]), st.lists(_BAD_ATOMS, min_size=1, max_size=3))
+
+
+@st.composite
+def _malformed_override(draw):
+    command, key, sub_keys = draw(st.sampled_from(_PARSED_KEYS))
+    if sub_keys is None:
+        value = draw(st.one_of(
+            _NOT_A_MAPPING, st.dictionaries(st.just("k"), _BAD_ATOMS, max_size=1)
+        ))
+    else:
+        value = draw(st.one_of(
+            _NOT_A_MAPPING, st.fixed_dictionaries({draw(st.sampled_from(sub_keys)): _BAD_ATOMS})
+        ))
+    return command, {command: {key: value}}
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_malformed_override())
+def test_fuzzed_scenario_exits_2(tmp_path, override):
+    command, doc = override
+    scn = tmp_path / "fuzz.yaml"
+    scn.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 2, doc
+
+
+@pytest.mark.parametrize("command, number", [("reproduce", 7), ("limit", 9), ("residual", 10)])
+def test_command_equals_its_criterion(tmp_path, monkeypatch, command, number):
+    # the command at the packaged defaults and the criterion at its own
+    # written-out inputs build the same records
+    assert main([command, "--out", str(tmp_path)]) == 0
+    got = _load(tmp_path / f"{command}_report.json")["records"]
+    # a criterion that read the defaults would now fail to load them
+    monkeypatch.setenv(DEFAULTS_ENV, str(tmp_path / "missing.yaml"))
+    prefix = f"C{number}: "
+    want = []
+    for rec in dict(CRITERIA)[number]():
+        assert rec.name.startswith(prefix)
+        want.append(dict(asdict(rec), name=rec.name[len(prefix):]))
+    assert got == want
 
 
 def test_unknown_command_rejected():
@@ -158,6 +233,8 @@ def test_debug_corrupt_kappa_fails_selftest(tmp_path):
     assert any("C1" in name for name in failing)
     # the exact Hadamard route reads kappa through the same seam
     assert "C3: exact derivative equals 2/(pi sqrt(3))" in failing
+    # the residual oracle integrates the corrupted Green function
+    assert "C10: residual at x=0" in failing
 
 
 def test_debug_corrupt_kappa_fails_residual(tmp_path):
@@ -173,6 +250,14 @@ def test_debug_corrupt_kappa_fails_residual(tmp_path):
 def test_debug_unit_gamma_fails_reproduce(tmp_path):
     out = tmp_path / "dbg2"
     assert main(["reproduce", "--debug", "unit-gamma", "--out", str(out)]) == 1
+
+
+def test_debug_unit_gamma_fails_c7(tmp_path):
+    out = tmp_path / "dbg4"
+    assert main(["selftest", "--debug", "unit-gamma", "--out", str(out)]) == 1
+    rep = _load(out / "selftest_report.json")
+    failing = {r["name"] for r in rep["records"] if not r["passed"]}
+    assert "C7: final trace-recovery error" in failing
 
 
 def test_console_script_entry(tmp_path, cli_env):

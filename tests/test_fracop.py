@@ -329,9 +329,11 @@ def test_residual_check_report(interval_mollified):
     moll, _ = interval_mollified
     rep = residual_check(IV, 0.5, moll, [0.0, 0.2, 0.55], tolerance=1e-2)
     assert rep.overall_pass
-    assert len(rep.records) == 3
+    # three residuals, then Getoor at 0 and +-0.4 and the a-harmonic point
+    assert len(rep.records) == 7
     # x = 0.55 sits outside the bump support, so the target there is zero
-    assert rep.records[-1].reference == 0.0
+    assert rep.records[2].reference == 0.0
+    assert [r.reference for r in rep.records[3:6]] == [getoor_reference(1, 0.5)] * 3
 
 
 def test_disk_mollified_weighted_trace():

@@ -16,6 +16,7 @@ from kernel_lab.rkhs import (
     limit_consistency,
     poisson_extend_classical,
     poisson_extend_fractional,
+    reproduce_report,
     reproducing_residual,
 )
 from kernel_lab.specfun import FracParams
@@ -246,6 +247,8 @@ def test_limit_consistency_input_validation():
         limit_consistency(DK, 0.0, np.zeros(2), np.array([0.5, 0.0]), [0.99, 0.9])
     with pytest.raises(DomainError):
         limit_consistency(DK, 0.0, np.zeros(2), np.array([0.5, 0.0]), [0.5, 1.2])
+    with pytest.raises(DomainError):
+        limit_consistency(DK, 0.0, np.zeros(2), np.array([0.5, 0.0]), [])
 
 
 def test_interval_trace_recovery():
@@ -261,3 +264,16 @@ def test_interval_trace_recovery():
         errs.append(worst)
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-2 * 2.0
+
+    # the report builder takes the data as one function of the node, sorts
+    # d decreasing, and finds the same errors
+    data = lambda node: 2.0 if node < 0.0 else -1.0
+    rep = reproduce_report(grid, a, s, data, 0.25, [1e-3, 1e-1, 1e-2])
+    assert rep.overall_pass
+    assert rep.scenario["d_values"] == [1e-1, 1e-2, 1e-3]
+    assert rep.metadata["trace_recovery_errors"] == errs
+    from kernel_lab.errors import DomainError
+
+    for bad in ([], [1e-2, 1e-2]):
+        with pytest.raises(DomainError):
+            reproduce_report(grid, a, s, data, 0.25, bad)

@@ -9,7 +9,7 @@ from kernel_lab.errors import ScenarioError
 from kernel_lab.report import Report, check, flag
 from kernel_lab.scenarios import (
     DEFAULTS_ENV,
-    boundary_data_field,
+    boundary_data_function,
     load_defaults,
     load_scenario,
 )
@@ -79,19 +79,30 @@ def test_scenario_validation_errors(tmp_path):
 
 def test_boundary_data_presets():
     circle = BoundaryGrid(disk(1.0), 32)
-    f = boundary_data_field(circle, {"preset": "cosine", "mode": 2, "amplitude": 0.5})
+    f = circle.field_from_function(
+        boundary_data_function(circle, {"preset": "cosine", "mode": 2, "amplitude": 0.5})
+    )
     assert np.max(np.abs(f.values - 0.5 * np.cos(2.0 * circle.angles))) < 1e-15
     two = BoundaryGrid(interval(1.0), 2)
-    g = boundary_data_field(two, {"preset": "endpoints", "values": [1.0, -2.0]})
+    g = two.field_from_function(
+        boundary_data_function(two, {"preset": "endpoints", "values": [1.0, -2.0]})
+    )
     assert list(g.values) == [1.0, -2.0]
-    c = boundary_data_field(circle, {"preset": "constant", "value": 3.0})
+    c = circle.field_from_function(
+        boundary_data_function(circle, {"preset": "constant", "value": 3.0})
+    )
     assert np.all(c.values == 3.0)
-    with pytest.raises(ScenarioError):
-        boundary_data_field(two, {"preset": "cosine", "mode": 1})
-    with pytest.raises(ScenarioError):
-        boundary_data_field(circle, {"preset": "cosine", "mode": 99})
-    with pytest.raises(ScenarioError):
-        boundary_data_field(circle, {"preset": "mystery"})
+    for grid, spec in (
+        (two, {"preset": "cosine", "mode": 1}),
+        (circle, {"preset": "cosine", "mode": 99}),
+        (circle, {"preset": "cosine", "mode": True}),
+        (circle, {"preset": "cosine", "amplitude": math.nan}),
+        (circle, {"preset": "constant", "value": math.inf}),
+        (two, {"preset": "endpoints", "values": [1.0, -math.inf]}),
+        (circle, {"preset": "mystery"}),
+    ):
+        with pytest.raises(ScenarioError):
+            boundary_data_function(grid, spec)
 
 
 def test_report_json_round_trip(tmp_path):
