@@ -71,7 +71,6 @@ from .specfun import (
     boundary_integral_B,
     boundary_integral_B_derivative,
     frac_laplacian_constant,
-    gamma_fn,
     green_constant,
     torsion_constant,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "frac_laplacian_constant",
     "fractional_trace_green",
     "from_spectrum",
-    "gamma_fn",
     "getoor_field",
     "getoor_reference",
     "gram_matrix",

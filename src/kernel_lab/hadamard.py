@@ -30,7 +30,7 @@ from .domains import INTERVAL, BoundaryField, BoundaryGrid
 from .errors import DomainError, GridMismatchError, SingularityError
 from .green import boundary_representer, green_classical, green_fractional
 from .report import Report, check, flag
-from .specfun import boundary_integral_B_derivative, gamma_fn
+from .specfun import boundary_integral_B_derivative
 
 # central differences below this step lose the quotient to cancellation
 # (|G(1+t) - G(1-t)| approaches the 1e-12 |G| roundoff floor)
@@ -123,9 +123,7 @@ def hadamard_prediction(domain, a, x, y, alpha):
     x, y = _require_distinct_interior(domain, x, y)
     fx = boundary_representer(grid, a, x)
     fy = boundary_representer(grid, a, y)
-    # Gamma(1 + a)^2 is 1 at a = 1, where the Lanczos gamma_fn(2) is not
-    front = gamma_fn(1.0 + a) ** 2 if a < 1.0 else 1.0
-    return front * boundary_integrate(
+    return math.gamma(1.0 + a) ** 2 * boundary_integrate(
         fx.pointwise_product(fy).pointwise_product(alpha.field)
     )
 

@@ -32,7 +32,7 @@ from .domains import DISK, INTERVAL, BoundaryGrid
 from .errors import ConsistencyError, DomainError, GridMismatchError
 from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
 from .report import Report, check, flag
-from .specfun import FracParams, gamma_fn
+from .specfun import FracParams
 
 # default circle quadrature resolution for kernel assembly; acceptance
 # runs a second resolution to bound the quadrature error empirically
@@ -58,7 +58,7 @@ def _check_field_domain(f, domain):
 
 
 def _gamma_factor(a):
-    return gamma_fn(a) * gamma_fn(a + 1.0)
+    return math.gamma(a) * math.gamma(a + 1.0)
 
 
 def _two_routes(name, front, g, rep, t):

@@ -19,22 +19,6 @@ from scipy.special import hyp2f1
 
 from .errors import DomainError
 
-# Lanczos approximation, g = 7, 9 coefficients.  Gives close to full double
-# precision for positive real arguments; accuracy is pinned by tests against
-# an independent implementation.
-_LANCZOS_G = 7.0
-_LANCZOS_P = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 @dataclass(frozen=True)
 class FracParams:
@@ -61,21 +45,6 @@ class FracParams:
         return 0.5 * self.s + 0.5 * self.a + 0.25
 
 
-def gamma_fn(x):
-    """Gamma function for positive real arguments (Lanczos, g=7)."""
-    if not x > 0.0:
-        raise DomainError(f"gamma_fn requires a positive argument, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument in its sweet spot
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_P[0]
-    for i, p in enumerate(_LANCZOS_P[1:], start=1):
-        acc += p / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
 def _check_domain(N, a, a_max_inclusive=False):
     if N not in (1, 2):
         raise DomainError(f"dimension N must be 1 or 2, got {N}")
@@ -96,8 +65,8 @@ def frac_laplacian_constant(N, a):
     """
     _check_domain(N, a)
     return (
-        4.0**a * a * gamma_fn(0.5 * (N + 2.0 * a))
-        / (math.pi ** (0.5 * N) * gamma_fn(1.0 - a))
+        4.0**a * a * math.gamma(0.5 * (N + 2.0 * a))
+        / (math.pi ** (0.5 * N) * math.gamma(1.0 - a))
     )
 
 
@@ -105,13 +74,13 @@ def green_constant(N, a):
     """Prefactor kappa_{N,a} = Gamma(N/2) / (4^a pi^(N/2) Gamma(a)^2) of the
     ball Green function of order a."""
     _check_domain(N, a)
-    return gamma_fn(0.5 * N) / (4.0**a * math.pi ** (0.5 * N) * gamma_fn(a) ** 2)
+    return math.gamma(0.5 * N) / (4.0**a * math.pi ** (0.5 * N) * math.gamma(a) ** 2)
 
 
 def torsion_constant(N, a):
     """Constant kappa* with (-Delta)^a [kappa* (1-|x|^2)^a] = 1 on the unit ball."""
     _check_domain(N, a, a_max_inclusive=True)
-    return gamma_fn(0.5 * N) / (4.0**a * gamma_fn(0.5 * N + a) * gamma_fn(1.0 + a))
+    return math.gamma(0.5 * N) / (4.0**a * math.gamma(0.5 * N + a) * math.gamma(1.0 + a))
 
 
 def boundary_integral_B(r0, a, N):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gamma as sp_gamma
 from scipy.special import hyp2f1
 
 from kernel_lab.errors import DomainError
@@ -13,26 +12,9 @@ from kernel_lab.specfun import (
     boundary_integral_B_array,
     boundary_integral_B_derivative,
     frac_laplacian_constant,
-    gamma_fn,
     green_constant,
     torsion_constant,
 )
-
-
-def test_gamma_against_scipy():
-    x = np.linspace(0.1, 30.0, 137)
-    ours = np.array([gamma_fn(v) for v in x])
-    ref = sp_gamma(x)
-    assert np.max(np.abs(ours / ref - 1.0)) < 1e-13
-
-
-def test_gamma_recurrence():
-    rng = np.random.default_rng(7)
-    x = np.exp(rng.uniform(np.log(1e-2), np.log(20.0), size=100))
-    for v in x:
-        lhs = gamma_fn(v + 1.0)
-        rhs = v * gamma_fn(v)
-        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 def test_frac_laplacian_constant_anchors():
@@ -51,7 +33,7 @@ def test_green_constant_anchors():
 def test_trace_normalization_identity(a):
     # Gamma(a) Gamma(a+1) 4^a kappa_{1,a} / a = 1; the weighted-trace
     # normalization of the whole package hangs on this
-    val = gamma_fn(a) * gamma_fn(a + 1.0) * 4.0**a * green_constant(1, a) / a
+    val = math.gamma(a) * math.gamma(a + 1.0) * 4.0**a * green_constant(1, a) / a
     assert abs(val - 1.0) < 1e-12
 
 
