@@ -80,8 +80,14 @@ class Scenario:
     command: str
     config: dict
 
+    def _mapping(self, key):
+        spec = self.config.get(key, {})
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{key} must be a mapping, got {spec!r}")
+        return spec
+
     def domain(self):
-        spec = self.config.get("domain", {})
+        spec = self._mapping("domain")
         kind = spec.get("kind")
         if kind not in (INTERVAL, DISK):
             raise ScenarioError(f"domain.kind must be interval or disk, got {kind!r}")
@@ -91,10 +97,13 @@ class Scenario:
         return ModelDomain(kind, float(R))
 
     def frac_params(self):
-        spec = self.config.get("params", {})
+        spec = self._mapping("params")
+        a, s = spec.get("a", 0.5), spec.get("s", 0.0)
+        if not (_finite(a) and _finite(s)):
+            raise ScenarioError(f"params a and s must be finite numbers, got a={a!r}, s={s!r}")
         try:
-            return FracParams(float(spec.get("a", 0.5)), float(spec.get("s", 0.0)))
-        except (TypeError, ValueError, DomainError) as exc:
+            return FracParams(float(a), float(s))
+        except DomainError as exc:
             raise ScenarioError(f"invalid params: {exc}") from exc
 
     def n_nodes(self):
@@ -171,9 +180,7 @@ class Scenario:
 
     def mollifier(self):
         domain = self.domain()
-        spec = self.config.get("mollifier")
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"mollifier must be a mapping, got {spec!r}")
+        spec = self._mapping("mollifier")
         center, width = spec.get("center", 0.0), spec.get("width", 0.0)
         if not (_finite(center) and _finite(width)):
             raise ScenarioError("mollifier center and width must be finite numbers")

@@ -35,9 +35,9 @@ class FracParams:
     def __post_init__(self):
         if not (0.0 < self.a <= 1.0):
             raise DomainError(f"fractional order a must lie in (0, 1], got {self.a}")
-        if not (self.s > -self.a - 0.5 and math.isfinite(self.s)):
+        if not self.s > -self.a - 0.5:
             raise DomainError(
-                f"Sobolev index s={self.s} must be finite with s > -a - 1/2 for a={self.a}"
+                f"Sobolev index s={self.s} violates s > -a - 1/2 for a={self.a}"
             )
 
     @property

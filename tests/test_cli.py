@@ -144,6 +144,14 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
         ("reproduce", "boundary_data: {preset: cosine, amplitude: .nan}"),
         ("reproduce", "boundary_data: {preset: constant, value: .inf}"),
         ("limit", "a_values: []"),
+        ("residual", "points: []"),
+        ("residual", "budget: 0.5"),
+        ("kernel", "params: {s: .inf}"),
+        ("kernel", "params: {a: true}"),
+        ("kernel", "params: 5"),
+        ("kernel", "domain: 5"),
+        ("kernel", "domain: {kind: disk, R: .inf}"),
+        ("kernel", "seed: true"),
     ):
         scn = tmp_path / "invalid.yaml"
         scn.write_text(f"{command}:\n  {override}\n", encoding="utf-8")
