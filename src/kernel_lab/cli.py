@@ -171,7 +171,7 @@ def cmd_residual(scenario, out_dir):
     if domain.kind != INTERVAL:
         raise ScenarioError("the residual command runs on the interval domain")
     rep = residual_check(domain, scenario.frac_params().a, scenario.mollifier(),
-                         scenario.interior_points("points", allow_empty=False),
+                         scenario.interior_points("points"),
                          tolerance=scenario.positive("tolerance"),
                          budget=scenario.positive("budget", kind=int))
     return rep, []

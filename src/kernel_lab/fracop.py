@@ -491,6 +491,8 @@ def residual_check(domain, a, moll, points, tolerance=1e-2,
     """
     if domain.kind != INTERVAL:
         raise DomainError("the residual oracle runs on the interval")
+    if not points:
+        raise DomainError("points must not be empty")
     quad = QuadratureSpec(rel_tol=1e-3, abs_tol=0.1 * tolerance,
                           resolution=_DEFAULT_QUAD.resolution, budget=budget)
     ref = getoor_reference(domain.N, a)

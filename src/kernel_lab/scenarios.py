@@ -134,15 +134,13 @@ class Scenario:
             raise ScenarioError(f"scenario is missing the point {key!r}")
         return self._coerce_interior(domain, raw, key)
 
-    def interior_points(self, key, allow_empty=True):
+    def interior_points(self, key):
         domain = self.domain()
         raw = self.config.get(key)
         if raw is None:
             raise ScenarioError(f"scenario is missing the point list {key!r}")
         if not isinstance(raw, list):
             raise ScenarioError(f"{key} must be a list of points")
-        if not raw and not allow_empty:
-            raise ScenarioError(f"{key} must not be empty")
         return [self._coerce_interior(domain, p, f"{key}[{i}]") for i, p in enumerate(raw)]
 
     def point_pairs(self, key):

@@ -277,3 +277,24 @@ def test_interval_trace_recovery():
     for bad in ([], [1e-2, 1e-2]):
         with pytest.raises(DomainError):
             reproduce_report(grid, a, s, data, 0.25, bad)
+
+
+def test_reproduce_report_flags_each_probe(monkeypatch):
+    # the worst error falls along d (0.1, 0.01, 0.001 at the right end),
+    # but the left probe's error grows (1e-4, 2e-4, 4e-4) below it: the
+    # monotonicity flag must fail, while the final bound still holds
+    a = 0.5
+
+    def fake_extend(domain, a_, s_, phi, x):
+        d = domain.R - abs(float(x))
+        err = d if x > 0 else 1e-4 * (0.1 / d) ** (math.log10(2.0))
+        return err / d ** (1.0 - a)
+
+    monkeypatch.setattr(rkhs, "poisson_extend_fractional", fake_extend)
+    rep = reproduce_report(BoundaryGrid(IV, 2), a, 0.0, lambda node: 0.0,
+                           0.25, [1e-1, 1e-2, 1e-3])
+    errs = rep.metadata["trace_recovery_errors"]
+    assert errs[0] > errs[1] > errs[2]
+    by_name = {r.name: r for r in rep.records}
+    assert not by_name["trace-recovery errors decrease along d_values"].passed
+    assert by_name["final trace-recovery error"].passed
