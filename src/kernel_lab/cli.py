@@ -13,7 +13,6 @@ volatile field of the report.
 
 import argparse
 import contextlib
-import csv
 import sys
 from pathlib import Path
 
@@ -47,31 +46,19 @@ EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 
 
-def _fmt(value):
-    # repr round-trips doubles exactly; CSV cells stay diff-able
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    # repr of Python scalars (tolist, never numpy's) round-trips doubles
+    # exactly, so the cells stay diff-able
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _point_columns(domain, prefix):
     if domain.kind == INTERVAL:
         return [prefix]
     return [f"{prefix}_0", f"{prefix}_1"]
-
-
-def _point_cells(domain, p):
-    if domain.kind == INTERVAL:
-        return [float(p)]
-    return [float(p[0]), float(p[1])]
 
 
 def cmd_kernel(scenario, out_dir):
@@ -81,7 +68,9 @@ def cmd_kernel(scenario, out_dir):
     if kind not in ("classical", "fractional"):
         raise ScenarioError(f"kernel_type must be classical or fractional, got {kind!r}")
     params = scenario.frac_params()
-    pts = scenario.interior_points("points")
+    sel_params = params.s if kind == "classical" else params
+    km = gram_matrix(domain, kind, sel_params, scenario.interior_points("points"),
+                     n_nodes=scenario.n_nodes())
 
     rep = Report(
         "kernel",
@@ -92,35 +81,28 @@ def cmd_kernel(scenario, out_dir):
             "a": params.a,
             "s": params.s,
             "n_nodes": scenario.n_nodes(),
-            "points": [np.asarray(p).tolist() for p in pts],
+            "points": km.points.tolist(),
         },
     )
+    # the table's rows are the pairs (i, j >= i) in row-major order
+    i, j = np.triu_indices(len(km.points))
+    coords = km.points.reshape(len(km.points), -1)
+    K = km.entries[i, j]
     header = ["i", "j", *_point_columns(domain, "x_i"), *_point_columns(domain, "x_j"), "K"]
-    with_oracle = kind == "classical" and domain.kind == DISK
-    if with_oracle:
+    columns = [i, j, *coords[i].T, *coords[j].T, K]
+    if kind == "classical" and domain.kind == DISK:
+        oracle = kernel_classical_spectral_oracle(domain, params.s, km.points[i], km.points[j])
         header += ["K_oracle", "discrepancy"]
-
-    rows = []
-    if pts:
-        sel_params = params.s if kind == "classical" else params
-        km = gram_matrix(domain, kind, sel_params, pts, n_nodes=scenario.n_nodes())
-        for i in range(len(pts)):
-            for j in range(i, len(pts)):
-                row = [i, j, *_point_cells(domain, pts[i]), *_point_cells(domain, pts[j]),
-                       km.entries[i, j]]
-                if with_oracle:
-                    oracle = kernel_classical_spectral_oracle(domain, params.s, pts[i], pts[j])
-                    row += [oracle, abs(km.entries[i, j] - oracle)]
-                    rep.add(check(f"K[{i},{j}] vs spectral oracle",
-                                  km.entries[i, j], oracle, 1e-8, rel=True))
-                rows.append(row)
-        lo, hi, psd = km.psd_verdict()
-        rep.add(flag(f"Gram PSD (min {lo:.3e}, max {hi:.3e})", psd))
-        rep.add(flag("assembled matrix exactly symmetric",
-                     bool(np.array_equal(km.entries, km.entries.T))))
-        rep.metadata["has_duplicates"] = km.has_duplicates
+        columns += [oracle, np.abs(K - oracle)]
+        for pi, pj, k, ref in zip(i.tolist(), j.tolist(), K.tolist(), oracle.tolist()):
+            rep.add(check(f"K[{pi},{pj}] vs spectral oracle", k, ref, 1e-8, rel=True))
+    lo, hi, psd = km.psd_verdict()
+    rep.add(flag(f"Gram PSD (min {lo:.3e}, max {hi:.3e})", psd))
+    rep.add(flag("assembled matrix exactly symmetric",
+                 bool(np.array_equal(km.entries, km.entries.T))))
+    rep.metadata["has_duplicates"] = km.has_duplicates
     table = out_dir / "kernel_table.csv"
-    _write_csv(table, header, rows)
+    _write_csv(table, header, columns)
     return rep, [table]
 
 
@@ -143,13 +125,13 @@ def cmd_hadamard(scenario, out_dir):
     t_list = scenario.number_list("t_list", lo=1e-5, hi=0.5)
     rep = hadamard_report(domain, params.a, pairs, t_list=t_list,
                           n_nodes=scenario.n_nodes())
-    rows = []
-    for idx, entry in enumerate(rep.metadata.get("pairs", [])):
-        exact = entry["exact"]
-        for t_str, fd_val in entry["fd"].items():
-            rows.append([idx, float(t_str), fd_val, abs(fd_val - exact)])
+    rows = [
+        (idx, float(t_str), fd_val, abs(fd_val - entry["exact"]))
+        for idx, entry in enumerate(rep.metadata["pairs"])
+        for t_str, fd_val in entry["fd"].items()
+    ]
     table = out_dir / "hadamard_fd.csv"
-    _write_csv(table, ["pair", "t", "fd", "abs_error"], rows)
+    _write_csv(table, ["pair", "t", "fd", "abs_error"], zip(*rows))
     return rep, [table]
 
 
@@ -160,9 +142,8 @@ def cmd_limit(scenario, out_dir):
     y = scenario.interior_point("y")
     a_values = scenario.number_list("a_values", lo=1e-6, hi=1.0)
     rep = limit_consistency(domain, params.s, x, y, a_values)
-    rows = list(zip(a_values, rep.metadata["errors"]))
     table = out_dir / "limit_errors.csv"
-    _write_csv(table, ["a", "abs_error"], rows)
+    _write_csv(table, ["a", "abs_error"], [a_values, rep.metadata["errors"]])
     return rep, [table]
 
 

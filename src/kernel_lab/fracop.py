@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 
 from .domains import DISK, INTERVAL, ray_directions, ray_exit
 from .errors import DomainError, SingularityError, ToleranceError
@@ -49,8 +47,23 @@ from .quadrature import (
 from .report import Report, check
 from .specfun import frac_laplacian_constant, torsion_constant
 
+# scipy.integrate (which pulls in scipy.optimize) and scipy.interpolate are
+# imported on first use: most commands never integrate adaptively or spline
+def _scipy_quad(f, lo, hi, **kw):
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, lo, hi, **kw)
+
+
+# _gk_quad calls through this module attribute, which bench/tracing.py
+# wraps by name; the function behind it is private, so the tracer does not
+# also wrap it as one of this module's public functions
+quad = _scipy_quad
+
 
 def _gk_quad(f, lo, hi, **kw):
+    from scipy.integrate import IntegrationWarning
+
     # the returned err feeds our own convergence estimate, so the library
     # warning about slowly convergent integrands is redundant noise here
     with warnings.catch_warnings():
@@ -102,6 +115,8 @@ class SampledInteriorField:
         """Interval field interpolated from dense samples by a cubic spline."""
         if domain.kind != INTERVAL:
             raise DomainError("grid-sampled fields are implemented for the interval")
+        from scipy.interpolate import CubicSpline
+
         spline = CubicSpline(np.asarray(nodes, dtype=float), np.asarray(values, dtype=float))
         return cls(domain, spline, tag, delta_min=delta_min, grid=np.asarray(nodes))
 
@@ -468,6 +483,8 @@ def mollified_green(domain, a, moll, quad=None, n_nodes=512):
     zs = np.sort(R * np.cos(np.pi * k / n_nodes))
     vals = _moll_values_interval(domain, a, moll, zs, quad)
     weight = (R * R - zs * zs) ** a
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(zs, vals / weight)
 
     def profile(y):

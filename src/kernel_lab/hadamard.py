@@ -134,14 +134,19 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
     Tabulates the exact derivative, central differences per step, the
     boundary-integral prediction with alpha = R, a Richardson check, an
     FD convergence-order flag (skipped when FD already sits at the
-    roundoff floor) and a sign flag.  Empty pair lists pass vacuously.
+    roundoff floor) and a sign flag.  An empty pair or step list raises
+    DomainError.
     """
+    t_list = list(t_list)
+    if len(pairs) == 0:
+        raise DomainError("hadamard_report needs at least one point pair")
+    if not t_list:
+        raise DomainError("t_list must not be empty")
     if domain.kind == INTERVAL:
         grid = BoundaryGrid(domain, 2)
     else:
         grid = BoundaryGrid(domain, n_nodes)
     alpha = PerturbationField.dilation(grid)
-    t_list = list(t_list)
 
     rep = Report(
         "hadamard",

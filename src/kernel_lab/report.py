@@ -8,7 +8,7 @@ that field and may then compare bytes.
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 SCHEMA_VERSION = "kernel-lab-report/1"
 
@@ -91,7 +91,8 @@ class Report:
             "command": self.command,
             "scenario": self.scenario,
             "metadata": self.metadata,
-            "records": [asdict(r) for r in self.records],
+            # a shallow copy of each record's fields: they are scalars
+            "records": [dict(vars(r)) for r in self.records],
             "overall_pass": self.overall_pass,
             "volatile": {
                 "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

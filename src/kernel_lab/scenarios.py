@@ -28,9 +28,13 @@ COMMANDS = ("kernel", "reproduce", "hadamard", "limit", "residual", "selftest")
 MAX_NODES = 1 << 20
 
 
+# libyaml's parser when present; it builds the same objects as SafeLoader
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(text, origin):
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{origin}: not valid YAML ({exc})") from exc
     if data is None:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from .errors import DomainError
@@ -104,6 +103,10 @@ def boundary_integral_B(r0, a, N):
 
 
 def _B_quadrature(r0, a, N):
+    # imported here: scipy.integrate is slow to load and most runs never
+    # reach the scalar-quad route
+    from scipy.integrate import quad
+
     half_n = 0.5 * N
     inv_a = 1.0 / a
     total = 0.0

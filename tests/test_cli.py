@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -59,13 +60,57 @@ def test_kernel_determinism(tmp_path):
     assert _comparable(a / "kernel_report.json") == _comparable(b / "kernel_report.json")
 
 
-def test_kernel_empty_points(tmp_path):
+def test_kernel_empty_points(tmp_path, capsys):
+    # no points, no kernel: refused as invalid input, with nothing written
     scn = tmp_path / "empty.yaml"
     scn.write_text("kernel:\n  points: []\n", encoding="utf-8")
     out = tmp_path / "out"
+    assert main(["kernel", "--scenario", str(scn), "--out", str(out)]) == 2
+    assert "at least one point" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, m", [("classical", 7), ("fractional", 5)])
+def test_kernel_table_columns(tmp_path, kind, m):
+    rng = np.random.default_rng(m)
+    r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, m))
+    th = rng.uniform(0.0, 2.0 * math.pi, m)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    pts[3] = 0.0  # rho = 0 for every pair with the center
+    scn = tmp_path / "k.yaml"
+    scn.write_text(yaml.safe_dump({"domain": {"kind": "disk"}, "kernel": {
+        "kernel_type": kind, "points": pts.tolist()}}), encoding="utf-8")
+    out = tmp_path / "out"
     assert main(["kernel", "--scenario", str(scn), "--out", str(out)]) == 0
-    lines = (out / "kernel_table.csv").read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1  # header only
+    rows = (out / "kernel_table.csv").read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",") for row in rows[1:]]
+    assert [(int(c[0]), int(c[1])) for c in cells] == [
+        (i, j) for i in range(m) for j in range(i, m)
+    ]
+    values = [[float(v) for v in c] for c in cells]  # every cell parses
+    for row in values:
+        assert row[2:6] == [*pts[int(row[0])], *pts[int(row[1])]]
+    records = _load(out / "kernel_report.json")["records"]
+    if kind == "classical":
+        assert len(records) == len(values) + 2
+        for row, rec in zip(values, records):
+            i, j, k, oracle, gap = int(row[0]), int(row[1]), *row[6:]
+            assert rec["name"] == f"K[{i},{j}] vs spectral oracle"
+            assert (k, oracle) == (rec["computed"], rec["reference"])
+            assert gap == abs(k - oracle)
+    else:
+        assert len(rows[0].split(",")) == 7 and len(records) == 2
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    # repr of a numpy scalar would write np.float64(...) into a cell
+    for command, table in (("kernel", "kernel_table.csv"), ("hadamard", "hadamard_fd.csv"),
+                           ("limit", "limit_errors.csv")):
+        assert main([command, "--out", str(tmp_path)]) == 0
+        text = (tmp_path / table).read_text(encoding="utf-8")
+        assert "np." not in text
+        for row in text.splitlines()[1:]:
+            [float(cell) for cell in row.split(",")]
 
 
 def test_kernel_interval_fractional(tmp_path):
@@ -152,6 +197,9 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
         ("kernel", "domain: 5"),
         ("kernel", "domain: {kind: disk, R: .inf}"),
         ("kernel", "seed: true"),
+        ("kernel", "points: []"),
+        ("hadamard", "pairs: []"),
+        ("hadamard", "t_list: []"),
     ):
         scn = tmp_path / "invalid.yaml"
         scn.write_text(f"{command}:\n  {override}\n", encoding="utf-8")
@@ -266,6 +314,20 @@ def test_debug_unit_gamma_fails_c7(tmp_path):
     rep = _load(out / "selftest_report.json")
     failing = {r["name"] for r in rep["records"] if not r["passed"]}
     assert "C7: final trace-recovery error" in failing
+
+
+def test_setup_leaves_scipy_integrate_and_interpolate_unloaded(cli_env):
+    # both are imported on first use; loading them costs about 0.5 s
+    code = (
+        "import sys, kernel_lab.cli\n"
+        "from kernel_lab.scenarios import COMMANDS, load_scenario\n"
+        "[load_scenario(c) for c in COMMANDS]\n"
+        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry(tmp_path, cli_env):

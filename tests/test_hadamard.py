@@ -155,7 +155,8 @@ def test_report_passes_and_tabulates():
     assert entry["order"] is None or 1.4 <= entry["order"] <= 2.6
 
 
-def test_report_empty_pairs_vacuous():
-    rep = hadamard_report(IV, 0.5, [])
-    assert rep.overall_pass
-    assert rep.metadata["pairs"] == []
+def test_report_empty_pairs_or_steps_refused():
+    with pytest.raises(DomainError, match="at least one point pair"):
+        hadamard_report(IV, 0.5, [])
+    with pytest.raises(DomainError, match="t_list"):
+        hadamard_report(IV, 0.5, [(0.0, 0.5)], t_list=[])

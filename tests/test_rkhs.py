@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kernel_lab.rkhs as rkhs
 from kernel_lab.domains import BoundaryGrid, disk, interval
-from kernel_lab.errors import ConsistencyError, GridMismatchError
+from kernel_lab.errors import ConsistencyError, DomainError, GridMismatchError
 from kernel_lab.rkhs import (
     gram_matrix,
     kernel_classical,
@@ -102,6 +102,68 @@ def test_classical_kernel_matches_spectral_oracle(s):
             grid_route = kernel_classical(DK, s, pts[i], pts[j], n_nodes=256)
             oracle = kernel_classical_spectral_oracle(DK, s, pts[i], pts[j])
             assert abs(grid_route - oracle) < 1e-10 * max(1.0, abs(oracle))
+
+
+def _scalar_series(R, s, x, y):
+    # one pair's series as a scalar loop, the array oracle's reference;
+    # also returns the sum of |terms|, the scale of its roundoff
+    rho = float(np.hypot(*x)) * float(np.hypot(*y)) / R**2
+    delta = math.atan2(y[1], y[0]) - math.atan2(x[1], x[0])
+    total, scale = 1.0, 1.0
+    k = 1
+    while True:
+        mag = (1.0 + (k / R) ** 2) ** (-s) * rho**k
+        if mag < 1e-16 or k > 200_000:
+            break
+        total += 2.0 * mag * math.cos(k * delta)
+        scale += 2.0 * mag
+        k += 1
+    return total / (2.0 * math.pi * R), scale / (2.0 * math.pi * R)
+
+
+_ORACLE_POINT = st.builds(
+    lambda r, th: [r * math.cos(th), r * math.sin(th)],
+    st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+    st.floats(0.0, 2.0 * math.pi),
+)
+
+
+@st.composite
+def _oracle_pairs(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        x = draw(_ORACLE_POINT)
+        pairs.append((x, x if draw(st.booleans()) else draw(_ORACLE_POINT)))
+    return pairs
+
+
+@settings(max_examples=100)
+@given(_oracle_pairs(), st.floats(-1.0, 1.0), st.sampled_from([1.0, 2.5]))
+def test_array_oracle_matches_scalar_series(pairs, s, R):
+    # rho = 0 (a point at the center) and coincident points included;
+    # 2e-15 relative to the series' absolute sum, the bound on its roundoff
+    dom = disk(R)
+    xs = R * np.array([p[0] for p in pairs])
+    ys = R * np.array([p[1] for p in pairs])
+    got = kernel_classical_spectral_oracle(dom, s, xs, ys)
+    assert got.shape == (len(pairs),)
+    for x, y, value in zip(xs, ys, got):
+        want, scale = _scalar_series(R, s, x, y)
+        assert abs(value - want) <= 2e-15 * scale
+        assert kernel_classical_spectral_oracle(dom, s, x, y) == value
+
+
+def test_array_oracle_refuses_bad_points():
+    good = np.array([[0.1, 0.2], [0.0, 0.0]])
+    with pytest.raises(DomainError):
+        kernel_classical_spectral_oracle(IV, 0.0, 0.1, 0.2)
+    for bad in ([math.nan, 0.0], [1.0, 0.0], [0.8, 0.7], [math.inf, 0.0]):
+        with pytest.raises(DomainError):
+            kernel_classical_spectral_oracle(DK, 0.0, bad, [0.1, 0.0])
+        with pytest.raises(DomainError):
+            kernel_classical_spectral_oracle(DK, 0.0, good, np.array([[0.1, 0.0], bad]))
+    with pytest.raises(DomainError):
+        kernel_classical_spectral_oracle(DK, 0.0, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
 
 
 def test_oracle_monotone_in_s():
