@@ -13,6 +13,7 @@ volatile field of the report.
 
 import argparse
 import contextlib
+import itertools
 import sys
 from pathlib import Path
 
@@ -47,12 +48,23 @@ EXIT_NUMERIC = 3
 
 
 def _write_csv(path, header, columns):
-    # repr of Python scalars (tolist, never numpy's) round-trips doubles
-    # exactly, so the cells stay diff-able
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    """Write columns of cells under a header line.
+
+    A column is numeric, or a sequence of preformatted cells (str).
+    Numbers print as repr of Python scalars (tolist, never numpy's), which
+    round-trips doubles exactly, so the cells stay diff-able.
+    """
+
+    def cells(column):
+        values = np.asarray(column).tolist()
+        return values if values and isinstance(values[0], str) else list(map(repr, values))
+
+    rows = map(",".join, zip(*map(cells, columns)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        # blocks of rows: one string per block, none the size of the file
+        while block := list(itertools.islice(rows, 4096)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _point_columns(domain, prefix):
@@ -85,11 +97,17 @@ def cmd_kernel(scenario, out_dir):
         },
     )
     # the table's rows are the pairs (i, j >= i) in row-major order
-    i, j = np.triu_indices(len(km.points))
-    coords = km.points.reshape(len(km.points), -1)
+    m = len(km.points)
+    i, j = np.triu_indices(m)
     K = km.entries[i, j]
+    # each point's index and coordinate cells are formatted once, then
+    # taken by i and by j
+    index_cells = np.array(list(map(repr, range(m))), dtype=object)
+    point_cells = np.array(
+        [",".join(map(repr, p)) for p in km.points.reshape(m, -1).tolist()], dtype=object
+    )
     header = ["i", "j", *_point_columns(domain, "x_i"), *_point_columns(domain, "x_j"), "K"]
-    columns = [i, j, *coords[i].T, *coords[j].T, K]
+    columns = [index_cells[i], index_cells[j], point_cells[i], point_cells[j], K]
     if kind == "classical" and domain.kind == DISK:
         oracle = kernel_classical_spectral_oracle(domain, params.s, km.points[i], km.points[j])
         header += ["K_oracle", "discrepancy"]
@@ -141,7 +159,7 @@ def cmd_limit(scenario, out_dir):
     x = scenario.interior_point("x")
     y = scenario.interior_point("y")
     a_values = scenario.number_list("a_values", lo=1e-6, hi=1.0)
-    rep = limit_consistency(domain, params.s, x, y, a_values)
+    rep = limit_consistency(domain, params.s, x, y, a_values, n_nodes=scenario.n_nodes())
     table = out_dir / "limit_errors.csv"
     _write_csv(table, ["a", "abs_error"], [a_values, rep.metadata["errors"]])
     return rep, [table]

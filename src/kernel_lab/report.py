@@ -8,7 +8,9 @@ that field and may then compare bytes.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 SCHEMA_VERSION = "kernel-lab-report/1"
 
@@ -60,6 +62,39 @@ def flag(name, ok):
     )
 
 
+_FIELDS = tuple(f.name for f in fields(CheckRecord))
+# one record at its indent inside the report's "records" list
+_RECORD = (
+    "    {\n"
+    + ",\n".join(f'      "{name}": %s' for name in _FIELDS)
+    + "\n    }"
+)
+_JSON_BOOL = {True: "true", False: "false"}
+# json.dumps writes a float as float.__repr__ does (the shortest digits that
+# round-trip the exact double), except for these three
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_cells(values):
+    cells = list(map(float.__repr__, values))
+    if _JSON_SPECIAL.keys() & set(cells):
+        cells = [_JSON_SPECIAL.get(c, c) for c in cells]
+    return cells
+
+
+def _records_json(records):
+    """The records list as json.dumps(..., indent=2) writes it at depth 1."""
+    if not records:
+        return "[]"
+    name, *numbers, passed = zip(*map(attrgetter(*_FIELDS), records))
+    columns = (
+        map(encode_basestring_ascii, name),
+        *map(_float_cells, numbers),
+        map(_JSON_BOOL.__getitem__, passed),
+    )
+    return "[\n" + ",\n".join(map(_RECORD.__mod__, zip(*columns))) + "\n  ]"
+
+
 class Report:
     """Ordered record collection with overall pass = conjunction (empty passes)."""
 
@@ -85,6 +120,12 @@ class Report:
     def failing(self):
         return [r for r in self.records if not r.passed]
 
+    def _volatile(self):
+        return {
+            "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "wall_time_s": time.perf_counter() - self._t0,
+        }
+
     def to_dict(self):
         return {
             "schema": SCHEMA_VERSION,
@@ -94,16 +135,33 @@ class Report:
             # a shallow copy of each record's fields: they are scalars
             "records": [dict(vars(r)) for r in self.records],
             "overall_pass": self.overall_pass,
-            "volatile": {
-                "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-                "wall_time_s": time.perf_counter() - self._t0,
-            },
+            "volatile": self._volatile(),
         }
 
     def to_json(self):
-        # floats serialize via repr: shortest digit string that round-trips
-        # the exact double, which is what the lossless contract needs
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """The bytes of ``json.dumps(self.to_dict(), indent=2) + "\n"``.
+
+        With an indent, json.dumps runs its pure-Python encoder, so the
+        records, which are nearly all of a large report, are written here
+        from one template at their final indent instead.
+        """
+
+        def nested(value):
+            # a top-level value, re-indented one level; JSON strings hold
+            # no raw newline, so every "\n" is a line break
+            return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+        return (
+            "{\n"
+            f'  "schema": {json.dumps(SCHEMA_VERSION)},\n'
+            f'  "command": {json.dumps(self.command)},\n'
+            f'  "scenario": {nested(self.scenario)},\n'
+            f'  "metadata": {nested(self.metadata)},\n'
+            f'  "records": {_records_json(self.records)},\n'
+            f'  "overall_pass": {_JSON_BOOL[self.overall_pass]},\n'
+            f'  "volatile": {nested(self._volatile())}\n'
+            "}\n"
+        )
 
     def write(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

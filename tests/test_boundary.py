@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernel_lab.boundary import (
     apply_M_power,
@@ -106,6 +108,21 @@ def test_multiplier_cancellation(circle, s):
     rhs = sobolev_inner(g, h, 0.0)
     # fft round-trip noise gets amplified by the largest multiplier
     cond = (1.0 + (circle.n // 2) ** 2) ** abs(s)
+    assert abs(lhs - rhs) < 1e-13 * cond * max(1.0, abs(rhs))
+
+
+@settings(max_examples=40)
+@given(R=st.floats(1.0, 2.0), t=st.floats(-2.0, 2.0),
+       g=st.lists(st.floats(-1.0, 1.0), min_size=64, max_size=64),
+       h=st.lists(st.floats(-1.0, 1.0), min_size=64, max_size=64))
+def test_multiplier_cancellation_random(R, t, g, h):
+    # the identity above for random fields, radii and orders, under the
+    # same condition-scaled bound (k/R <= k on radii R >= 1)
+    grid = BoundaryGrid(disk(R), 64)
+    g, h = grid.field(g), grid.field(h)
+    lhs = sobolev_inner(g, apply_M_power(h, -t), t)
+    rhs = sobolev_inner(g, h, 0.0)
+    cond = (1.0 + (grid.n // 2) ** 2) ** abs(t)
     assert abs(lhs - rhs) < 1e-13 * cond * max(1.0, abs(rhs))
 
 

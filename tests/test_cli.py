@@ -14,8 +14,15 @@ from hypothesis import strategies as st
 from kernel_lab.acceptance import CRITERIA
 from kernel_lab.cli import main
 from kernel_lab.report import SCHEMA_VERSION
-from kernel_lab.rkhs import KernelMatrix
+from kernel_lab.domains import disk, interval
+from kernel_lab.rkhs import (
+    KernelMatrix,
+    gram_matrix,
+    kernel_classical,
+    kernel_classical_spectral_oracle,
+)
 from kernel_lab.scenarios import DEFAULTS_ENV
+from kernel_lab.specfun import FracParams
 
 
 def _load(path):
@@ -102,6 +109,51 @@ def test_kernel_table_columns(tmp_path, kind, m):
         assert len(rows[0].split(",")) == 7 and len(records) == 2
 
 
+def _rowwise_kernel_table(domain, kind, params, points):
+    # the table written one row at a time, every cell by repr: the
+    # reference the column writer must reproduce byte for byte
+    km = gram_matrix(domain, kind, params.s if kind == "classical" else params, points)
+    m = len(points)
+    coords = km.points.reshape(m, -1).tolist()
+    oracle = kind == "classical" and domain.kind == "disk"
+    if domain.kind == "interval":
+        header = ["i", "j", "x_i", "x_j", "K"]
+    else:
+        header = ["i", "j", "x_i_0", "x_i_1", "x_j_0", "x_j_1", "K"]
+    if oracle:
+        header += ["K_oracle", "discrepancy"]
+    lines = [",".join(header)]
+    for i in range(m):
+        for j in range(i, m):
+            k = float(km.entries[i, j])
+            row = [i, j, *coords[i], *coords[j], k]
+            if oracle:
+                ref = float(kernel_classical_spectral_oracle(domain, params.s, km.points[i],
+                                                             km.points[j]))
+                row += [ref, abs(k - ref)]
+            lines.append(",".join(map(repr, row)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", ["classical", "fractional"])
+@pytest.mark.parametrize("domain, points", [
+    (interval(1.0), [0.25, -0.0, 0.0, -0.7, 1.5e-300, 0.1 + 0.2]),
+    (disk(1.0), [[0.0, 0.0], [-0.0, 0.5], [0.3, -0.4], [1.0 / 3.0, 2e-310], [-0.6, -0.25]]),
+], ids=["interval", "disk"])
+def test_kernel_table_bytes_match_rowwise_writer(tmp_path, domain, points, kind):
+    params = FracParams(0.4, 0.3)
+    scn = tmp_path / "k.yaml"
+    scn.write_text(yaml.safe_dump({
+        "domain": {"kind": domain.kind, "R": domain.R},
+        "params": {"a": params.a, "s": params.s},
+        "kernel": {"kernel_type": kind, "points": points},
+    }), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["kernel", "--scenario", str(scn), "--out", str(out)]) == 0
+    want = _rowwise_kernel_table(domain, kind, params, np.array(points))
+    assert (out / "kernel_table.csv").read_bytes() == want
+
+
 def test_csv_cells_are_plain_numbers(tmp_path):
     # repr of a numpy scalar would write np.float64(...) into a cell
     for command, table in (("kernel", "kernel_table.csv"), ("hadamard", "hadamard_fd.csv"),
@@ -142,6 +194,16 @@ def test_hadamard_csv(tmp_path):
     rows = (out / "hadamard_fd.csv").read_text(encoding="utf-8").splitlines()
     assert rows[0] == "pair,t,fd,abs_error"
     assert len(rows) == 3  # one pair, two steps
+
+
+def test_limit_honours_n_nodes(tmp_path):
+    # the limit kernels run on the scenario's grid, not a fixed one
+    out = tmp_path / "l16"
+    assert main(["limit", "--nodes", "16", "--out", str(out)]) == 0
+    ref = _load(out / "limit_report.json")["metadata"]["classical_reference"]
+    x, y = np.zeros(2), np.array([0.5, 0.0])
+    assert ref == kernel_classical(disk(1.0), 1.5, x, y, n_nodes=16)
+    assert ref != kernel_classical(disk(1.0), 1.5, x, y)
 
 
 def test_limit_csv(tmp_path):
@@ -200,6 +262,7 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
         ("kernel", "points: []"),
         ("hadamard", "pairs: []"),
         ("hadamard", "t_list: []"),
+        ("limit", "n_nodes: 7"),
     ):
         scn = tmp_path / "invalid.yaml"
         scn.write_text(f"{command}:\n  {override}\n", encoding="utf-8")
@@ -220,6 +283,11 @@ _PARSED_KEYS = (
     ("residual", "points", None),
     ("residual", "tolerance", None),
     ("residual", "budget", None),
+    ("kernel", "kernel_type", None),
+    ("kernel", "points", None),
+    ("hadamard", "pairs", None),
+    ("hadamard", "t_list", None),
+    ("limit", "n_nodes", None),
 )
 _BAD_ATOMS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, True, False, None]),
@@ -242,7 +310,7 @@ def _malformed_override(draw):
     return command, {command: {key: value}}
 
 
-@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_malformed_override())
 def test_fuzzed_scenario_exits_2(tmp_path, override):
     command, doc = override

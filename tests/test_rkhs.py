@@ -233,6 +233,18 @@ def test_gram_symmetric_and_matches_two_point_kernels(domain, data, kind, a, s):
 
 
 @pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+@settings(max_examples=20)
+@given(data=st.data(), kind=st.sampled_from(["classical", "fractional"]),
+       a=st.floats(0.2, 1.0), s=st.floats(-0.6, 1.0))
+def test_gram_psd_at_random_points(domain, data, kind, a, s):
+    pts = _draw_points(data, domain, 8)
+    params = s if kind == "classical" else FracParams(a, s)
+    lo, hi, psd = gram_matrix(domain, kind, params, pts, n_nodes=64).psd_verdict()
+    assert psd, (lo, hi)
+    assert hi > 0.0
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
 @given(picks=st.lists(st.integers(0, 5), min_size=1, max_size=8))
 def test_has_duplicates_exactly_when_a_point_repeats(domain, picks):
     if domain.kind == "interval":
