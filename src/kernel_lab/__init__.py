@@ -8,7 +8,6 @@ the package exists to compute both sides and compare.
 """
 
 from .boundary import (
-    SobolevMetric,
     apply_M_power,
     boundary_integrate,
     from_spectrum,
@@ -98,7 +97,6 @@ __all__ = [
     "SampledInteriorField",
     "ScenarioError",
     "SingularityError",
-    "SobolevMetric",
     "ToleranceError",
     "apply_M_power",
     "boundary_integral_B",

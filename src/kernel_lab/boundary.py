@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DISK, INTERVAL, BoundaryField, BoundaryGrid
+from .domains import INTERVAL, BoundaryField, BoundaryGrid
 from .errors import GridMismatchError
 
 
@@ -34,12 +34,6 @@ class Spectrum:
     grid: BoundaryGrid
     coefficients: np.ndarray
 
-    def mode_numbers(self):
-        if self.grid.domain.kind == INTERVAL:
-            return np.zeros(2)
-        n = self.grid.n
-        return np.fft.fftfreq(n, d=1.0 / n)
-
 
 def laplace_beltrami_eigenvalues(grid):
     """Eigenvalues of L = -Delta_boundary per mode, in coefficient order."""
@@ -49,16 +43,9 @@ def laplace_beltrami_eigenvalues(grid):
     return (k / grid.domain.R) ** 2
 
 
-@dataclass(frozen=True)
-class SobolevMetric:
-    """Multipliers (1 + lambda_k)^t of M^t on a fixed grid."""
-
-    grid: BoundaryGrid
-    t: float
-
-    @property
-    def multipliers(self):
-        return (1.0 + laplace_beltrami_eigenvalues(self.grid)) ** self.t
+def _multipliers(grid, t):
+    """Multipliers (1 + lambda_k)^t of M^t on grid, in coefficient order."""
+    return (1.0 + laplace_beltrami_eigenvalues(grid)) ** t
 
 
 def to_spectrum(field):
@@ -84,7 +71,7 @@ def apply_M_power(field, t):
     if field.grid.domain.kind == INTERVAL:
         return BoundaryField(field.grid, field.values.copy())
     spec = to_spectrum(field)
-    mult = SobolevMetric(field.grid, t).multipliers
+    mult = _multipliers(field.grid, t)
     return from_spectrum(Spectrum(field.grid, mult * spec.coefficients))
 
 
@@ -98,7 +85,7 @@ def sobolev_inner(f, g, s):
         raise GridMismatchError("sobolev_inner requires fields on one grid")
     if f.grid.domain.kind == INTERVAL:
         return float(np.dot(f.values, g.values))
-    mult = SobolevMetric(f.grid, s).multipliers
+    mult = _multipliers(f.grid, s)
     fh = to_spectrum(f).coefficients
     gh = to_spectrum(g).coefficients
     return float(np.sum(mult * fh * np.conj(gh)).real)

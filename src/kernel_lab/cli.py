@@ -21,7 +21,7 @@ import numpy as np
 
 from .acceptance import run_selftest
 from .debug import DEBUG_CONTROLS
-from .domains import DISK, INTERVAL
+from .domains import INTERVAL
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -32,13 +32,7 @@ from .errors import (
 )
 from .fracop import residual_check
 from .hadamard import hadamard_report
-from .report import Report, check, flag
-from .rkhs import (
-    gram_matrix,
-    kernel_classical_spectral_oracle,
-    limit_consistency,
-    reproduce_report,
-)
+from .rkhs import kernel_report, limit_consistency, reproduce_report
 from .scenarios import COMMANDS, boundary_data_function, load_scenario
 
 EXIT_PASS = 0
@@ -75,52 +69,27 @@ def _point_columns(domain, prefix):
 
 def cmd_kernel(scenario, out_dir):
     domain = scenario.domain()
-    config = scenario.config
-    kind = config.get("kernel_type", "classical")
+    kind = scenario.config.get("kernel_type", "classical")
     if kind not in ("classical", "fractional"):
         raise ScenarioError(f"kernel_type must be classical or fractional, got {kind!r}")
     params = scenario.frac_params()
-    sel_params = params.s if kind == "classical" else params
-    km = gram_matrix(domain, kind, sel_params, scenario.interior_points("points"),
-                     n_nodes=scenario.n_nodes())
-
-    rep = Report(
-        "kernel",
-        scenario={
-            "domain": domain.kind,
-            "R": domain.R,
-            "kernel_type": kind,
-            "a": params.a,
-            "s": params.s,
-            "n_nodes": scenario.n_nodes(),
-            "points": km.points.tolist(),
-        },
-    )
-    # the table's rows are the pairs (i, j >= i) in row-major order
-    m = len(km.points)
-    i, j = np.triu_indices(m)
-    K = km.entries[i, j]
+    rep, columns = kernel_report(domain, kind, params.a, params.s,
+                                 scenario.interior_points("points"),
+                                 n_nodes=scenario.n_nodes())
+    i, j = columns.pop("i"), columns.pop("j")
     # each point's index and coordinate cells are formatted once, then
     # taken by i and by j
+    m = len(rep.scenario["points"])
     index_cells = np.array(list(map(repr, range(m))), dtype=object)
     point_cells = np.array(
-        [",".join(map(repr, p)) for p in km.points.reshape(m, -1).tolist()], dtype=object
+        [",".join(map(repr, p)) for p in np.reshape(rep.scenario["points"], (m, -1)).tolist()],
+        dtype=object,
     )
-    header = ["i", "j", *_point_columns(domain, "x_i"), *_point_columns(domain, "x_j"), "K"]
-    columns = [index_cells[i], index_cells[j], point_cells[i], point_cells[j], K]
-    if kind == "classical" and domain.kind == DISK:
-        oracle = kernel_classical_spectral_oracle(domain, params.s, km.points[i], km.points[j])
-        header += ["K_oracle", "discrepancy"]
-        columns += [oracle, np.abs(K - oracle)]
-        for pi, pj, k, ref in zip(i.tolist(), j.tolist(), K.tolist(), oracle.tolist()):
-            rep.add(check(f"K[{pi},{pj}] vs spectral oracle", k, ref, 1e-8, rel=True))
-    lo, hi, psd = km.psd_verdict()
-    rep.add(flag(f"Gram PSD (min {lo:.3e}, max {hi:.3e})", psd))
-    rep.add(flag("assembled matrix exactly symmetric",
-                 bool(np.array_equal(km.entries, km.entries.T))))
-    rep.metadata["has_duplicates"] = km.has_duplicates
+    header = ["i", "j", *_point_columns(domain, "x_i"), *_point_columns(domain, "x_j"),
+              *columns]
     table = out_dir / "kernel_table.csv"
-    _write_csv(table, header, columns)
+    _write_csv(table, header, [index_cells[i], index_cells[j], point_cells[i], point_cells[j],
+                               *columns.values()])
     return rep, [table]
 
 

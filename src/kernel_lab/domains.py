@@ -9,7 +9,7 @@ periodic integrands.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +36,6 @@ class ModelDomain:
     def N(self):
         return 1 if self.kind == INTERVAL else 2
 
-    @property
-    def boundary_measure(self):
-        # counting measure on {-R, R} for the interval
-        return 2.0 if self.kind == INTERVAL else 2.0 * math.pi * self.R
-
     def point(self, p):
         """Coerce p to a float (interval) or a length-2 array (disk)."""
         if self.kind == INTERVAL:
@@ -66,16 +61,9 @@ class ModelDomain:
             raise DomainError(f"point {p} lies outside the domain")
         return d
 
-    def is_interior(self, p):
-        return self.norm(p) < self.R
-
-    def require_interior(self, p, margin=0.0):
-        d = self.R - self.norm(p)
-        if not d > margin:  # also refuses NaN
-            raise DomainError(
-                f"point {p} is not interior to the {self.kind} of radius {self.R}"
-                + (f" (required clearance {margin})" if margin > 0.0 else "")
-            )
+    def require_interior(self, p):
+        if not self.R - self.norm(p) > 0.0:  # also refuses NaN
+            raise DomainError(f"point {p} is not interior to the {self.kind} of radius {self.R}")
         return self.point(p)
 
     def scaled(self, factor):
@@ -126,7 +114,7 @@ class BoundaryGrid:
                 raise DomainError("the interval boundary has exactly 2 nodes")
         else:
             if self.n < 8 or self.n % 2 != 0:
-                raise DomainError("circle grids need an even node count >= 8")
+                raise DomainError(f"circle grids need an even node count >= 8, got {self.n}")
 
     @property
     def angles(self):
@@ -158,6 +146,12 @@ class BoundaryGrid:
         """Sample fn over the nodes; fn takes an angle (circle) or node (interval)."""
         args = self.angles if self.domain.kind == DISK else self.nodes
         return BoundaryField(self, np.fromiter(map(fn, args.tolist()), float, self.n))
+
+
+def boundary_grid(domain, n):
+    """The boundary grid of domain: n circle nodes, or the interval's two
+    (n is then ignored)."""
+    return BoundaryGrid(domain, 2 if domain.kind == INTERVAL else n)
 
 
 @dataclass

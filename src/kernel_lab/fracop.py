@@ -37,6 +37,7 @@ from .domains import DISK, INTERVAL, ray_directions, ray_exit
 from .errors import DomainError, SingularityError, ToleranceError
 from .green import green_fractional_radial
 from .quadrature import (
+    N_ANGLES,
     EvalBudget,
     QuadratureSpec,
     exit_graded_rule,
@@ -110,16 +111,6 @@ class SampledInteriorField:
         )
         self.grid = grid
 
-    @classmethod
-    def from_grid(cls, domain, nodes, values, tag, delta_min=None):
-        """Interval field interpolated from dense samples by a cubic spline."""
-        if domain.kind != INTERVAL:
-            raise DomainError("grid-sampled fields are implemented for the interval")
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(np.asarray(nodes, dtype=float), np.asarray(values, dtype=float))
-        return cls(domain, spline, tag, delta_min=delta_min, grid=np.asarray(nodes))
-
     def __call__(self, pts):
         if self.domain.kind == INTERVAL:
             y = np.asarray(pts, dtype=float)
@@ -182,10 +173,10 @@ def _bump_base_mass(N):
     # to machine precision
     if N == 1:
         return panel_integrate(
-            lambda r: np.exp(-1.0 / (1.0 - r * r)), np.linspace(-1.0, 1.0, 33), 12
+            lambda r: np.exp(-1.0 / (1.0 - r * r)), np.linspace(-1.0, 1.0, 33)
         )
     return 2.0 * math.pi * panel_integrate(
-        lambda r: np.exp(-1.0 / (1.0 - r * r)) * r, np.linspace(0.0, 1.0, 33), 12
+        lambda r: np.exp(-1.0 / (1.0 - r * r)) * r, np.linspace(0.0, 1.0, 33)
     )
 
 
@@ -272,7 +263,7 @@ def _apply_interval(u, a, x, h0, quad, budget, c):
             return (2.0 * ux - u(x + h) - u(x - h)) * h**exponent
 
         mesh = graded_mesh(0.0, h0, panels, 2.0, toward="lo")
-        return panel_integrate(f, mesh, quad.gl_order)
+        return panel_integrate(f, mesh)
 
     near_half = near(max(4, quad.resolution // 2))
     near_full = near(quad.resolution)
@@ -299,21 +290,20 @@ def _apply_interval(u, a, x, h0, quad, budget, c):
 
 def _apply_disk(u, a, x, h0, quad, budget, c):
     ux = u(x)
-    n_ang = quad.n_angles
-    dirs = ray_directions(n_ang)
+    dirs = ray_directions(N_ANGLES)
     exponent = -1.0 - 2.0 * a
 
     def near(panels):
         # (1/2) int dphi int dr -> pi * angular mean, per the trapezoid rule
         def f(h):
-            budget.spend(2 * h.size * n_ang)
+            budget.spend(2 * h.size * N_ANGLES)
             disp = h[:, None, None] * dirs[None, :, :]
-            plus = u((x[None, None, :] + disp).reshape(-1, 2)).reshape(h.size, n_ang)
-            minus = u((x[None, None, :] - disp).reshape(-1, 2)).reshape(h.size, n_ang)
+            plus = u((x[None, None, :] + disp).reshape(-1, 2)).reshape(h.size, N_ANGLES)
+            minus = u((x[None, None, :] - disp).reshape(-1, 2)).reshape(h.size, N_ANGLES)
             return np.mean(2.0 * ux - plus - minus, axis=1) * h**exponent
 
         mesh = graded_mesh(0.0, h0, panels, 2.0, toward="lo")
-        return math.pi * panel_integrate(f, mesh, quad.gl_order)
+        return math.pi * panel_integrate(f, mesh)
 
     near_half = near(max(4, quad.resolution // 2))
     near_full = near(quad.resolution)
@@ -335,7 +325,7 @@ def _disk_far(u, a, x, h0, dirs, panels, quad, budget):
     tag declares, and the field is evaluated once on all (ray, node) points.
     """
     beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[u.tag]
-    s, w = exit_graded_rule(panels, 2.0, beta, quad.gl_order)
+    s, w = exit_graded_rule(panels, 2.0, beta)
     budget.spend(len(dirs) * s.size)
     lengths = ray_exit(u.domain, x, dirs) - h0
     r = h0 + lengths[:, None] * s[None, :]
@@ -353,6 +343,9 @@ def mollified_green_value(domain, a, moll, z, quad=None):
         return float(_moll_values_interval(domain, a, moll, [z], quad)[0])
     return _moll_value_disk(domain, a, moll, domain.require_interior(z), quad)
 
+
+# Chebyshev resolution of the interval mollified_green build
+_CHEBYSHEV_N = 512
 
 # z rows evaluated together by _moll_values_interval; at the default
 # resolution each (rows, y-nodes) array of a block stays under 0.4 MB
@@ -405,13 +398,9 @@ def _moll_values_interval(domain, a, moll, zs, quad):
         out = np.empty(zs.shape)
         for idx, toward in groups:
             if toward is None:
-                t, w = panel_nodes_weights(
-                    graded_mesh(0.0, 1.0, panels, grading, toward="lo"), quad.gl_order
-                )
+                t, w = panel_nodes_weights(graded_mesh(0.0, 1.0, panels, grading, toward="lo"))
             else:
-                y, w = panel_nodes_weights(
-                    graded_mesh(lo, hi, panels, 2.0, toward=toward), quad.gl_order
-                )
+                y, w = panel_nodes_weights(graded_mesh(lo, hi, panels, 2.0, toward=toward))
                 rho = moll.density(y)
             for start in range(0, idx.size, _Z_BLOCK):
                 rows = idx[start:start + _Z_BLOCK]
@@ -444,9 +433,9 @@ def _moll_value_disk(domain, a, moll, z, quad):
     # the support (analytic integrand) and smoke-grade when the Green
     # singularity sits inside it
     r_nodes, r_weights = panel_nodes_weights(
-        np.linspace(0.0, moll.width, max(8, quad.resolution // 4) + 1), quad.gl_order
+        np.linspace(0.0, moll.width, max(8, quad.resolution // 4) + 1)
     )
-    dirs = ray_directions(quad.n_angles)
+    dirs = ray_directions(N_ANGLES)
     pts = (moll.center[None, None, :] + r_nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     diff = pts - z[None, :]
     dist2 = np.sum(diff * diff, axis=1)
@@ -455,18 +444,18 @@ def _moll_value_disk(domain, a, moll, z, quad):
     ok = dist2 > 0.0
     vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])
     vals *= moll.density(pts)
-    vals = vals.reshape(len(r_nodes), quad.n_angles)
-    dphi = 2.0 * math.pi / quad.n_angles
+    vals = vals.reshape(len(r_nodes), N_ANGLES)
+    dphi = 2.0 * math.pi / N_ANGLES
     return float(np.sum(r_weights * r_nodes * np.sum(vals, axis=1) * dphi))
 
 
-def mollified_green(domain, a, moll, quad=None, n_nodes=512):
+def mollified_green(domain, a, moll, quad=None):
     """The field v_{x,eps} = G_a * rho_eps as a SampledInteriorField.
 
-    On the interval the field is sampled at the n_nodes - 1 interior
-    Chebyshev nodes R cos(pi k / n_nodes), all evaluated in one batched call
-    that refuses the whole build if any node's coarse and fine rules
-    disagree, and stored through the weight (R^2-z^2)^a, so the spline
+    On the interval the field is sampled at the _CHEBYSHEV_N - 1 interior
+    Chebyshev nodes R cos(pi k / _CHEBYSHEV_N), all evaluated in one
+    batched call that refuses the whole build if any node's coarse and fine
+    rules disagree, and stored through the weight (R^2-z^2)^a, so the spline
     interpolates the smooth quotient v/(R^2-z^2)^a right up to the boundary
     (this is what makes the field's own weighted trace extractable).  On the
     disk the field evaluates the convolution on demand.
@@ -479,8 +468,8 @@ def mollified_green(domain, a, moll, quad=None, n_nodes=512):
         )
         return SampledInteriorField(domain, profile, TAG_DEGENERATE)
     R = domain.R
-    k = np.arange(1, n_nodes)
-    zs = np.sort(R * np.cos(np.pi * k / n_nodes))
+    k = np.arange(1, _CHEBYSHEV_N)
+    zs = np.sort(R * np.cos(np.pi * k / _CHEBYSHEV_N))
     vals = _moll_values_interval(domain, a, moll, zs, quad)
     weight = (R * R - zs * zs) ** a
     from scipy.interpolate import CubicSpline

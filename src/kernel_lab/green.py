@@ -30,6 +30,7 @@ import numpy as np
 from .domains import INTERVAL, BoundaryField, ray_directions, ray_exit
 from .errors import DomainError, SingularityError
 from .quadrature import (
+    N_ANGLES,
     EvalBudget,
     QuadratureSpec,
     graded_mesh,
@@ -165,20 +166,11 @@ def green_mass(domain, a, x, quad=None):
         quad = QuadratureSpec()
     x = domain.require_interior(x)
     budget = EvalBudget(quad.budget, label="green_mass")
-    if domain.kind == INTERVAL:
-        estimate = _refine(
-            lambda m: _mass_interval(domain, a, x, m, quad.gl_order, budget),
-            quad,
-            budget,
-        )
-    else:
-        estimate = _refine(
-            lambda m: _mass_disk(domain, a, x, m, quad, budget), quad, budget
-        )
-    return estimate
+    mass = _mass_interval if domain.kind == INTERVAL else _mass_disk
+    return _refine(lambda m: mass(domain, a, x, m, budget), quad)
 
 
-def _refine(evaluate, quad, budget):
+def _refine(evaluate, quad):
     m = max(4, quad.resolution // 4)
     prev = evaluate(m)
     while True:
@@ -194,7 +186,7 @@ def _refine(evaluate, quad, budget):
         prev = cur
 
 
-def _mass_interval(domain, a, x, panels, order, budget):
+def _mass_interval(domain, a, x, panels, budget):
     # integrate in the distance variable u = |y - x| on each side; grading
     # toward u = 0 cannot collide with the singularity in floating point
     # because the singular factor is computed from u itself
@@ -211,25 +203,21 @@ def _mass_interval(domain, a, x, panels, order, budget):
         # cluster toward the point singularity at u = 0 and toward the
         # boundary weight at u = L
         mid = 0.5 * L
-        total += panel_integrate(
-            f, graded_mesh(0.0, mid, panels, grading, toward="lo"), order
-        )
-        total += panel_integrate(
-            f, graded_mesh(mid, L, panels, grading, toward="hi"), order
-        )
+        total += panel_integrate(f, graded_mesh(0.0, mid, panels, grading, toward="lo"))
+        total += panel_integrate(f, graded_mesh(mid, L, panels, grading, toward="hi"))
     return total
 
 
-def _mass_disk(domain, a, x, panels, quad, budget):
+def _mass_disk(domain, a, x, panels, budget):
     # one rule in s = r/T on [0, 1/2] and [1/2, 1], graded as on the
     # interval, maps onto every ray's [0, T]; all rays are evaluated at once
     grading = 2.0 / a
-    dirs = ray_directions(quad.n_angles)
+    dirs = ray_directions(N_ANGLES)
     mesh = np.concatenate([
         graded_mesh(0.0, 0.5, panels, grading, toward="lo"),
         graded_mesh(0.5, 1.0, panels, grading, toward="hi"),
     ])
-    s, w = panel_nodes_weights(mesh, quad.gl_order)
+    s, w = panel_nodes_weights(mesh)
     budget.spend(len(dirs) * s.size)
     T = ray_exit(domain, x, dirs)
     r = T[:, None] * s[None, :]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import green
 from .boundary import boundary_integrate
-from .domains import INTERVAL, BoundaryField, BoundaryGrid
+from .domains import INTERVAL, BoundaryField, boundary_grid
 from .errors import DomainError, GridMismatchError, SingularityError
 from .green import boundary_representer, green_classical, green_fractional
 from .report import Report, check, flag
@@ -142,10 +142,7 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
         raise DomainError("hadamard_report needs at least one point pair")
     if not t_list:
         raise DomainError("t_list must not be empty")
-    if domain.kind == INTERVAL:
-        grid = BoundaryGrid(domain, 2)
-    else:
-        grid = BoundaryGrid(domain, n_nodes)
+    grid = boundary_grid(domain, n_nodes)
     alpha = PerturbationField.dilation(grid)
 
     rep = Report(

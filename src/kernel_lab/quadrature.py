@@ -16,6 +16,11 @@ from scipy.special import roots_jacobi
 
 from .errors import ToleranceError
 
+# Gauss-Legendre order of every composite panel, and the number of rays
+# (equispaced angles) of every polar rule on the disk
+GL_ORDER = 12
+N_ANGLES = 64
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -30,8 +35,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-10
     resolution: int = 32
     budget: int = 100_000
-    gl_order: int = 12
-    n_angles: int = 64
 
     def tolerance_for(self, value):
         return max(self.abs_tol, self.rel_tol * abs(value))
@@ -77,7 +80,7 @@ def graded_mesh(lo, hi, panels, exponent, toward="lo"):
     return np.asarray(keep)
 
 
-def panel_integrate(fn, breakpoints, order=12):
+def panel_integrate(fn, breakpoints, order=GL_ORDER):
     """Composite Gauss-Legendre over consecutive panels, fixed order.
 
     fn is called once, on every node of the flattened rule that
@@ -89,7 +92,7 @@ def panel_integrate(fn, breakpoints, order=12):
     return float(np.dot(weights, fn(nodes)))
 
 
-def panel_nodes_weights(breakpoints, order=12):
+def panel_nodes_weights(breakpoints, order=GL_ORDER):
     """Flattened Gauss-Legendre nodes and weights of the composite rule,
     panel by panel in breakpoint order, zero-width panels dropped."""
     x, w = _gl_nodes(order)
@@ -103,7 +106,7 @@ def panel_nodes_weights(breakpoints, order=12):
     return nodes.ravel(), weights.ravel()
 
 
-def exit_graded_rule(panels, exponent, beta, order=12):
+def exit_graded_rule(panels, exponent, beta, order=GL_ORDER):
     """Nodes and weights on [0, 1] for integrands that behave like
     (1 - s)^beta at s = 1.
 
@@ -136,11 +139,3 @@ class EvalBudget:
             raise ToleranceError(
                 f"{self.label} exceeded its evaluation budget ({self.limit})"
             )
-
-    def wrap(self, fn):
-        def counted(x):
-            arr = np.atleast_1d(x)
-            self.spend(arr.size)
-            return fn(x)
-
-        return counted

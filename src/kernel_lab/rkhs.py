@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import apply_M_power, boundary_integrate, sobolev_inner
-from .domains import DISK, INTERVAL, BoundaryGrid
+from .domains import DISK, INTERVAL, BoundaryGrid, boundary_grid
 from .errors import ConsistencyError, DomainError, GridMismatchError
 from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
 from .report import Report, check, flag
@@ -96,12 +96,6 @@ def poisson_extend_fractional(domain, a, s, phi, x):
     return _two_routes("poisson_extend_fractional", _gamma_factor(a), phi, psi, t)
 
 
-def _kernel_grid(domain, n_nodes):
-    if domain.kind == INTERVAL:
-        return BoundaryGrid(domain, 2)
-    return BoundaryGrid(domain, n_nodes)
-
-
 def _representers(grid, kind, params, points):
     """(front, V): the kernel's prefactor and the (m, n) rows M^{-t} rep(x_i),
     t = s/2 for kind "classical" (params = s), theta for "fractional"."""
@@ -118,7 +112,7 @@ def _representers(grid, kind, params, points):
 
 
 def _two_point(domain, kind, params, x, y, n_nodes):
-    grid = _kernel_grid(domain, n_nodes)
+    grid = boundary_grid(domain, n_nodes)
     front, V = _representers(grid, kind, params, [x, y])
     return front * float(np.dot(grid.weights, V[0] * V[1]))
 
@@ -191,14 +185,11 @@ class KernelMatrix:
         """Dense symmetric eigensolve, ascending."""
         return np.linalg.eigvalsh(self.entries)
 
-    def psd_verdict(self, tol=1e-10):
-        """(min eigenvalue, max eigenvalue, is_psd) from one eigensolve."""
+    def psd_verdict(self):
+        """(min eigenvalue, max eigenvalue, is_psd) from one eigensolve;
+        PSD means the min eigenvalue is above -1e-10 times the max."""
         lam = self.eigenvalues()
-        return lam[0], lam[-1], bool(lam[0] >= -tol * max(lam[-1], 0.0))
-
-    def is_psd(self, tol=1e-10):
-        """Min eigenvalue above -tol times the max; scale-free."""
-        return self.psd_verdict(tol)[2]
+        return lam[0], lam[-1], bool(lam[0] >= -1e-10 * max(lam[-1], 0.0))
 
 
 def gram_matrix(domain, kind, params, points, n_nodes=DEFAULT_NODES):
@@ -211,7 +202,7 @@ def gram_matrix(domain, kind, params, points, n_nodes=DEFAULT_NODES):
     pts = np.array([domain.point(p) for p in points])
     if not len(pts):
         raise DomainError("gram_matrix needs at least one point")
-    grid = _kernel_grid(domain, n_nodes)
+    grid = boundary_grid(domain, n_nodes)
     front, V = _representers(grid, kind, params, pts)
     lower = np.tril(front * ((V * grid.weights) @ V.T))
     entries = lower + np.tril(lower, -1).T
@@ -222,19 +213,60 @@ def gram_matrix(domain, kind, params, points, n_nodes=DEFAULT_NODES):
     return KernelMatrix(params, pts, entries, has_duplicates=dup)
 
 
-def reproducing_residual(domain, a, s, phi, x, fine_factor=2):
+def kernel_report(domain, kind, a, s, points, n_nodes):
+    """Report on the Gram matrix of one kernel over points, and its table.
+
+    kind is "classical" (order s; a is only echoed) or "fractional"
+    (FracParams(a, s)).  On the classical disk every pair (i, j >= i) is
+    checked against kernel_classical_spectral_oracle at relative 1e-8;
+    then come the Gram PSD flag (one eigensolve) and the exact-symmetry
+    flag.  Returns (report, columns): columns maps "i", "j", "K", and on
+    the classical disk "K_oracle" and "discrepancy", to arrays over the
+    pairs in row-major order.
+    """
+    params = float(s) if kind == "classical" else FracParams(a, s)
+    km = gram_matrix(domain, kind, params, points, n_nodes=n_nodes)
+    rep = Report(
+        "kernel",
+        scenario={
+            "domain": domain.kind,
+            "R": domain.R,
+            "kernel_type": kind,
+            "a": a,
+            "s": s,
+            "n_nodes": n_nodes,
+            "points": km.points.tolist(),
+        },
+        metadata={"has_duplicates": km.has_duplicates},
+    )
+    i, j = np.triu_indices(len(km.points))
+    K = km.entries[i, j]
+    columns = {"i": i, "j": j, "K": K}
+    if kind == "classical" and domain.kind == DISK:
+        oracle = kernel_classical_spectral_oracle(domain, s, km.points[i], km.points[j])
+        columns.update(K_oracle=oracle, discrepancy=np.abs(K - oracle))
+        for pi, pj, k, ref in zip(i.tolist(), j.tolist(), K.tolist(), oracle.tolist()):
+            rep.add(check(f"K[{pi},{pj}] vs spectral oracle", k, ref, 1e-8, rel=True))
+    lo, hi, psd = km.psd_verdict()
+    rep.add(flag(f"Gram PSD (min {lo:.3e}, max {hi:.3e})", psd))
+    rep.add(flag("assembled matrix exactly symmetric",
+                 bool(np.array_equal(km.entries, km.entries.T))))
+    return rep, columns
+
+
+def reproducing_residual(domain, a, s, phi, x):
     """|<phi, K_x> - u(x)| with the representer built on an independent grid.
 
     u(x) comes from poisson_extend_fractional on phi's own grid; the
-    pairing rebuilds psi_x at fine_factor times the resolution, so the
-    residual bounds the quadrature error of the kernel machinery.
+    pairing rebuilds psi_x at twice the resolution, so the residual bounds
+    the quadrature error of the kernel machinery.
     """
     params = FracParams(a, s)
     u = poisson_extend_fractional(domain, a, s, phi, x)
     if phi.grid.domain.kind == INTERVAL:
         phi_fine = phi
     else:
-        phi_fine = phi.resample(fine_factor * phi.grid.n)
+        phi_fine = phi.resample(2 * phi.grid.n)
     psi = fractional_trace_green(phi_fine.grid, a, x)
     pairing = _gamma_factor(a) * sobolev_inner(
         phi_fine, apply_M_power(psi, -2.0 * params.theta), 2.0 * params.theta

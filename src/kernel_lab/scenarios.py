@@ -10,12 +10,13 @@ so the commands can assume a well-formed configuration.
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 
 import yaml
 
-from .domains import DISK, INTERVAL, BoundaryGrid, ModelDomain
+from .domains import DISK, INTERVAL, ModelDomain, boundary_grid
 from .errors import DomainError, ScenarioError
 from .fracop import MollifierSpec
 from .specfun import FracParams
@@ -28,13 +29,22 @@ COMMANDS = ("kernel", "reproduce", "hadamard", "limit", "residual", "selftest")
 MAX_NODES = 1 << 20
 
 
-# libyaml's parser when present; it builds the same objects as SafeLoader
-_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader (libyaml's parser when present), also reading 1e-3,
+    1.0e5 and 2E+4 as floats, which the YAML 1.1 rule leaves as strings.
+    add_implicit_resolver gives the subclass its own copy of the table."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 def _load_yaml(text, origin):
     try:
-        data = yaml.load(text, Loader=_SAFE_LOADER)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{origin}: not valid YAML ({exc})") from exc
     if data is None:
@@ -122,14 +132,8 @@ class Scenario:
             raise ScenarioError(f"seed must be a u64, got {seed!r}")
         return seed
 
-    def grid(self, n=None):
-        domain = self.domain()
-        if domain.kind == INTERVAL:
-            return BoundaryGrid(domain, 2)
-        n = self.n_nodes() if n is None else n
-        if n < 8 or n % 2 != 0:
-            raise ScenarioError(f"circle grids need an even node count >= 8, got {n}")
-        return BoundaryGrid(domain, n)
+    def grid(self):
+        return boundary_grid(self.domain(), self.n_nodes())
 
     def interior_point(self, key):
         domain = self.domain()

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from kernel_lab.acceptance import CRITERIA, DEFAULT_SEED
+from kernel_lab.acceptance import CRITERIA, DEFAULT_SEED, run_selftest
 from kernel_lab.rkhs import KernelMatrix
 
 _BY_NUMBER = dict(CRITERIA)
@@ -50,8 +50,17 @@ def test_criterion_04_classical_hadamard_routes():
     _assert_all_pass(_run(4))
 
 
-def test_criterion_05_kernel_matches_spectral_oracle():
-    _assert_all_pass(_run(5))
+def test_criterion_05_kernel_matches_spectral_oracle(monkeypatch):
+    # per s: 10 pair checks, the PSD and the symmetry flag, one eigensolve
+    solves = []
+    eigenvalues = KernelMatrix.eigenvalues
+    monkeypatch.setattr(
+        KernelMatrix, "eigenvalues", lambda km: solves.append(km) or eigenvalues(km)
+    )
+    records = _run(5)
+    _assert_all_pass(records)
+    assert len(records) == 36
+    assert len(solves) == 3
 
 
 def test_criterion_06_fractional_kernel_unit_value():
@@ -83,6 +92,11 @@ def test_criterion_10_pv_quadrature_oracles():
 
 def test_criterion_11_poisson_kernel_normalization():
     _assert_all_pass(_run(11))
+
+
+def test_selftest_record_names_unique():
+    names = [r.name for r in run_selftest().records]
+    assert len(names) == len(set(names))
 
 
 def test_criterion_12_selftest_determinism(tmp_path, cli_env):

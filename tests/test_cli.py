@@ -180,6 +180,21 @@ def test_kernel_interval_fractional(tmp_path):
     assert float(rows[1][4]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exponent_floats_in_scenarios(tmp_path):
+    # floats written as 1e-3 are numbers, so the scenario runs; a
+    # malformed one stays a string and is refused
+    scn = tmp_path / "exp.yaml"
+    for command, text, code in (
+        ("hadamard", "hadamard: {t_list: [1e-2, 1e-3]}", 0),
+        ("hadamard", "hadamard: {t_list: [1e-2, 1e-3x]}", 2),
+        ("kernel", "domain: {kind: interval}\nkernel: {kernel_type: fractional, "
+                   "points: [1e-300, 0.5]}", 0),
+        ("kernel", "domain: {kind: interval}\nkernel: {points: [1e5x]}", 2),
+    ):
+        scn.write_text(text + "\n", encoding="utf-8")
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == code, text
+
+
 def test_reproduce_defaults(tmp_path):
     out = tmp_path / "r"
     assert main(["reproduce", "--out", str(out)]) == 0
@@ -319,19 +334,43 @@ def test_fuzzed_scenario_exits_2(tmp_path, override):
     assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 2, doc
 
 
+def _criterion_records(monkeypatch, tmp_path, number, prefix):
+    # the criterion's records under prefix, stripped of it; a criterion
+    # that read the defaults would fail to load them here
+    monkeypatch.setenv(DEFAULTS_ENV, str(tmp_path / "missing.yaml"))
+    return [
+        dict(asdict(rec), name=rec.name[len(prefix):])
+        for rec in dict(CRITERIA)[number]()
+        if rec.name.startswith(prefix)
+    ]
+
+
 @pytest.mark.parametrize("command, number", [("reproduce", 7), ("limit", 9), ("residual", 10)])
 def test_command_equals_its_criterion(tmp_path, monkeypatch, command, number):
     # the command at the packaged defaults and the criterion at its own
     # written-out inputs build the same records
     assert main([command, "--out", str(tmp_path)]) == 0
     got = _load(tmp_path / f"{command}_report.json")["records"]
-    # a criterion that read the defaults would now fail to load them
-    monkeypatch.setenv(DEFAULTS_ENV, str(tmp_path / "missing.yaml"))
-    prefix = f"C{number}: "
-    want = []
-    for rec in dict(CRITERIA)[number]():
-        assert rec.name.startswith(prefix)
-        want.append(dict(asdict(rec), name=rec.name[len(prefix):]))
+    assert got == _criterion_records(monkeypatch, tmp_path, number, f"C{number}: ")
+
+
+@pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])
+def test_kernel_equals_criterion_5(tmp_path, monkeypatch, s):
+    # kernel on a scenario holding C5's written-out inputs builds C5's
+    # records for that s: 10 pair checks, the PSD and the symmetry flag
+    c, sn = math.cos(math.pi / 3.0), math.sin(math.pi / 3.0)
+    points = [[0.3, 0.0], [0.3 * c, 0.3 * sn], [0.6, 0.0], [0.6 * c, 0.6 * sn]]
+    scn = tmp_path / "c5.yaml"
+    scn.write_text(yaml.safe_dump({
+        "domain": {"kind": "disk", "R": 1.0},
+        "params": {"a": 1.0, "s": s},
+        "n_nodes": 512,
+        "kernel": {"kernel_type": "classical", "points": points},
+    }), encoding="utf-8")
+    assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+    got = _load(tmp_path / "kernel_report.json")["records"]
+    want = _criterion_records(monkeypatch, tmp_path, 5, f"C5: s={s:g}: ")
+    assert len(want) == 12
     assert got == want
 
 

@@ -195,15 +195,6 @@ def test_evaluable_margin_guards():
         getoor_field(DK, 0.5).require_evaluable(np.array([math.nan, 0.0]))
 
 
-def test_sampled_field_from_grid():
-    nodes = np.linspace(-1.0, 1.0, 513)
-    field = SampledInteriorField.from_grid(
-        IV, nodes, np.sin(3.0 * nodes), "smooth-compact"
-    )
-    probe = np.array([-0.41, 0.07, 0.66])
-    assert np.max(np.abs(field(probe) - np.sin(3.0 * probe))) < 1e-9
-
-
 @pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
 def test_mollifier_unit_mass(domain):
     if domain.kind == "interval":

@@ -187,7 +187,7 @@ def test_gram_psd_and_shapes():
         pts = [_circle_pt(r[k], th[k]) for k in range(size)]
         km = gram_matrix(DK, "classical", 0.5, pts, n_nodes=64)
         assert km.entries.shape == (size, size)
-        assert km.is_psd()
+        assert km.psd_verdict()[2]
         assert not km.has_duplicates
         lam = km.eigenvalues()
         assert lam[-1] > 0.0
@@ -200,7 +200,7 @@ def test_gram_duplicate_flagged_degenerate():
     lam = km.eigenvalues()
     # a repeated point makes the matrix exactly rank deficient
     assert lam[0] < 1e-12 * lam[-1]
-    assert km.is_psd()
+    assert km.psd_verdict()[2]
 
 
 def _draw_points(data, domain, max_size):

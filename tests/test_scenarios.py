@@ -1,14 +1,19 @@
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kernel_lab.domains import BoundaryGrid, disk, interval
 from kernel_lab.errors import ScenarioError
 from kernel_lab.report import Report, check, flag
 from kernel_lab.scenarios import (
     DEFAULTS_ENV,
+    _load_yaml,
     boundary_data_function,
     load_defaults,
     load_scenario,
@@ -19,6 +24,28 @@ def test_defaults_ship_with_package():
     d = load_defaults()
     assert d["schema"] == "kernel-lab-defaults/1"
     assert d["domain"]["kind"] == "disk"
+
+
+def test_loader_reads_exponent_floats():
+    # YAML 1.1 leaves a float without a decimal point or exponent sign a
+    # string; the scenario loader reads it as a number
+    got = _load_yaml("v: [1e-3, 1.0e5, 2E+4, -1e-300, 1_0e2, 1e5x, 1.5, 12, .inf]", "t")["v"]
+    assert got == [1e-3, 1e5, 2e4, -1e-300, 1e3, "1e5x", 1.5, 12, math.inf]
+    # yaml's own loaders keep their tables
+    for loader in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
+        assert yaml.load("[1e-3]", Loader=loader) == ["1e-3"]
+
+
+def test_defaults_parse_as_before():
+    text = resources.files("kernel_lab").joinpath("data/defaults.yaml").read_text("utf-8")
+    assert _load_yaml(text, "defaults") == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+def test_json_floats_load_as_floats(values):
+    # a scenario written with json.dumps reads back the same doubles
+    got = _load_yaml(json.dumps({"v": values}), "json")["v"]
+    assert got == values and all(isinstance(v, float) for v in got)
 
 
 def test_defaults_env_override(tmp_path, monkeypatch):
