@@ -127,7 +127,7 @@ def criterion_5_kernel_vs_oracle():
     ]
     out = []
     for s in (-1.0, 0.0, 1.0):
-        # a is only echoed; a = 1 keeps s = -1 a valid kernel scenario
+        # a is only echoed, and a classical run does not check it against s
         rep, _ = kernel_report(dd, "classical", 1.0, s, pts, n_nodes=512)
         out += _prefixed(f"C5: s={s:g}", rep)
     return out

@@ -72,8 +72,10 @@ def cmd_kernel(scenario, out_dir):
     kind = scenario.config.get("kernel_type", "classical")
     if kind not in ("classical", "fractional"):
         raise ScenarioError(f"kernel_type must be classical or fractional, got {kind!r}")
-    params = scenario.frac_params()
-    rep, columns = kernel_report(domain, kind, params.a, params.s,
+    # a classical kernel only echoes a, so the FracParams constraint on
+    # (a, s) applies in kernel_report to the fractional kernel alone
+    a, s = scenario.params()
+    rep, columns = kernel_report(domain, kind, a, s,
                                  scenario.interior_points("points"),
                                  n_nodes=scenario.n_nodes())
     i, j = columns.pop("i"), columns.pop("j")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
+from .quadrature import N_ANGLES
 
 INTERVAL = "interval"
 DISK = "disk"
@@ -77,17 +78,29 @@ def ray_directions(n):
     return np.column_stack([np.cos(phis), np.sin(phis)])
 
 
-def ray_exit(domain, x, direction):
-    """Distance from an interior disk point to the boundary along a unit ray.
+def rays(domain):
+    """The rays of every polar rule around an interior point, as
+    (directions, weight per ray).
 
-    direction is one unit 2-vector (float out) or an (n, 2) array of them
-    ((n,) array out).
+    The interval is the 1-D ball: its two rays -1, +1 carry measure 1 each.
+    The disk has N_ANGLES equispaced rays of weight 2 pi / N_ANGLES.  Either
+    way, summing weight * int_0^T f(x + r e) r^(N-1) dr over the rays is
+    the integral of f over the ball around x.  Ray k + n/2 is minus ray k.
     """
-    if domain.kind != DISK:
-        raise DomainError("ray_exit is defined on the disk")
-    x = domain.point(x)
+    if domain.kind == INTERVAL:
+        return np.array([[-1.0], [1.0]]), 1.0
+    return ray_directions(N_ANGLES), 2.0 * math.pi / N_ANGLES
+
+
+def ray_exit(domain, x, direction):
+    """Distance from an interior point to the boundary along a unit ray.
+
+    direction is one unit N-vector (float out) or an (n, N) array of them
+    ((n,) array out); on the interval this is R - e x.
+    """
+    x = np.reshape(domain.point(x), domain.N)
     direction = np.asarray(direction, dtype=float)
-    b = direction[..., 0] * x[0] + direction[..., 1] * x[1]
+    b = np.sum(direction * x, axis=-1)
     c = float(x @ x) - domain.R**2
     dist = -b + np.sqrt(b * b - c)
     return float(dist) if direction.ndim == 1 else dist

@@ -8,18 +8,20 @@ at an interior point x is split three ways:
   near field   (c/2) int_{|h|<=h0} (2u(x)-u(x+h)-u(x-h)) |h|^(-N-2a) dh,
                which cancels the principal value for C^2 fields; graded
                composite Gauss-Legendre with nodes clustered as j^2
-               toward h = 0, h0 = min(d(x)/2, 0.1R),
+               toward h = 0, h0 = min(d(x)/2, 0.1R), on one ray of each
+               antipodal pair,
   far field    c int_{Omega, |y-x|>h0} (u(x)-u(y)) |x-y|^(-N-2a) dy,
-               by adaptive Gauss-Kronrod on the interval; on the disk by
-               one fixed rule on every ray's [h0, T], Gauss-Legendre panels
-               graded toward h0 and a Gauss-Jacobi exit panel carrying the
-               boundary exponent of the field's tag, all rays evaluated as
-               one array,
+               by one fixed rule on every ray's [h0, T], Gauss-Legendre
+               panels graded toward h0 and a Gauss-Jacobi exit panel
+               carrying the boundary exponent of the field's tag, all rays
+               evaluated as one array,
   exact tail   c u(x) int_{|y-x|>T} |y-x|^(-N-2a) dy once y has left the
                support, integrated analytically.
 
-On the disk the convergence estimate compares the half-resolution and
-full-resolution rules in both the near and the far field.
+Both domains run the same rules: the interval is the 1-D ball, with the
+two rays -1 and +1 of measure 1 each (domains.rays).  The convergence
+estimate compares the half-resolution and full-resolution rules in both
+the near and the far field.
 
 The same machinery powers the mollified-Green residual oracle: with
 v(z) = int G_a(z,y) rho_eps(y-x) dy one must get (-Delta)^a v = rho_eps(.-x),
@@ -27,17 +29,15 @@ which pins down every constant in specfun and green at once.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .domains import DISK, INTERVAL, ray_directions, ray_exit
+from .domains import DISK, INTERVAL, rays, ray_exit
 from .errors import DomainError, SingularityError, ToleranceError
 from .green import green_fractional_radial
 from .quadrature import (
-    N_ANGLES,
     EvalBudget,
     QuadratureSpec,
     exit_graded_rule,
@@ -48,28 +48,17 @@ from .quadrature import (
 from .report import Report, check
 from .specfun import frac_laplacian_constant, torsion_constant
 
-# scipy.integrate (which pulls in scipy.optimize) and scipy.interpolate are
-# imported on first use: most commands never integrate adaptively or spline
+
+# scipy's adaptive quad, imported on first use (scipy.integrate pulls in
+# scipy.optimize).  No routine of this module calls it; bench/tracing.py
+# wraps this module attribute by name.
 def _scipy_quad(f, lo, hi, **kw):
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(f, lo, hi, **kw)
 
 
-# _gk_quad calls through this module attribute, which bench/tracing.py
-# wraps by name; the function behind it is private, so the tracer does not
-# also wrap it as one of this module's public functions
 quad = _scipy_quad
-
-
-def _gk_quad(f, lo, hi, **kw):
-    from scipy.integrate import IntegrationWarning
-
-    # the returned err feeds our own convergence estimate, so the library
-    # warning about slowly convergent integrands is redundant noise here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(f, lo, hi, **kw)
 
 
 TAG_DEGENERATE = "boundary-degenerate"
@@ -94,10 +83,10 @@ class SampledInteriorField:
     applies the zero extension.  The smoothness tag states the boundary
     behavior (d^a, d^(a-1), or compactly supported smooth) and fixes the
     default clearance delta_min below which the principal-value quadrature
-    refuses to evaluate.  On the disk it also sets the exponent beta (a,
-    a-1, 0) of the far field's Gauss-Jacobi exit panel; a tag that claims a
-    milder boundary than the profile has makes that rule disagree with
-    itself under refinement, and the principal value refuses.
+    refuses to evaluate.  On both domains it also sets the exponent beta
+    (a, a-1, 0) of the far field's Gauss-Jacobi exit panel; a tag that
+    claims a milder boundary than the profile has makes that rule disagree
+    with itself under refinement, and the principal value refuses.
     """
 
     def __init__(self, domain, profile, tag, delta_min=None, grid=None):
@@ -238,10 +227,7 @@ def frac_laplacian_apply(field, a, x, quad=None):
     c = frac_laplacian_constant(domain.N, a)
     h0 = min(0.5 * d, 0.1 * domain.R)
     budget = EvalBudget(quad.budget, label="frac_laplacian_apply")
-    if domain.kind == INTERVAL:
-        value, estimate = _apply_interval(field, a, x, h0, quad, budget, c)
-    else:
-        value, estimate = _apply_disk(field, a, x, h0, quad, budget, c)
+    value, estimate = _apply(field, a, x, h0, quad, budget, c)
     if estimate > quad.tolerance_for(value):
         raise ToleranceError(
             "principal-value quadrature did not converge to the requested "
@@ -252,71 +238,38 @@ def frac_laplacian_apply(field, a, x, quad=None):
     return value
 
 
-def _apply_interval(u, a, x, h0, quad, budget, c):
+def _apply(u, a, x, h0, quad, budget, c):
     ux = u(x)
-    R = u.domain.R
+    dirs, weight = rays(u.domain)
+    # the near integrand pairs x + he with x - he, so it runs on one ray of
+    # each antipodal pair at twice the ray weight, which cancels the 1/2
+    half = dirs[len(dirs) // 2:]
+    xv = np.reshape(x, -1)
     exponent = -1.0 - 2.0 * a
 
     def near(panels):
         def f(h):
-            budget.spend(2 * h.size)
-            return (2.0 * ux - u(x + h) - u(x - h)) * h**exponent
+            budget.spend(2 * h.size * len(half))
+            disp = h[:, None, None] * half[None, :, :]
+            plus = u((xv + disp).reshape(-1, xv.size)).reshape(h.size, len(half))
+            minus = u((xv - disp).reshape(-1, xv.size)).reshape(h.size, len(half))
+            return weight * np.sum(2.0 * ux - plus - minus, axis=1) * h**exponent
 
         mesh = graded_mesh(0.0, h0, panels, 2.0, toward="lo")
         return panel_integrate(f, mesh)
 
-    near_half = near(max(4, quad.resolution // 2))
+    coarse = max(4, quad.resolution // 2)
+    near_half = near(coarse)
     near_full = near(quad.resolution)
-
-    def g(y):
-        budget.spend(1)
-        return (ux - u(y)) * abs(x - y) ** exponent
-
-    far = 0.0
-    far_err = 0.0
-    for lo, hi in ((-R, x - h0), (x + h0, R)):
-        if hi > lo:
-            val, err = _gk_quad(
-                g, lo, hi,
-                epsabs=0.1 * quad.abs_tol, epsrel=0.1 * quad.rel_tol, limit=200,
-            )
-            far += val
-            far_err += err
-    tail = ux * ((x + R) ** (-2.0 * a) + (R - x) ** (-2.0 * a)) / (2.0 * a)
-    value = c * (near_full + far + tail)
-    estimate = c * (abs(near_full - near_half) + far_err)
-    return value, estimate
-
-
-def _apply_disk(u, a, x, h0, quad, budget, c):
-    ux = u(x)
-    dirs = ray_directions(N_ANGLES)
-    exponent = -1.0 - 2.0 * a
-
-    def near(panels):
-        # (1/2) int dphi int dr -> pi * angular mean, per the trapezoid rule
-        def f(h):
-            budget.spend(2 * h.size * N_ANGLES)
-            disp = h[:, None, None] * dirs[None, :, :]
-            plus = u((x[None, None, :] + disp).reshape(-1, 2)).reshape(h.size, N_ANGLES)
-            minus = u((x[None, None, :] - disp).reshape(-1, 2)).reshape(h.size, N_ANGLES)
-            return np.mean(2.0 * ux - plus - minus, axis=1) * h**exponent
-
-        mesh = graded_mesh(0.0, h0, panels, 2.0, toward="lo")
-        return math.pi * panel_integrate(f, mesh)
-
-    near_half = near(max(4, quad.resolution // 2))
-    near_full = near(quad.resolution)
-
-    far_half = _disk_far(u, a, x, h0, dirs, max(4, quad.resolution // 2), quad, budget)
-    far_full = _disk_far(u, a, x, h0, dirs, quad.resolution, quad, budget)
+    far_half = _far(u, a, x, h0, dirs, weight, coarse, budget)
+    far_full = _far(u, a, x, h0, dirs, weight, quad.resolution, budget)
     value = c * (near_full + far_full)
     estimate = c * (abs(near_full - near_half) + abs(far_full - far_half))
     return value, estimate
 
 
-def _disk_far(u, a, x, h0, dirs, panels, quad, budget):
-    """Far field plus exact tail of the disk principal value, summed over rays.
+def _far(u, a, x, h0, dirs, weight, panels, budget):
+    """Far field plus exact tail of the principal value, summed over rays.
 
     Per ray e, int_{h0}^{T} (u(x) - u(x+re)) r^(-1-2a) dr and the tail
     u(x) T^(-2a)/(2a) add up to u(x) h0^(-2a)/(2a) - int_{h0}^{T} u(x+re)
@@ -329,10 +282,10 @@ def _disk_far(u, a, x, h0, dirs, panels, quad, budget):
     budget.spend(len(dirs) * s.size)
     lengths = ray_exit(u.domain, x, dirs) - h0
     r = h0 + lengths[:, None] * s[None, :]
-    pts = x[None, None, :] + r[:, :, None] * dirs[:, None, :]
-    vals = u(pts.reshape(-1, 2)).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
-    dphi = 2.0 * math.pi / len(dirs)
-    return math.pi * u(x) * h0 ** (-2.0 * a) / a - dphi * float(lengths @ (vals @ w))
+    pts = np.reshape(x, -1) + r[:, :, None] * dirs[:, None, :]
+    vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
+    tails = weight * len(dirs) * u(x) * h0 ** (-2.0 * a) / (2.0 * a)
+    return tails - weight * float(lengths @ (vals @ w))
 
 
 def mollified_green_value(domain, a, moll, z, quad=None):
@@ -435,7 +388,7 @@ def _moll_value_disk(domain, a, moll, z, quad):
     r_nodes, r_weights = panel_nodes_weights(
         np.linspace(0.0, moll.width, max(8, quad.resolution // 4) + 1)
     )
-    dirs = ray_directions(N_ANGLES)
+    dirs, dphi = rays(domain)
     pts = (moll.center[None, None, :] + r_nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     diff = pts - z[None, :]
     dist2 = np.sum(diff * diff, axis=1)
@@ -444,8 +397,7 @@ def _moll_value_disk(domain, a, moll, z, quad):
     ok = dist2 > 0.0
     vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])
     vals *= moll.density(pts)
-    vals = vals.reshape(len(r_nodes), N_ANGLES)
-    dphi = 2.0 * math.pi / N_ANGLES
+    vals = vals.reshape(len(r_nodes), len(dirs))
     return float(np.sum(r_weights * r_nodes * np.sum(vals, axis=1) * dphi))
 
 

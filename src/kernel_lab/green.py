@@ -27,16 +27,9 @@ import math
 
 import numpy as np
 
-from .domains import INTERVAL, BoundaryField, ray_directions, ray_exit
+from .domains import INTERVAL, BoundaryField, rays, ray_exit
 from .errors import DomainError, SingularityError
-from .quadrature import (
-    N_ANGLES,
-    EvalBudget,
-    QuadratureSpec,
-    graded_mesh,
-    panel_integrate,
-    panel_nodes_weights,
-)
+from .quadrature import EvalBudget, QuadratureSpec, graded_mesh, panel_nodes_weights
 from .specfun import boundary_integral_B_array, green_constant, torsion_constant
 
 
@@ -166,8 +159,7 @@ def green_mass(domain, a, x, quad=None):
         quad = QuadratureSpec()
     x = domain.require_interior(x)
     budget = EvalBudget(quad.budget, label="green_mass")
-    mass = _mass_interval if domain.kind == INTERVAL else _mass_disk
-    return _refine(lambda m: mass(domain, a, x, m, budget), quad)
+    return _refine(lambda m: _mass(domain, a, x, m, budget), quad)
 
 
 def _refine(evaluate, quad):
@@ -186,33 +178,14 @@ def _refine(evaluate, quad):
         prev = cur
 
 
-def _mass_interval(domain, a, x, panels, budget):
-    # integrate in the distance variable u = |y - x| on each side; grading
-    # toward u = 0 cannot collide with the singularity in floating point
-    # because the singular factor is computed from u itself
-    R = domain.R
+def _mass(domain, a, x, panels, budget):
+    # one rule in s = r/T on [0, 1/2] and [1/2, 1], graded with exponent 2/a
+    # toward the point singularity at s = 0 and the boundary weight at
+    # s = 1, maps onto every ray's [0, T]; all rays are evaluated at once.
+    # The singular factor is computed from r itself, so grading toward
+    # r = 0 cannot collide with the singularity in floating point
     grading = 2.0 / a
-    total = 0.0
-    for sgn, L in ((-1.0, x + R), (1.0, R - x)):
-
-        def f(u):
-            budget.spend(u.size)
-            y = x + sgn * u
-            return green_fractional_radial(1, a, R, x * x, y * y, u * u)
-
-        # cluster toward the point singularity at u = 0 and toward the
-        # boundary weight at u = L
-        mid = 0.5 * L
-        total += panel_integrate(f, graded_mesh(0.0, mid, panels, grading, toward="lo"))
-        total += panel_integrate(f, graded_mesh(mid, L, panels, grading, toward="hi"))
-    return total
-
-
-def _mass_disk(domain, a, x, panels, budget):
-    # one rule in s = r/T on [0, 1/2] and [1/2, 1], graded as on the
-    # interval, maps onto every ray's [0, T]; all rays are evaluated at once
-    grading = 2.0 / a
-    dirs = ray_directions(N_ANGLES)
+    dirs, weight = rays(domain)
     mesh = np.concatenate([
         graded_mesh(0.0, 0.5, panels, grading, toward="lo"),
         graded_mesh(0.5, 1.0, panels, grading, toward="hi"),
@@ -221,7 +194,9 @@ def _mass_disk(domain, a, x, panels, budget):
     budget.spend(len(dirs) * s.size)
     T = ray_exit(domain, x, dirs)
     r = T[:, None] * s[None, :]
-    pts = x[None, None, :] + r[:, :, None] * dirs[:, None, :]
+    xv = np.reshape(x, -1)
+    pts = xv + r[:, :, None] * dirs[:, None, :]
     y2 = np.sum(pts * pts, axis=2)
-    vals = green_fractional_radial(2, a, domain.R, float(x @ x), y2, r * r) * r
-    return 2.0 * math.pi / len(dirs) * float(T @ (vals @ w))
+    N = domain.N
+    vals = green_fractional_radial(N, a, domain.R, float(xv @ xv), y2, r * r) * r ** (N - 1)
+    return weight * float(T @ (vals @ w))

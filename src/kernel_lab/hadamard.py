@@ -134,14 +134,16 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
     Tabulates the exact derivative, central differences per step, the
     boundary-integral prediction with alpha = R, a Richardson check, an
     FD convergence-order flag (skipped when FD already sits at the
-    roundoff floor) and a sign flag.  An empty pair or step list raises
-    DomainError.
+    roundoff floor) and a sign flag.  An empty pair or step list, or a
+    repeated step, raises DomainError.
     """
     t_list = list(t_list)
     if len(pairs) == 0:
         raise DomainError("hadamard_report needs at least one point pair")
     if not t_list:
         raise DomainError("t_list must not be empty")
+    if len(set(t_list)) != len(t_list):
+        raise DomainError("t_list entries must be distinct")
     grid = boundary_grid(domain, n_nodes)
     alpha = PerturbationField.dilation(grid)
 

@@ -350,13 +350,14 @@ def limit_consistency(domain, s, x, y, a_list, n_nodes=DEFAULT_NODES):
     Records the error sequence against the classical kernel of order
     s + 3/2, a strict-monotonicity flag, the formal a=1 agreement, and a
     final-error bound of 1e-2 times the classical value.  Every kernel is
-    evaluated on n_nodes boundary nodes.
+    evaluated on n_nodes boundary nodes.  An empty a_list, or one that does
+    not increase strictly, raises DomainError.
     """
     a_list = [float(a) for a in a_list]
     if not a_list:
         raise DomainError("a_list must not be empty")
-    if sorted(a_list) != a_list:
-        raise DomainError("a_list must increase toward 1")
+    if any(a1 >= a2 for a1, a2 in zip(a_list, a_list[1:])):
+        raise DomainError("a_list must increase strictly toward 1")
     for a in a_list:
         FracParams(a, s)
     ref = kernel_classical(domain, s + 1.5, x, y, n_nodes)

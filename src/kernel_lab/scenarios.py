@@ -110,13 +110,17 @@ class Scenario:
             raise ScenarioError(f"domain.R must be finite and positive, got {R!r}")
         return ModelDomain(kind, float(R))
 
-    def frac_params(self):
+    def params(self):
+        """(a, s) as finite floats, not yet checked as a FracParams pair."""
         spec = self._mapping("params")
         a, s = spec.get("a", 0.5), spec.get("s", 0.0)
         if not (_finite(a) and _finite(s)):
             raise ScenarioError(f"params a and s must be finite numbers, got a={a!r}, s={s!r}")
+        return float(a), float(s)
+
+    def frac_params(self):
         try:
-            return FracParams(float(a), float(s))
+            return FracParams(*self.params())
         except DomainError as exc:
             raise ScenarioError(f"invalid params: {exc}") from exc
 
@@ -277,7 +281,7 @@ def load_scenario(command, path=None, nodes=None, seed=None):
     scenario = Scenario(command, config)
     # eager validation of the shared keys so bad input fails before work starts
     scenario.domain()
-    scenario.frac_params()
+    scenario.params()
     scenario.n_nodes()
     scenario.seed()
     return scenario

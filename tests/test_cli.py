@@ -277,6 +277,8 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
         ("kernel", "points: []"),
         ("hadamard", "pairs: []"),
         ("hadamard", "t_list: []"),
+        ("hadamard", "t_list: [1.0e-2, 1.0e-2]"),
+        ("limit", "a_values: [0.9, 0.9]"),
         ("limit", "n_nodes: 7"),
     ):
         scn = tmp_path / "invalid.yaml"
@@ -284,6 +286,16 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
         assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 2, override
     err = capsys.readouterr().err
     assert "invalid input" in err
+
+
+def test_classical_kernel_leaves_a_unchecked(tmp_path):
+    # s = -1 violates s > -a - 1/2 at the default a = 1/2; a classical
+    # kernel only echoes a, so only the fractional kernel refuses it
+    for kind, code in (("classical", 0), ("fractional", 2)):
+        scn = tmp_path / f"{kind}.yaml"
+        scn.write_text(f"params: {{s: -1}}\nkernel: {{kernel_type: {kind}}}\n",
+                       encoding="utf-8")
+        assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path / kind)]) == code
 
 
 # keys each command parses, with the sub-keys of the mapping-valued ones

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kernel_lab.domains import BoundaryGrid, disk, interval, ray_directions, ray_exit
+from kernel_lab.domains import BoundaryGrid, disk, interval, ray_directions, ray_exit, rays
 from kernel_lab.errors import DomainError, GridMismatchError, ToleranceError
 from kernel_lab.quadrature import (
     EvalBudget,
@@ -56,6 +56,21 @@ def test_ray_exit_disk():
     assert exits.tolist() == [ray_exit(dk, y, e) for e in dirs]
     ends = y + exits[:, None] * dirs
     np.testing.assert_allclose(np.hypot(ends[:, 0], ends[:, 1]), 1.0, rtol=1e-14)
+    # the interval is the 1-D ball: its rays -1, +1 exit at R - e x
+    iv = interval(2.0)
+    assert ray_exit(iv, 0.5, np.array([1.0])) == pytest.approx(1.5, rel=1e-15)
+    assert ray_exit(iv, 0.5, np.array([[-1.0], [1.0]])).tolist() == [2.5, 1.5]
+
+
+@pytest.mark.parametrize("domain, measure", [(interval(3.0), 2.0), (disk(3.0), 2.0 * math.pi)])
+def test_rays_pair_antipodally(domain, measure):
+    # the principal value's near field runs on the second half of the rays
+    # only, each standing for itself and its antipode
+    dirs, weight = rays(domain)
+    n = len(dirs)
+    assert dirs.shape == (n, domain.N) and n % 2 == 0
+    np.testing.assert_allclose(dirs[n // 2:], -dirs[: n // 2], rtol=0.0, atol=1e-15)
+    assert weight * n == pytest.approx(measure, rel=1e-15)
 
 
 def test_grid_constraints():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
 from kernel_lab import debug, fracop
-from kernel_lab.domains import disk, interval, ray_directions, ray_exit
+from kernel_lab.domains import disk, interval, ray_directions, ray_exit, rays
 from kernel_lab.errors import DomainError, SingularityError, ToleranceError
 from kernel_lab.fracop import (
     TAG_DEGENERATE,
@@ -61,6 +61,14 @@ def test_getoor_identity_disk_property(a, radius, angle):
     assert abs(got - ref) < 1e-3 * ref
 
 
+@given(a=st.floats(0.2, 0.7), x=st.floats(-0.6, 0.6))
+@settings(max_examples=10, derandomize=True)
+def test_getoor_identity_interval_property(a, x):
+    ref = getoor_reference(1, a)
+    got = frac_laplacian_apply(getoor_field(IV, a), a, x)
+    assert abs(got - ref) < 1e-3 * ref
+
+
 # the C10 spec of the a-harmonic checks
 C10_QUAD = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-4, resolution=64, budget=10**6)
 
@@ -68,30 +76,34 @@ C10_QUAD = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-4, resolution=64, budget=10**
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("make", [getoor_field, boundary_singular_field])
 @pytest.mark.parametrize(
-    "x", [np.array([0.3, -0.2]), np.array([0.0, 0.45])], ids=["x0", "x1"]
+    "domain, x",
+    [(DK, np.array([0.3, -0.2])), (DK, np.array([0.0, 0.45])), (IV, 0.3), (IV, -0.45)],
+    ids=["x0", "x1", "interval-x0", "interval-x1"],
 )
-def test_disk_far_field_matches_per_ray_quad(a, make, x):
+def test_disk_far_field_matches_per_ray_quad(a, make, domain, x):
     # far field plus exact tail, ray by ray with adaptive Gauss-Kronrod on
-    # the profile written out in floats (eight rays keep the reference
-    # cheap; the rule is the same on every ray)
-    u = make(DK, a)
+    # the profile written out in floats (eight rays keep the disk reference
+    # cheap; the rule is the same on every ray); the interval's rays are
+    # -1 and +1, each of weight 1
+    u = make(domain, a)
     p = a if make is getoor_field else a - 1.0
-    h0 = min(0.5 * DK.distance_to_boundary(x), 0.1 * DK.R)
-    dirs = ray_directions(8)
+    h0 = min(0.5 * domain.distance_to_boundary(x), 0.1 * domain.R)
+    dirs, weight = rays(domain) if domain is IV else (ray_directions(8), 2.0 * math.pi / 8)
     ux = u(x)
+    xs = np.reshape(x, -1).tolist()
     ref = 0.0
     for e in dirs:
-        T = ray_exit(DK, x, e)
+        T = ray_exit(domain, x, e)
 
-        def g(r, e=e):
-            y0, y1 = x[0] + r * e[0], x[1] + r * e[1]
-            return (ux - (1.0 - y0 * y0 - y1 * y1) ** p) * r ** (-1.0 - 2.0 * a)
+        def g(r, e=e.tolist()):
+            y2 = sum((xi + r * ei) ** 2 for xi, ei in zip(xs, e))
+            return (ux - (1.0 - y2) ** p) * r ** (-1.0 - 2.0 * a)
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             val, _ = quad(g, h0, T, epsabs=1e-12, epsrel=1e-12, limit=200)
-        ref += (2.0 * math.pi / len(dirs)) * (val + ux * T ** (-2.0 * a) / (2.0 * a))
-    got = fracop._disk_far(u, a, x, h0, dirs, 64, C10_QUAD, EvalBudget(10**9))
+        ref += weight * (val + ux * T ** (-2.0 * a) / (2.0 * a))
+    got = fracop._far(u, a, x, h0, dirs, weight, 64, EvalBudget(10**9))
     assert abs(got - ref) < 1e-9
 
 
@@ -103,16 +115,20 @@ def test_disk_a_harmonic_certified_at_quarter():
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
-@pytest.mark.parametrize("tag", [TAG_DEGENERATE, TAG_SMOOTH])
-def test_disk_mislabelled_boundary_exponent_refuses(a, tag):
+@pytest.mark.parametrize(
+    "domain, tag",
+    [(DK, TAG_DEGENERATE), (DK, TAG_SMOOTH), (IV, TAG_DEGENERATE), (IV, TAG_SMOOTH)],
+    ids=[TAG_DEGENERATE, TAG_SMOOTH, f"interval-{TAG_DEGENERATE}", f"interval-{TAG_SMOOTH}"],
+)
+def test_disk_mislabelled_boundary_exponent_refuses(a, domain, tag):
     # a d^(a-1) profile tagged with a milder exponent: the exit panel is
     # fitted to the wrong weight, and coarse and fine far fields disagree
     # (values 0.1 and more off); the honest tag certifies the same point
-    x = np.array([0.1, 0.05])
-    profile = lambda pts: (1.0 - np.sum(pts * pts, axis=1)) ** (a - 1.0)
-    honest = SampledInteriorField(DK, profile, TAG_SINGULAR)
+    x = np.array([0.1, 0.05]) if domain is DK else 0.1
+    profile = boundary_singular_field(domain, a).profile
+    honest = SampledInteriorField(domain, profile, TAG_SINGULAR)
     assert abs(frac_laplacian_apply(honest, a, x, C10_QUAD)) < 1e-3
-    field = SampledInteriorField(DK, profile, tag, delta_min=0.2)
+    field = SampledInteriorField(domain, profile, tag, delta_min=0.2)
     with pytest.raises(ToleranceError):
         frac_laplacian_apply(field, a, x, C10_QUAD)
 
@@ -127,10 +143,13 @@ def test_disk_budget_counts_every_node(monkeypatch):
 
     monkeypatch.setattr(fracop, "EvalBudget", Recorded)
     frac_laplacian_apply(getoor_field(DK, 0.5), 0.5, np.array([0.3, -0.2]))
-    # 64 rays, 12 nodes per panel, 32 + 64 panels in each of the near field
-    # (two evaluations per node, at x + h e and x - h e) and the far field
-    (budget,) = budgets
-    assert budget.used == 3 * 64 * 12 * (32 + 64)
+    frac_laplacian_apply(getoor_field(IV, 0.5), 0.5, 0.3)
+    # 12 nodes per panel, 32 + 64 panels in each of the near field (two
+    # evaluations per node, at x + h e and x - h e, on half the rays) and
+    # the far field (every ray): 64 rays on the disk, 2 on the interval
+    assert [b.used for b in budgets] == [
+        2 * 64 * 12 * (32 + 64), 2 * 2 * 12 * (32 + 64)
+    ]
 
 
 def test_getoor_a09_exceeds_quadrature_grading():

@@ -219,7 +219,7 @@ def test_disk_mass_budget_refusal_level():
     quad = QuadratureSpec()
     with pytest.raises(ToleranceError) as exc:
         green_mass(DK, 0.25, x, quad)
-    level_32 = green._mass_disk(DK, 0.25, x, 32, EvalBudget(10**9))
+    level_32 = green._mass(DK, 0.25, x, 32, EvalBudget(10**9))
     assert exc.value.estimate == level_32
     assert level_32 == pytest.approx(torsion_reference(DK, 0.25, x), rel=1e-7)
 
