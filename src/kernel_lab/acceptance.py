@@ -2,12 +2,13 @@
 
 Each criterion function returns the CheckRecords for one numbered
 criterion; run_selftest aggregates all of them into a single report.
-C5, C7, C9 and C10 are the report builders behind the kernel,
-reproduce, limit and residual commands (rkhs.kernel_report,
-rkhs.reproduce_report, rkhs.limit_consistency, fracop.residual_check)
+C3, C5, C7, C9 and C10 are the report builders behind the hadamard,
+kernel, reproduce, limit and residual commands (hadamard_report,
+kernel_report, reproduce_report, limit_consistency, residual_check)
 run at inputs written out here, never read from the defaults file, with
-each record name prefixed by "C<n>: " (C5 runs its builder once per s
-and prefixes "C5: s=<s>: ").
+each record name prefixed by "C<n>: " (C5 prefixes "C5: s=<s>: " per s;
+C3 and C4 run hadamard_report per domain, prefix "C<n>: interval: " or
+"C<n>: disk: " and add closed-form checks on the values in its table).
 The tolerances here are contractual: loosening one to make a failing
 build pass defeats the point of the gate.  tests/test_acceptance.py
 asserts each criterion individually through the same functions.
@@ -22,12 +23,7 @@ from .domains import BoundaryGrid, disk, interval
 from .fracop import MollifierSpec, residual_check
 from .green import green_mass, poisson_kernel_classical, torsion_reference
 from .boundary import boundary_integrate
-from .hadamard import (
-    PerturbationField,
-    dilation_derivative_exact,
-    dilation_derivative_fd,
-    hadamard_prediction,
-)
+from .hadamard import hadamard_report
 from .report import Report, check, flag
 from .rkhs import (
     gram_matrix,
@@ -73,20 +69,22 @@ def criterion_2_singular_reproduction():
     return out
 
 
+def _hadamard_block(prefix, domain, a, x, y):
+    """The hadamard command's builder on one pair at steps 1e-2 and 1e-3:
+    its records under `prefix: ` and the pair's row of its table."""
+    rep = hadamard_report(domain, a, [(x, y)], t_list=(1e-2, 1e-3), n_nodes=256)
+    return _prefixed(prefix, rep), rep.metadata["pairs"][0]
+
+
 def criterion_3_fractional_hadamard():
-    """Three routes agree on the fractional interval dilation derivative."""
-    dom = interval(1.0)
-    a, x, y = 0.5, 0.0, 0.5
+    """Three routes agree on the fractional dilation derivative, both domains."""
+    out, row = _hadamard_block("C3: interval", interval(1.0), 0.5, 0.0, 0.5)
+    disk_records, _ = _hadamard_block("C3: disk", disk(1.0), 0.5, [0.0, 0.0], [0.5, 0.0])
     ref = 2.0 / (math.pi * math.sqrt(3.0))
-    exact = dilation_derivative_exact(dom, a, x, y)
-    alpha = PerturbationField.dilation(BoundaryGrid(dom, 2))
-    pred = hadamard_prediction(dom, a, x, y, alpha)
-    fd2 = dilation_derivative_fd(dom, a, x, y, 1e-2)
-    fd3 = dilation_derivative_fd(dom, a, x, y, 1e-3)
+    fd2, fd3 = row["fd"][repr(1e-2)], row["fd"][repr(1e-3)]
     ratio = abs(fd2 - ref) / abs(fd3 - ref)
-    return [
-        check("C3: exact derivative equals 2/(pi sqrt(3))", exact, ref, 1e-10),
-        check("C3: boundary integral equals exact", pred, exact, 1e-10),
+    return out + disk_records + [
+        check("C3: exact derivative equals 2/(pi sqrt(3))", row["exact"], ref, 1e-10),
         check("C3: central FD at t=1e-3", fd3, ref, 1e-5),
         flag(f"C3: FD error ratio t=1e-2 vs 1e-3 in [30, 300] (got {ratio:.1f})",
              30.0 <= ratio <= 300.0),
@@ -95,23 +93,15 @@ def criterion_3_fractional_hadamard():
 
 def criterion_4_classical_hadamard():
     """Classical dilation derivative on disk and interval."""
-    dd = disk(1.0)
+    out, disk_row = _hadamard_block("C4: disk", disk(1.0), 1.0, [0.0, 0.0], [0.5, 0.0])
+    interval_records, row = _hadamard_block("C4: interval", interval(1.0), 1.0, 0.0, 0.5)
     ref = 1.0 / (2.0 * math.pi)
-    alpha = PerturbationField.dilation(BoundaryGrid(dd, 256))
-    pred = hadamard_prediction(dd, 1.0, [0.0, 0.0], [0.5, 0.0], alpha)
-    fd = dilation_derivative_fd(dd, 1.0, [0.0, 0.0], [0.5, 0.0], 1e-3)
-    di = interval(1.0)
-    exact_i = dilation_derivative_exact(di, 1.0, 0.0, 0.5)
-    fd_i = dilation_derivative_fd(di, 1.0, 0.0, 0.5, 1e-3)
-    pred_i = hadamard_prediction(
-        di, 1.0, 0.0, 0.5, PerturbationField.dilation(BoundaryGrid(di, 2))
-    )
-    return [
-        check("C4: disk boundary integral equals 1/(2 pi)", pred, ref, 1e-8),
-        check("C4: disk central FD at t=1e-3", fd, ref, 1e-6),
-        check("C4: interval exact route", exact_i, 0.5, 1e-12),
-        check("C4: interval FD route", fd_i, 0.5, 1e-12),
-        check("C4: interval boundary integral", pred_i, 0.5, 1e-12),
+    return out + interval_records + [
+        check("C4: disk boundary integral equals 1/(2 pi)", disk_row["prediction"], ref, 1e-8),
+        check("C4: disk central FD at t=1e-3", disk_row["fd"][repr(1e-3)], ref, 1e-6),
+        check("C4: interval exact route", row["exact"], 0.5, 1e-12),
+        check("C4: interval FD route", row["fd"][repr(1e-3)], 0.5, 1e-12),
+        check("C4: interval boundary integral", row["prediction"], 0.5, 1e-12),
     ]
 
 

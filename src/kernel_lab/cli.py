@@ -111,7 +111,7 @@ def cmd_hadamard(scenario, out_dir):
     domain = scenario.domain()
     params = scenario.frac_params()
     pairs = scenario.point_pairs("pairs")
-    t_list = scenario.number_list("t_list", lo=1e-5, hi=0.5)
+    t_list = scenario.number_list("t_list")
     rep = hadamard_report(domain, params.a, pairs, t_list=t_list,
                           n_nodes=scenario.n_nodes())
     rows = [

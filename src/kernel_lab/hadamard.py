@@ -35,6 +35,7 @@ from .specfun import boundary_integral_B_derivative
 # central differences below this step lose the quotient to cancellation
 # (|G(1+t) - G(1-t)| approaches the 1e-12 |G| roundoff floor)
 MIN_FD_STEP = 1e-5
+MAX_FD_STEP = 0.5
 
 
 @dataclass
@@ -94,13 +95,17 @@ def dilation_derivative_exact(domain, a, x, y):
     )
 
 
+def _require_fd_step(t):
+    if not MIN_FD_STEP <= t <= MAX_FD_STEP:
+        raise DomainError(
+            f"FD step {t} outside [{MIN_FD_STEP}, {MAX_FD_STEP}]; smaller steps "
+            "lose the difference quotient to cancellation"
+        )
+
+
 def dilation_derivative_fd(domain, a, x, y, t):
     """Central difference of the scaled closed forms at radii (1 +- t) R."""
-    if not MIN_FD_STEP <= t <= 0.5:
-        raise DomainError(
-            f"FD step {t} outside [{MIN_FD_STEP}, 0.5]; smaller steps lose "
-            "the difference quotient to cancellation"
-        )
+    _require_fd_step(t)
     x, y = _require_distinct_interior(domain, x, y)
     shrunk = domain.scaled(1.0 - t)
     shrunk.require_interior(x)
@@ -132,18 +137,19 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
     """Three-route comparison of the dilation derivative over point pairs.
 
     Tabulates the exact derivative, central differences per step, the
-    boundary-integral prediction with alpha = R, a Richardson check, an
-    FD convergence-order flag (skipped when FD already sits at the
-    roundoff floor) and a sign flag.  An empty pair or step list, or a
-    repeated step, raises DomainError.
+    boundary-integral prediction with alpha = R, a Richardson check on
+    the last two steps, an FD convergence-order flag (skipped when FD
+    already sits at the roundoff floor) and a sign flag.  An empty pair
+    list, fewer than two steps, a repeated step or one outside
+    [MIN_FD_STEP, MAX_FD_STEP] raises DomainError.
     """
     t_list = list(t_list)
     if len(pairs) == 0:
         raise DomainError("hadamard_report needs at least one point pair")
-    if not t_list:
-        raise DomainError("t_list must not be empty")
-    if len(set(t_list)) != len(t_list):
-        raise DomainError("t_list entries must be distinct")
+    if len(set(t_list)) != len(t_list) or len(t_list) < 2:
+        raise DomainError(f"t_list needs at least two distinct FD steps, got {t_list}")
+    for t in t_list:
+        _require_fd_step(t)
     grid = boundary_grid(domain, n_nodes)
     alpha = PerturbationField.dilation(grid)
 
@@ -180,20 +186,19 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
             "prediction": pred,
             "fd": {repr(t): v for t, v in zip(t_list, fds)},
         }
-        if len(t_list) >= 2:
-            t1, t2 = t_list[-2], t_list[-1]
-            r = (t1 / t2) ** 2
-            rich = (r * fds[-1] - fds[-2]) / (r - 1.0)
-            rep.add(check(f"{label}: extrapolated FD vs exact", rich, exact, 1e-6, rel=True))
-            e1 = abs(fds[-2] - exact)
-            e2 = abs(fds[-1] - exact)
-            floor = 1e-12 * max(1.0, abs(exact))
-            if e2 > floor:
-                order = math.log(e1 / e2) / math.log(t1 / t2)
-                entry["order"] = order
-                rep.add(flag(f"{label}: FD order close to 2", 1.4 <= order <= 2.6))
-            else:
-                entry["order"] = None
+        t1, t2 = t_list[-2], t_list[-1]
+        r = (t1 / t2) ** 2
+        rich = (r * fds[-1] - fds[-2]) / (r - 1.0)
+        rep.add(check(f"{label}: extrapolated FD vs exact", rich, exact, 1e-6, rel=True))
+        e1 = abs(fds[-2] - exact)
+        e2 = abs(fds[-1] - exact)
+        floor = 1e-12 * max(1.0, abs(exact))
+        if e2 > floor:
+            order = math.log(e1 / e2) / math.log(t1 / t2)
+            entry["order"] = order
+            rep.add(flag(f"{label}: FD order close to 2", 1.4 <= order <= 2.6))
+        else:
+            entry["order"] = None
         rep.add(flag(f"{label}: derivative nonnegative for growing domain",
                      exact >= 0.0 and pred >= 0.0))
         table.append(entry)

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from kernel_lab.acceptance import CRITERIA, DEFAULT_SEED, run_selftest
+from kernel_lab.debug import DEBUG_CONTROLS
 from kernel_lab.rkhs import KernelMatrix
 
 _BY_NUMBER = dict(CRITERIA)
@@ -43,11 +44,18 @@ def test_criterion_02_boundary_singular_reproduction():
 
 
 def test_criterion_03_fractional_hadamard_routes():
-    _assert_all_pass(_run(3))
+    # 4 report records per domain and 3 closed-form checks
+    records = _run(3)
+    _assert_all_pass(records)
+    assert len(records) == 11
 
 
 def test_criterion_04_classical_hadamard_routes():
-    _assert_all_pass(_run(4))
+    # 4 disk and 3 interval report records (no order flag at the
+    # roundoff floor) and 5 closed-form checks
+    records = _run(4)
+    _assert_all_pass(records)
+    assert len(records) == 12
 
 
 def test_criterion_05_kernel_matches_spectral_oracle(monkeypatch):
@@ -97,6 +105,18 @@ def test_criterion_11_poisson_kernel_normalization():
 def test_selftest_record_names_unique():
     names = [r.name for r in run_selftest().records]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("control, tripped", [
+    ("unit-gamma", {2, 6, 7}),
+    ("corrupt-kappa", {1, 2, 3, 6, 7, 9, 10}),
+])
+def test_control_matrix(control, tripped):
+    # the criteria each negative control fails, read off the record prefixes
+    with DEBUG_CONTROLS[control]():
+        records = run_selftest().records
+    failed = {int(r.name.split(":")[0][1:]) for r in records if not r.passed}
+    assert failed == tripped
 
 
 def test_criterion_12_selftest_determinism(tmp_path, cli_env):

@@ -278,6 +278,9 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
         ("hadamard", "pairs: []"),
         ("hadamard", "t_list: []"),
         ("hadamard", "t_list: [1.0e-2, 1.0e-2]"),
+        ("hadamard", "t_list: [1.0e-2]"),
+        ("hadamard", "t_list: [1.0e-6, 1.0e-3]"),
+        ("hadamard", "t_list: [0.6, 1.0e-3]"),
         ("limit", "a_values: [0.9, 0.9]"),
         ("limit", "n_nodes: 7"),
     ):
@@ -357,13 +360,46 @@ def _criterion_records(monkeypatch, tmp_path, number, prefix):
     ]
 
 
-@pytest.mark.parametrize("command, number", [("reproduce", 7), ("limit", 9), ("residual", 10)])
-def test_command_equals_its_criterion(tmp_path, monkeypatch, command, number):
+@pytest.mark.parametrize("command, number, prefix", [
+    pytest.param(command, number, prefix, id=f"{command}-{number}")
+    for command, number, prefix in (
+        ("reproduce", 7, "C7: "),
+        ("limit", 9, "C9: "),
+        ("residual", 10, "C10: "),
+        ("hadamard", 3, "C3: disk: "),
+    )
+])
+def test_command_equals_its_criterion(tmp_path, monkeypatch, command, number, prefix):
     # the command at the packaged defaults and the criterion at its own
     # written-out inputs build the same records
     assert main([command, "--out", str(tmp_path)]) == 0
     got = _load(tmp_path / f"{command}_report.json")["records"]
-    assert got == _criterion_records(monkeypatch, tmp_path, number, f"C{number}: ")
+    assert got == _criterion_records(monkeypatch, tmp_path, number, prefix)
+
+
+@pytest.mark.parametrize("number, kind, a, pair, count", [
+    (3, "interval", 0.5, [0.0, 0.5], 4),
+    (4, "disk", 1.0, [[0.0, 0.0], [0.5, 0.0]], 4),
+    # the classical interval FD sits at the roundoff floor: no order flag
+    (4, "interval", 1.0, [0.0, 0.5], 3),
+])
+def test_hadamard_equals_criterion_block(tmp_path, monkeypatch, number, kind, a, pair, count):
+    # hadamard on a scenario holding one C3/C4 block's written-out inputs
+    # builds that block's records
+    scn = tmp_path / "block.yaml"
+    scn.write_text(yaml.safe_dump({
+        "domain": {"kind": kind, "R": 1.0},
+        "params": {"a": a, "s": 0.0},
+        "n_nodes": 256,
+        "hadamard": {"pairs": [pair], "t_list": [1e-2, 1e-3]},
+    }), encoding="utf-8")
+    assert main(["hadamard", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+    rep = _load(tmp_path / "hadamard_report.json")
+    want = _criterion_records(monkeypatch, tmp_path, number, f"C{number}: {kind}: ")
+    assert len(want) == count
+    assert rep["records"] == want
+    flagged = any(r["name"] == "pair 0: FD order close to 2" for r in want)
+    assert flagged == (rep["metadata"]["pairs"][0]["order"] is not None) == (count == 4)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0])

@@ -160,3 +160,6 @@ def test_report_empty_pairs_or_steps_refused():
         hadamard_report(IV, 0.5, [])
     with pytest.raises(DomainError, match="t_list"):
         hadamard_report(IV, 0.5, [(0.0, 0.5)], t_list=[])
+    # one step leaves the FD route compared to nothing
+    with pytest.raises(DomainError, match="at least two distinct FD steps"):
+        hadamard_report(IV, 0.5, [(0.0, 0.5)], t_list=[1e-2])
