@@ -109,10 +109,10 @@ def cmd_reproduce(scenario, out_dir):
 
 def cmd_hadamard(scenario, out_dir):
     domain = scenario.domain()
-    params = scenario.frac_params()
+    a = scenario.order()
     pairs = scenario.point_pairs("pairs")
     t_list = scenario.number_list("t_list")
-    rep = hadamard_report(domain, params.a, pairs, t_list=t_list,
+    rep = hadamard_report(domain, a, pairs, t_list=t_list,
                           n_nodes=scenario.n_nodes())
     rows = [
         (idx, float(t_str), fd_val, abs(fd_val - entry["exact"]))
@@ -140,7 +140,7 @@ def cmd_residual(scenario, out_dir):
     domain = scenario.domain()
     if domain.kind != INTERVAL:
         raise ScenarioError("the residual command runs on the interval domain")
-    rep = residual_check(domain, scenario.frac_params().a, scenario.mollifier(),
+    rep = residual_check(domain, scenario.order(), scenario.mollifier(),
                          scenario.interior_points("points"),
                          tolerance=scenario.positive("tolerance"),
                          budget=scenario.positive("budget", kind=int))

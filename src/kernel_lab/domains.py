@@ -72,6 +72,19 @@ class ModelDomain:
         return ModelDomain(self.kind, self.R * factor)
 
 
+def squared_norm(p):
+    """|p|^2 over the last axis of a point array, summed column by column.
+
+    Bitwise equal to np.sum(p * p, axis=-1) for N <= 2, where the sum has a
+    single rounding order, and several times faster on (n, N) arrays, whose
+    reduction would otherwise walk a length-N axis once per point.
+    """
+    out = p[..., 0] * p[..., 0]
+    for k in range(1, p.shape[-1]):
+        out = out + p[..., k] * p[..., k]
+    return out
+
+
 def ray_directions(n):
     """The n unit vectors at angles 2 pi k / n, as an (n, 2) array."""
     phis = 2.0 * math.pi * np.arange(n) / n

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import DISK, INTERVAL, rays, ray_exit
+from .domains import DISK, INTERVAL, rays, ray_exit, squared_norm
 from .errors import DomainError, SingularityError, ToleranceError
 from .green import green_fractional_radial
 from .quadrature import (
@@ -79,8 +79,14 @@ _DEFAULT_QUAD = QuadratureSpec(
 class SampledInteriorField:
     """Scalar field on a model domain, extended by zero outside the closure.
 
-    profile is a vectorized callable on interior points only; the wrapper
-    applies the zero extension.  The smoothness tag states the boundary
+    profile is a vectorized callable on interior points only: it takes an
+    array of points (interval: an array of abscissae of any shape; disk: an
+    (m, 2) array) and returns one value per point, and it must not depend on
+    which other points share the call.  When every point of a call is
+    inside, as the principal value's quadrature nodes always are, the
+    profile is called once on the whole array; otherwise it is called on the
+    inside points alone and the wrapper writes 0 elsewhere.  Either way the
+    result is a new float array.  The smoothness tag states the boundary
     behavior (d^a, d^(a-1), or compactly supported smooth) and fixes the
     default clearance delta_min below which the principal-value quadrature
     refuses to evaluate.  On both domains it also sets the exponent beta
@@ -101,22 +107,21 @@ class SampledInteriorField:
         self.grid = grid
 
     def __call__(self, pts):
+        y = np.asarray(pts, dtype=float)
         if self.domain.kind == INTERVAL:
-            y = np.asarray(pts, dtype=float)
             scalar = y.ndim == 0
             y = np.atleast_1d(y)
             out = np.zeros_like(y)
             inside = np.abs(y) < self.domain.R
-            if inside.any():
-                out[inside] = self.profile(y[inside])
-            return float(out[0]) if scalar else out
-        pts = np.asarray(pts, dtype=float)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = np.zeros(pts.shape[0])
-        inside = np.sum(pts * pts, axis=1) < self.domain.R**2
-        if inside.any():
-            out[inside] = self.profile(pts[inside])
+        else:
+            scalar = y.ndim == 1
+            y = np.atleast_2d(y)
+            out = np.zeros(y.shape[0])
+            inside = squared_norm(y) < self.domain.R**2
+        if inside.all():
+            out[...] = self.profile(y)
+        elif inside.any():
+            out[inside] = self.profile(y[inside])
         return float(out[0]) if scalar else out
 
     def require_evaluable(self, x):
@@ -136,7 +141,7 @@ def getoor_field(domain, a):
     if domain.kind == INTERVAL:
         profile = lambda y: (R2 - y * y) ** a
     else:
-        profile = lambda pts: (R2 - np.sum(pts * pts, axis=1)) ** a
+        profile = lambda pts: (R2 - squared_norm(pts)) ** a
     return SampledInteriorField(domain, profile, TAG_DEGENERATE)
 
 
@@ -151,7 +156,7 @@ def boundary_singular_field(domain, a):
     if domain.kind == INTERVAL:
         profile = lambda y: (R2 - y * y) ** (a - 1.0)
     else:
-        profile = lambda pts: (R2 - np.sum(pts * pts, axis=1)) ** (a - 1.0)
+        profile = lambda pts: (R2 - squared_norm(pts)) ** (a - 1.0)
     return SampledInteriorField(domain, profile, TAG_SINGULAR)
 
 
@@ -205,7 +210,7 @@ class MollifierSpec:
             scalar = y.ndim == 1
             y = np.atleast_2d(y)
             diff = (y - self.center) / self.width
-            r2 = np.sum(diff * diff, axis=1)
+            r2 = squared_norm(diff)
         out = np.zeros_like(r2)
         on = r2 < 1.0
         out[on] = self.normalization * np.exp(-1.0 / (1.0 - r2[on]))
@@ -391,8 +396,8 @@ def _moll_value_disk(domain, a, moll, z, quad):
     dirs, dphi = rays(domain)
     pts = (moll.center[None, None, :] + r_nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
     diff = pts - z[None, :]
-    dist2 = np.sum(diff * diff, axis=1)
-    y2 = np.sum(pts * pts, axis=1)
+    dist2 = squared_norm(diff)
+    y2 = squared_norm(pts)
     vals = np.zeros(len(pts))
     ok = dist2 > 0.0
     vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])

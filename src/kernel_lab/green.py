@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .domains import INTERVAL, BoundaryField, rays, ray_exit
+from .domains import INTERVAL, BoundaryField, rays, ray_exit, squared_norm
 from .errors import DomainError, SingularityError
 from .quadrature import EvalBudget, QuadratureSpec, graded_mesh, panel_nodes_weights
 from .specfun import boundary_integral_B_array, green_constant, torsion_constant
@@ -79,7 +79,7 @@ def green_fractional(domain, a, x, y):
         raise DomainError(f"{domain.kind} points cannot have shape {y.shape}")
     single = y.ndim == N - 1
     y = y.reshape(-1, N)
-    x2, y2, dist2 = float(x @ x), np.sum(y * y, axis=1), np.sum((x - y) ** 2, axis=1)
+    x2, y2, dist2 = float(x @ x), squared_norm(y), squared_norm(x - y)
     if math.isnan(x2) or np.isnan(y2).any():
         raise DomainError("green_fractional got a NaN coordinate")
     R2 = domain.R**2
@@ -105,7 +105,7 @@ def poisson_kernel_classical(grid, x):
         return BoundaryField(grid, np.array([(R - x), (R + x)]) / (2.0 * R))
     nodes = grid.nodes
     diff = nodes - x
-    dist2 = np.sum(diff * diff, axis=1)
+    dist2 = squared_norm(diff)
     values = (R * R - float(x @ x)) / (2.0 * math.pi * R * dist2)
     return BoundaryField(grid, values)
 
@@ -128,7 +128,7 @@ def fractional_trace_green(grid, a, x):
         dist = np.abs(np.array([-R, R]) - x)
         return BoundaryField(grid, front / dist)
     diff = grid.nodes - x
-    dist2 = np.sum(diff * diff, axis=1)
+    dist2 = squared_norm(diff)
     return BoundaryField(grid, front / dist2)
 
 
@@ -196,7 +196,7 @@ def _mass(domain, a, x, panels, budget):
     r = T[:, None] * s[None, :]
     xv = np.reshape(x, -1)
     pts = xv + r[:, :, None] * dirs[:, None, :]
-    y2 = np.sum(pts * pts, axis=2)
+    y2 = squared_norm(pts)
     N = domain.N
     vals = green_fractional_radial(N, a, domain.R, float(xv @ xv), y2, r * r) * r ** (N - 1)
     return weight * float(T @ (vals @ w))

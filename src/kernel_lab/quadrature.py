@@ -68,6 +68,11 @@ def graded_mesh(lo, hi, panels, exponent, toward="lo"):
     else:
         pts = hi - (hi - lo) * t[::-1]
     eps = 8.0 * np.finfo(float).eps
+    # when no gap is too thin the loop below keeps every breakpoint, so
+    # check all gaps at once first
+    gaps = pts[1:] - pts[:-1]
+    if np.all(gaps >= eps * np.maximum(np.abs(pts[1:]), np.abs(pts[:-1]))):
+        return pts
     keep = [pts[0]]
     for p in pts[1:]:
         if p - keep[-1] >= eps * max(abs(p), abs(keep[-1])):

@@ -118,6 +118,14 @@ class Scenario:
             raise ScenarioError(f"params a and s must be finite numbers, got a={a!r}, s={s!r}")
         return float(a), float(s)
 
+    def order(self):
+        """The fractional order a alone, checked to lie in (0, 1], for the
+        commands that never read s."""
+        a, _ = self.params()
+        if not 0.0 < a <= 1.0:
+            raise ScenarioError(f"invalid params: fractional order a must lie in (0, 1], got {a}")
+        return a
+
     def frac_params(self):
         try:
             return FracParams(*self.params())

@@ -301,6 +301,16 @@ def test_classical_kernel_leaves_a_unchecked(tmp_path):
         assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path / kind)]) == code
 
 
+@pytest.mark.parametrize("command", ["hadamard", "residual"])
+def test_order_only_commands_leave_s_unchecked(tmp_path, command):
+    # hadamard and residual read a alone: s = -1, which violates
+    # s > -a - 1/2 at a = 1/2, is accepted; an order outside (0, 1] is not
+    for params, code in (("{a: 0.5, s: -1}", 0), ("{a: 1.5}", 2), ("{a: 0}", 2)):
+        scn = tmp_path / "params.yaml"
+        scn.write_text(f"params: {params}\n", encoding="utf-8")
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == code, params
+
+
 # keys each command parses, with the sub-keys of the mapping-valued ones
 _PARSED_KEYS = (
     ("reproduce", "boundary_data", ("preset", "mode", "amplitude")),

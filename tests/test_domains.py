@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from kernel_lab.domains import BoundaryGrid, disk, interval, ray_directions, ray_exit, rays
+from kernel_lab.domains import (
+    BoundaryGrid,
+    disk,
+    interval,
+    ray_directions,
+    ray_exit,
+    rays,
+    squared_norm,
+)
 from kernel_lab.errors import DomainError, GridMismatchError, ToleranceError
 from kernel_lab.quadrature import (
     EvalBudget,
@@ -108,6 +119,69 @@ def test_graded_mesh_shape_and_collapse():
     assert np.all(np.diff(steep) > 0.0)
     hi_mesh = graded_mesh(0.0, 1.0, 16, 4.0, toward="hi")
     assert np.diff(hi_mesh)[-1] < np.diff(hi_mesh)[0]
+
+
+def _graded_mesh_loop(lo, hi, panels, exponent, toward):
+    # the breakpoint-by-breakpoint collapse rule, kept as the reference
+    t = (np.arange(panels + 1) / panels) ** exponent
+    pts = lo + (hi - lo) * t if toward == "lo" else hi - (hi - lo) * t[::-1]
+    eps = 8.0 * np.finfo(float).eps
+    keep = [pts[0]]
+    for p in pts[1:]:
+        if p - keep[-1] >= eps * max(abs(p), abs(keep[-1])):
+            keep.append(p)
+    if keep[-1] != pts[-1]:
+        if len(keep) == 1:
+            keep.append(pts[-1])
+        else:
+            keep[-1] = pts[-1]
+    return np.asarray(keep)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, panels, exponent, toward, collapses",
+    [
+        (0.0, 1.0, 64, 2.0, "lo", False),
+        (0.0, 1e-3, 512, 8.0, "lo", False),
+        (0.5, 1.0, 64, 8.0, "hi", False),
+        (0.5, 1.0, 256, 8.0, "hi", True),
+        (1.0, 2.0, 512, 8.0, "lo", True),
+        (-1.0, -0.5, 256, 8.0, "hi", True),
+        (-2.0, -1.0, 512, 8.0, "hi", True),
+    ],
+)
+def test_graded_mesh_equals_sequential_collapse(lo, hi, panels, exponent, toward, collapses):
+    mesh = graded_mesh(lo, hi, panels, exponent, toward=toward)
+    ref = _graded_mesh_loop(lo, hi, panels, exponent, toward)
+    assert mesh.dtype == np.float64
+    assert np.array_equal(mesh, ref)
+    assert (len(mesh) < panels + 1) == collapses
+    assert mesh[0] == lo and mesh[-1] == hi
+    assert np.all(np.diff(mesh) > 0.0)
+
+
+_COORDS = st.floats(allow_nan=False, width=64) | st.sampled_from(
+    [1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, -0.0, 1.3e154, -1.3e154]
+)
+
+
+@given(
+    arrays(
+        np.float64,
+        st.one_of(
+            st.tuples(st.integers(1, 40), st.just(1)),
+            st.tuples(st.integers(1, 40), st.just(2)),
+            st.tuples(st.integers(1, 4), st.integers(1, 40), st.just(2)),
+        ),
+        elements=_COORDS,
+    )
+)
+def test_squared_norm_bitwise_equals_sum(p):
+    with np.errstate(over="ignore"):
+        got = squared_norm(p)
+        ref = np.sum(p * p, axis=-1)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
 
 
 def test_panel_integrate_polynomial_exact():

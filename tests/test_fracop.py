@@ -31,6 +31,55 @@ from kernel_lab.specfun import green_constant
 IV = interval(1.0)
 DK = disk(1.0)
 
+# (all inside, mixed, expected inside-mask of mixed, one point) per domain;
+# the mixed arrays hold interior, boundary and outside points
+_FIELD_POINTS = {
+    "interval": (
+        np.array([0.0, 0.3, -0.7, 0.99]),
+        np.array([0.3, 1.0, -1.0, 1.5, -0.2, -3.0]),
+        np.array([True, False, False, False, True, False]),
+        0.4,
+    ),
+    "disk": (
+        np.array([[0.0, 0.0], [0.3, -0.2], [-0.5, 0.6], [0.0, -0.99]]),
+        np.array([[0.3, -0.2], [1.0, 0.0], [0.0, -1.0], [2.0, 0.0], [-0.1, 0.4], [0.8, 0.8]]),
+        np.array([True, False, False, False, True, False]),
+        np.array([0.4, -0.1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_field_call_profile_once_and_zero_extension(domain):
+    # the d^(a-1) profile is infinite on the boundary and NaN outside, so
+    # every zero below comes from the extension, not from the profile
+    inner = boundary_singular_field(domain, 0.5).profile
+    calls = []
+
+    def profile(p):
+        calls.append(p.copy())
+        return inner(p)
+
+    u = SampledInteriorField(domain, profile, TAG_SINGULAR)
+    inside, mixed, mask, one = _FIELD_POINTS[domain.kind]
+
+    got = u(inside)
+    assert got.shape == (len(inside),) and got.dtype == np.float64
+    assert not np.shares_memory(got, inside)
+    assert len(calls) == 1 and np.array_equal(calls[0], inside)
+    assert np.array_equal(got, inner(inside))
+
+    calls.clear()
+    got = u(mixed)
+    assert got.shape == (len(mixed),) and got.dtype == np.float64
+    assert len(calls) == 1 and np.array_equal(calls[0], mixed[mask])
+    assert np.array_equal(got[mask], inner(mixed[mask]))
+    assert np.all(got[~mask] == 0.0)
+
+    value = u(one)
+    assert isinstance(value, float)
+    assert value == float(inner(np.array([one]))[0])
+
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
 @pytest.mark.parametrize("x", [0.0, 0.4])
