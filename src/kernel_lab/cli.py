@@ -126,11 +126,13 @@ def cmd_hadamard(scenario, out_dir):
 
 def cmd_limit(scenario, out_dir):
     domain = scenario.domain()
-    params = scenario.frac_params()
+    # the orders come from a_values, each checked with s by
+    # limit_consistency, so params.a is never read
+    _, s = scenario.params()
     x = scenario.interior_point("x")
     y = scenario.interior_point("y")
     a_values = scenario.number_list("a_values", lo=1e-6, hi=1.0)
-    rep = limit_consistency(domain, params.s, x, y, a_values, n_nodes=scenario.n_nodes())
+    rep = limit_consistency(domain, s, x, y, a_values, n_nodes=scenario.n_nodes())
     table = out_dir / "limit_errors.csv"
     _write_csv(table, ["a", "abs_error"], [a_values, rep.metadata["errors"]])
     return rep, [table]

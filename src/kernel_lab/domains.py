@@ -1,7 +1,11 @@
 """Model domains and boundary grids.
 
 Two model geometries carry every closed form in the package: the interval
-(-R, R) in one dimension and the disk of radius R in two.  The interval
+(-R, R) in one dimension and the disk of radius R in two.  The interval is
+the 1-ball: every formula that reads the same in each N is written once,
+on point arrays whose last axis holds the N coordinates, and
+ModelDomain.points is the one place that decides what such an array looks
+like (an interval abscissa gains a length-1 coordinate axis).  The interval
 boundary is the two-point set {-R, +R} with counting measure (so a boundary
 integral is just f(-R) + f(R)); the circle carries n equispaced nodes with
 trapezoidal weights 2*pi*R/n, which is spectrally accurate for smooth
@@ -50,6 +54,24 @@ class ModelDomain:
         if arr.shape != (2,):
             raise DomainError(f"disk points are 2-vectors, got shape {arr.shape}")
         return arr
+
+    def points(self, p):
+        """(array, single): p as a point array with the N coordinates on its
+        last axis, and whether p was one point.
+
+        The array has at least two axes; one point becomes one row.  An
+        interval abscissa, or an array of them of any shape, gains a length-1
+        coordinate axis; a disk array must end in an axis of length 2.
+        """
+        arr = np.asarray(p, dtype=float)
+        if self.kind == INTERVAL:
+            single = arr.ndim == 0
+            arr = arr[..., None]
+        else:
+            if arr.shape[-1:] != (2,):
+                raise DomainError(f"disk points are 2-vectors, got shape {arr.shape}")
+            single = arr.ndim == 1
+        return (arr[None] if single else arr), single
 
     def norm(self, p):
         if self.kind == INTERVAL:
@@ -150,10 +172,10 @@ class BoundaryGrid:
 
     @property
     def nodes(self):
-        """(n,) array for the interval, (n, 2) array for the circle."""
+        """(n, N) array: [[-R], [R]] for the interval, n points on the circle."""
         R = self.domain.R
         if self.domain.kind == INTERVAL:
-            return np.array([-R, R])
+            return np.array([[-R], [R]])
         return R * ray_directions(self.n)
 
     @property
@@ -170,7 +192,7 @@ class BoundaryGrid:
 
     def field_from_function(self, fn):
         """Sample fn over the nodes; fn takes an angle (circle) or node (interval)."""
-        args = self.angles if self.domain.kind == DISK else self.nodes
+        args = self.angles if self.domain.kind == DISK else self.nodes[:, 0]
         return BoundaryField(self, np.fromiter(map(fn, args.tolist()), float, self.n))
 
 

@@ -79,20 +79,22 @@ _DEFAULT_QUAD = QuadratureSpec(
 class SampledInteriorField:
     """Scalar field on a model domain, extended by zero outside the closure.
 
-    profile is a vectorized callable on interior points only: it takes an
-    array of points (interval: an array of abscissae of any shape; disk: an
-    (m, 2) array) and returns one value per point, and it must not depend on
-    which other points share the call.  When every point of a call is
-    inside, as the principal value's quadrature nodes always are, the
-    profile is called once on the whole array; otherwise it is called on the
-    inside points alone and the wrapper writes 0 elsewhere.  Either way the
-    result is a new float array.  The smoothness tag states the boundary
-    behavior (d^a, d^(a-1), or compactly supported smooth) and fixes the
-    default clearance delta_min below which the principal-value quadrature
-    refuses to evaluate.  On both domains it also sets the exponent beta
-    (a, a-1, 0) of the far field's Gauss-Jacobi exit panel; a tag that
-    claims a milder boundary than the profile has makes that rule disagree
-    with itself under refinement, and the principal value refuses.
+    The field takes one point or an array of points, as ModelDomain.points
+    reads them, and returns a float or one value per point.  profile is a
+    vectorized callable on interior points only, "(..., N) in, (...) out"
+    on both domains: it receives the point array with the coordinates on
+    its last axis, and it must not depend on which other points share the
+    call.  When every point of a call is inside, as the principal value's
+    quadrature nodes always are, the profile is called once on the whole
+    array; otherwise it is called on the inside points alone and the
+    wrapper writes 0 elsewhere.  Either way the result is a new float
+    array.  The smoothness tag states the boundary behavior (d^a, d^(a-1),
+    or compactly supported smooth) and fixes the default clearance
+    delta_min below which the principal-value quadrature refuses to
+    evaluate.  On both domains it also sets the exponent beta (a, a-1, 0)
+    of the far field's Gauss-Jacobi exit panel; a tag that claims a milder
+    boundary than the profile has makes that rule disagree with itself
+    under refinement, and the principal value refuses.
     """
 
     def __init__(self, domain, profile, tag, delta_min=None, grid=None):
@@ -107,22 +109,14 @@ class SampledInteriorField:
         self.grid = grid
 
     def __call__(self, pts):
-        y = np.asarray(pts, dtype=float)
-        if self.domain.kind == INTERVAL:
-            scalar = y.ndim == 0
-            y = np.atleast_1d(y)
-            out = np.zeros_like(y)
-            inside = np.abs(y) < self.domain.R
-        else:
-            scalar = y.ndim == 1
-            y = np.atleast_2d(y)
-            out = np.zeros(y.shape[0])
-            inside = squared_norm(y) < self.domain.R**2
+        y, single = self.domain.points(pts)
+        out = np.zeros(y.shape[:-1])
+        inside = squared_norm(y) < self.domain.R**2
         if inside.all():
             out[...] = self.profile(y)
         elif inside.any():
             out[inside] = self.profile(y[inside])
-        return float(out[0]) if scalar else out
+        return float(out[0]) if single else out
 
     def require_evaluable(self, x):
         d = self.domain.distance_to_boundary(x)
@@ -138,10 +132,7 @@ def getoor_field(domain, a):
     """u = (R^2 - |y|^2)^a_+, whose fractional Laplacian is the constant
     1/kappa*(N, a) on the whole domain (the Getoor identity)."""
     R2 = domain.R**2
-    if domain.kind == INTERVAL:
-        profile = lambda y: (R2 - y * y) ** a
-    else:
-        profile = lambda pts: (R2 - squared_norm(pts)) ** a
+    profile = lambda pts: (R2 - squared_norm(pts)) ** a
     return SampledInteriorField(domain, profile, TAG_DEGENERATE)
 
 
@@ -153,10 +144,7 @@ def getoor_reference(N, a):
 def boundary_singular_field(domain, a):
     """u = (R^2 - |y|^2)^(a-1)_+, a-harmonic inside the domain."""
     R2 = domain.R**2
-    if domain.kind == INTERVAL:
-        profile = lambda y: (R2 - y * y) ** (a - 1.0)
-    else:
-        profile = lambda pts: (R2 - squared_norm(pts)) ** (a - 1.0)
+    profile = lambda pts: (R2 - squared_norm(pts)) ** (a - 1.0)
     return SampledInteriorField(domain, profile, TAG_SINGULAR)
 
 
@@ -200,21 +188,12 @@ class MollifierSpec:
 
     def density(self, pts):
         """rho_eps evaluated at one point or an array of points."""
-        if self.domain.kind == INTERVAL:
-            y = np.asarray(pts, dtype=float)
-            scalar = y.ndim == 0
-            y = np.atleast_1d(y)
-            r2 = ((y - self.center) / self.width) ** 2
-        else:
-            y = np.asarray(pts, dtype=float)
-            scalar = y.ndim == 1
-            y = np.atleast_2d(y)
-            diff = (y - self.center) / self.width
-            r2 = squared_norm(diff)
+        y, single = self.domain.points(pts)
+        r2 = squared_norm((y - self.center) / self.width)
         out = np.zeros_like(r2)
         on = r2 < 1.0
         out[on] = self.normalization * np.exp(-1.0 / (1.0 - r2[on]))
-        return float(out[0]) if scalar else out
+        return float(out[0]) if single else out
 
 
 def frac_laplacian_apply(field, a, x, quad=None):
@@ -421,8 +400,8 @@ def mollified_green(domain, a, moll, quad=None):
         quad = _DEFAULT_QUAD
     if domain.kind == DISK:
         profile = lambda pts: np.array(
-            [_moll_value_disk(domain, a, moll, p, quad) for p in np.atleast_2d(pts)]
-        )
+            [_moll_value_disk(domain, a, moll, p, quad) for p in pts.reshape(-1, 2)]
+        ).reshape(pts.shape[:-1])
         return SampledInteriorField(domain, profile, TAG_DEGENERATE)
     R = domain.R
     k = np.arange(1, _CHEBYSHEV_N)
@@ -433,7 +412,8 @@ def mollified_green(domain, a, moll, quad=None):
 
     spline = CubicSpline(zs, vals / weight)
 
-    def profile(y):
+    def profile(pts):
+        y = pts[..., 0]
         return spline(y) * np.maximum(R * R - y * y, 0.0) ** a
 
     return SampledInteriorField(domain, profile, TAG_DEGENERATE, grid=zs)

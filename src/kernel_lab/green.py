@@ -69,16 +69,14 @@ def green_fractional_radial(N, a, R, x2, y2, dist2):
 def green_fractional(domain, a, x, y):
     """Green function of (-Delta)^a on the model domain, zero outside it.
 
-    y is one point or an array of m points; the result is a float or an
-    array.  NaN raises DomainError, y == x inside raises SingularityError.
+    y is one point or an array of points, as ModelDomain.points reads
+    them; the result is a float or one value per point.  NaN raises
+    DomainError, y == x inside raises SingularityError.
     """
     N = domain.N
     x = np.reshape(domain.point(x), N)
-    y = np.asarray(y, dtype=float)
-    if y.ndim > N or (N == 2 and y.shape[-1:] != (2,)):
-        raise DomainError(f"{domain.kind} points cannot have shape {y.shape}")
-    single = y.ndim == N - 1
-    y = y.reshape(-1, N)
+    pts, single = domain.points(y)
+    y = pts.reshape(-1, N)
     x2, y2, dist2 = float(x @ x), squared_norm(y), squared_norm(x - y)
     if math.isnan(x2) or np.isnan(y2).any():
         raise DomainError("green_fractional got a NaN coordinate")
@@ -88,7 +86,7 @@ def green_fractional(domain, a, x, y):
         raise SingularityError("green_fractional is singular at x == y")
     out = np.zeros(len(y))
     out[inside] = green_fractional_radial(N, a, domain.R, x2, y2[inside], dist2[inside])
-    return float(out[0]) if single else out
+    return float(out[0]) if single else out.reshape(pts.shape[:-1])
 
 
 def poisson_kernel_classical(grid, x):
@@ -124,12 +122,7 @@ def fractional_trace_green(grid, a, x):
     front = (
         green_constant(N, a) / a * (2.0 / R) ** a * (R * R - domain.norm(x) ** 2) ** a
     )
-    if domain.kind == INTERVAL:
-        dist = np.abs(np.array([-R, R]) - x)
-        return BoundaryField(grid, front / dist)
-    diff = grid.nodes - x
-    dist2 = squared_norm(diff)
-    return BoundaryField(grid, front / dist2)
+    return BoundaryField(grid, front / squared_norm(grid.nodes - x) ** (N / 2))
 
 
 def boundary_representer(grid, a, x):

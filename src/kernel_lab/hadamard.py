@@ -26,7 +26,7 @@ import numpy as np
 
 from . import green
 from .boundary import boundary_integrate
-from .domains import INTERVAL, BoundaryField, boundary_grid
+from .domains import INTERVAL, BoundaryField, boundary_grid, squared_norm
 from .errors import DomainError, GridMismatchError, SingularityError
 from .green import boundary_representer, green_classical, green_fractional
 from .report import Report, check, flag
@@ -51,12 +51,11 @@ class PerturbationField:
 
 
 def _require_distinct_interior(domain, x, y):
+    # refuses every pair whose squared distance, the divisor of r0,
+    # underflows to 0, not only x == y
     x = domain.require_interior(x)
     y = domain.require_interior(y)
-    if domain.kind == INTERVAL:
-        if x == y:
-            raise SingularityError("the Green derivative is singular at x == y")
-    elif float((x - y) @ (x - y)) == 0.0:
+    if squared_norm(np.reshape(x - y, -1)) == 0.0:
         raise SingularityError("the Green derivative is singular at x == y")
     return x, y
 
@@ -75,15 +74,11 @@ def dilation_derivative_exact(domain, a, x, y):
         return (2.0 * R * R * (R * R - xy) / q - 1.0) / (2.0 * math.pi)
 
     N = domain.N
-    if domain.kind == INTERVAL:
-        dist2 = (x - y) ** 2
-        A = R * R - x * x
-        B2 = R * R - y * y
-    else:
-        diff = x - y
-        dist2 = float(diff @ diff)
-        A = R * R - float(x @ x)
-        B2 = R * R - float(y @ y)
+    x, y = np.reshape(x, -1), np.reshape(y, -1)
+    diff = x - y
+    dist2 = float(diff @ diff)
+    A = R * R - float(x @ x)
+    B2 = R * R - float(y @ y)
     r0 = A * B2 / (R * R * dist2)
     # R * dr0/dR, with r0 = A B2 / (R^2 dist2) and dA/dR = dB2/dR = 2R
     r_dr0 = (2.0 / dist2) * (A + B2 - A * B2 / (R * R))
@@ -139,10 +134,13 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
     Tabulates the exact derivative, central differences per step, the
     boundary-integral prediction with alpha = R, a Richardson check on
     the last two steps, an FD convergence-order flag (skipped when FD
-    already sits at the roundoff floor) and a sign flag.  An empty pair
-    list, fewer than two steps, a repeated step or one outside
-    [MIN_FD_STEP, MAX_FD_STEP] raises DomainError.
+    already sits at the roundoff floor) and a sign flag.  An order a
+    outside (0, 1] (1 is classical), an empty pair list, fewer than two
+    steps, a repeated step or one outside [MIN_FD_STEP, MAX_FD_STEP]
+    raises DomainError before any work.
     """
+    if not 0.0 < a <= 1.0:  # also refuses NaN
+        raise DomainError(f"hadamard_report needs an order a in (0, 1], got {a}")
     t_list = list(t_list)
     if len(pairs) == 0:
         raise DomainError("hadamard_report needs at least one point pair")

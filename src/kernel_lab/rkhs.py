@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import apply_M_power, boundary_integrate, sobolev_inner
-from .domains import DISK, INTERVAL, BoundaryGrid, boundary_grid
+from .domains import DISK, INTERVAL, boundary_grid
 from .errors import ConsistencyError, DomainError, GridMismatchError
 from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
 from .report import Report, check, flag
@@ -258,15 +258,13 @@ def reproducing_residual(domain, a, s, phi, x):
     """|<phi, K_x> - u(x)| with the representer built on an independent grid.
 
     u(x) comes from poisson_extend_fractional on phi's own grid; the
-    pairing rebuilds psi_x at twice the resolution, so the residual bounds
-    the quadrature error of the kernel machinery.
+    pairing rebuilds psi_x at twice the resolution (boundary_grid keeps the
+    interval's two nodes), so the residual bounds the quadrature error of
+    the kernel machinery.
     """
     params = FracParams(a, s)
     u = poisson_extend_fractional(domain, a, s, phi, x)
-    if phi.grid.domain.kind == INTERVAL:
-        phi_fine = phi
-    else:
-        phi_fine = phi.resample(2 * phi.grid.n)
+    phi_fine = phi.resample(boundary_grid(domain, 2 * phi.grid.n).n)
     psi = fractional_trace_green(phi_fine.grid, a, x)
     pairing = _gamma_factor(a) * sobolev_inner(
         phi_fine, apply_M_power(psi, -2.0 * params.theta), 2.0 * params.theta
@@ -288,9 +286,10 @@ def reproduce_report(grid, a, s, data, x, d_values):
     data is the boundary function, called with an angle on the circle and
     a node on the interval (BoundaryGrid.field_from_function).  It is
     sampled on grid for the two-resolution reproducing residual at x, and
-    on grids refined as 1/d for the recovery u((R-d) z) d^(1-a) -> data(z)
-    at probe points z, where it also gives the targets; the circle probes
-    sit off the zeros of cos.  d_values are sorted decreasing and must be
+    on circle grids refined as 1/d (the interval keeps its two nodes) for
+    the recovery u((R-d) z) d^(1-a) -> data(z) at probe points z, where it
+    also gives the targets; the circle probes sit off the zeros of cos.
+    d_values are sorted decreasing and must be
     distinct; the recovery error at every probe must decrease strictly
     along them, and the worst last one is bounded by
     1e-2 max(1, max |data|) over the grid.
@@ -327,11 +326,8 @@ def reproduce_report(grid, a, s, data, x, d_values):
         probes = [(np.array([math.cos(t), math.sin(t)]), t) for t in thetas]
     per_probe = [[] for _ in probes]
     for d in d_values:
-        if domain.kind == INTERVAL:
-            phi_d = phi
-        else:
-            n_d = _recovery_grid_n(grid.n, d / domain.R)
-            phi_d = BoundaryGrid(domain, n_d).field_from_function(data)
+        n_d = _recovery_grid_n(grid.n, d / domain.R)
+        phi_d = boundary_grid(domain, n_d).field_from_function(data)
         for errs, (z, arg) in zip(per_probe, probes):
             u = poisson_extend_fractional(domain, a, s, phi_d, (domain.R - d) * z)
             errs.append(abs(u * d ** (1.0 - a) - data(arg)))

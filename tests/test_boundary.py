@@ -134,6 +134,27 @@ def test_interval_identity_multiplier():
     assert sobolev_inner(f, f, 2.0) == sobolev_inner(f, f, 0.0) == 13.0
 
 
+_FINITE = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300])
+
+
+@given(f=st.tuples(_FINITE, _FINITE), g=st.tuples(_FINITE, _FINITE), t=st.floats(-3.0, 3.0))
+def test_interval_generic_path_matches_deleted_branch(f, g, t):
+    # the interval multipliers are (1 + 0)^t = 1: M^t returns a copy of the
+    # values, and the order-t pairing is f(-R) g(-R) + f(R) g(R)
+    grid = BoundaryGrid(interval(1.3), 2)
+    ff, gg = grid.field(f), grid.field(g)
+    out = apply_M_power(ff, t)
+    assert out.values.tobytes() == ff.values.copy().tobytes()
+    assert not np.shares_memory(out.values, ff.values)
+    got = sobolev_inner(ff, gg, t)
+    p0, p1 = f[0] * g[0], f[1] * g[1]
+    # bit for bit up to the sign of a zero sum (+ 0.0 maps -0.0 to 0.0)
+    assert np.float64(got + 0.0).tobytes() == np.float64(p0 + p1 + 0.0).tobytes()
+    # np.dot, the deleted branch, may fuse the second product into an FMA
+    # (OpenBLAS does for length 2), so it agrees to one rounding of a product
+    assert abs(got - float(np.dot(ff.values, gg.values))) <= 2.0**-52 * (abs(p0) + abs(p1))
+
+
 def test_grid_mismatch_guard(circle):
     other = BoundaryGrid(disk(1.0), 32)
     with pytest.raises(GridMismatchError):

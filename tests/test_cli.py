@@ -311,6 +311,28 @@ def test_order_only_commands_leave_s_unchecked(tmp_path, command):
         assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == code, params
 
 
+def test_limit_reads_s_alone(tmp_path):
+    # limit takes its orders from a_values (default 0.9, 0.99, 0.999) and
+    # checks each with s, so params.a is not validated; an s that one of
+    # the orders rejects (s > -a - 1/2 fails at a = 0.9) still exits 2
+    for params, code in (("{a: 1.5, s: 0}", 0), ("{a: 0.5, s: -1.2}", 0), ("{s: -1.45}", 2)):
+        scn = tmp_path / "params.yaml"
+        scn.write_text(f"params: {params}\n", encoding="utf-8")
+        assert main(["limit", "--scenario", str(scn), "--out", str(tmp_path)]) == code, params
+
+
+@pytest.mark.parametrize("domain, pair", [
+    ("interval", "[1.0e-200, 2.0e-200]"),
+    ("disk", "[[1.0e-200, 0.0], [2.0e-200, 0.0]]"),
+])
+def test_hadamard_underflowing_gap_exits_2(tmp_path, capsys, domain, pair):
+    scn = tmp_path / "gap.yaml"
+    scn.write_text(f"domain: {{kind: {domain}}}\nhadamard:\n  pairs: [{pair}]\n",
+                   encoding="utf-8")
+    assert main(["hadamard", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    assert "singular at x == y" in capsys.readouterr().err
+
+
 # keys each command parses, with the sub-keys of the mapping-valued ones
 _PARSED_KEYS = (
     ("reproduce", "boundary_data", ("preset", "mode", "amplitude")),

@@ -84,6 +84,52 @@ def test_rays_pair_antipodally(domain, measure):
     assert weight * n == pytest.approx(measure, rel=1e-15)
 
 
+# ModelDomain.points: input, expected array shape, expected single flag
+_POINTS_TABLE = {
+    "interval": [
+        (0.3, (1, 1), True),
+        (np.float64(-0.2), (1, 1), True),
+        (np.array([0.3]), (1, 1), False),
+        (np.zeros(5), (5, 1), False),
+        (np.zeros((5, 1)), (5, 1, 1), False),
+        (np.zeros((3, 5)), (3, 5, 1), False),
+    ],
+    "disk": [
+        (np.array([0.3, -0.1]), (1, 2), True),
+        ([0.3, -0.1], (1, 2), True),
+        (np.zeros((5, 2)), (5, 2), False),
+        (np.zeros((3, 5, 2)), (3, 5, 2), False),
+    ],
+}
+
+
+@pytest.mark.parametrize("domain", [interval(1.0), disk(1.0)], ids=["interval", "disk"])
+def test_points_shape_table(domain):
+    for p, shape, single in _POINTS_TABLE[domain.kind]:
+        arr, got_single = domain.points(p)
+        assert arr.shape == shape and arr.dtype == np.float64, p
+        assert got_single is single, p
+        # the coordinates are the input's, in its order
+        assert np.array_equal(arr.reshape(-1), np.reshape(p, -1))
+
+
+def test_points_disk_refuses_other_lengths():
+    dk = disk(1.0)
+    for p in (np.zeros(3), 0.3, np.zeros((5, 3)), np.zeros((2, 1))):
+        with pytest.raises(DomainError, match="2-vectors"):
+            dk.points(p)
+
+
+def test_interval_nodes_are_one_column():
+    grid = BoundaryGrid(interval(2.0), 2)
+    assert grid.nodes.tolist() == [[-2.0], [2.0]]
+    # field_from_function still hands each node to fn as a float
+    seen = []
+    field = grid.field_from_function(lambda node: seen.append(node) or 3.0 * node)
+    assert seen == [-2.0, 2.0] and all(type(v) is float for v in seen)
+    assert field.values.tolist() == [-6.0, 6.0]
+
+
 def test_grid_constraints():
     with pytest.raises(DomainError):
         BoundaryGrid(interval(1.0), 3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import IntegrationWarning, quad
 
 from kernel_lab import debug, fracop
@@ -62,23 +63,93 @@ def test_field_call_profile_once_and_zero_extension(domain):
 
     u = SampledInteriorField(domain, profile, TAG_SINGULAR)
     inside, mixed, mask, one = _FIELD_POINTS[domain.kind]
+    # the profile sees (m, N) point arrays on both domains
+    col = lambda p: domain.points(p)[0]
 
     got = u(inside)
     assert got.shape == (len(inside),) and got.dtype == np.float64
     assert not np.shares_memory(got, inside)
-    assert len(calls) == 1 and np.array_equal(calls[0], inside)
-    assert np.array_equal(got, inner(inside))
+    assert len(calls) == 1 and np.array_equal(calls[0], col(inside))
+    assert np.array_equal(got, inner(col(inside)))
 
     calls.clear()
     got = u(mixed)
     assert got.shape == (len(mixed),) and got.dtype == np.float64
-    assert len(calls) == 1 and np.array_equal(calls[0], mixed[mask])
-    assert np.array_equal(got[mask], inner(mixed[mask]))
+    assert len(calls) == 1 and np.array_equal(calls[0], col(mixed)[mask])
+    assert np.array_equal(got[mask], inner(col(mixed)[mask]))
     assert np.all(got[~mask] == 0.0)
 
     value = u(one)
     assert isinstance(value, float)
-    assert value == float(inner(np.array([one]))[0])
+    assert value == float(inner(col(one))[0])
+
+
+# The interval formulas and the field wrapper as they stood before one body
+# served both domains: abscissae of any shape in, the same shape out.  The
+# one-body code must reproduce them bit for bit.
+def _interval_field_reference(profile, R, pts):
+    y = np.asarray(pts, dtype=float)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y)
+    out = np.zeros_like(y)
+    inside = np.abs(y) < R
+    if inside.all():
+        out[...] = profile(y)
+    elif inside.any():
+        out[inside] = profile(y[inside])
+    return float(out[0]) if scalar else out
+
+
+def _interval_density_reference(moll, pts):
+    y = np.asarray(pts, dtype=float)
+    scalar = y.ndim == 0
+    y = np.atleast_1d(y)
+    r2 = ((y - moll.center) / moll.width) ** 2
+    out = np.zeros_like(r2)
+    on = r2 < 1.0
+    out[on] = moll.normalization * np.exp(-1.0 / (1.0 - r2[on]))
+    return float(out[0]) if scalar else out
+
+
+def _same_bits(got, ref):
+    if isinstance(ref, float):
+        return isinstance(got, float) and np.float64(got).tobytes() == np.float64(ref).tobytes()
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _abscissae(draw, lo, hi):
+    """A float, or an (m,), (m, 1) or (k, m) array of abscissae in [lo, hi]."""
+    elements = st.floats(lo, hi) | st.sampled_from([lo, hi, 0.0, -0.0])
+    shape = draw(st.sampled_from(["float", "m", "m1", "km"]))
+    if shape == "float":
+        return draw(elements)
+    m = draw(st.integers(1, 9))
+    dims = {"m": (m,), "m1": (m, 1), "km": (draw(st.integers(1, 4)), m)}[shape]
+    return draw(arrays(np.float64, dims, elements=elements))
+
+
+@settings(max_examples=150)
+@given(R=st.floats(0.5, 3.0), a=st.floats(0.05, 0.95), t=_abscissae(-1.5, 1.5))
+def test_interval_fields_match_deleted_branch(R, a, t):
+    domain = interval(R)
+    pts = t * R
+    R2 = R * R
+    for make, ref_profile in (
+        (getoor_field, lambda y: (R2 - y * y) ** a),
+        (boundary_singular_field, lambda y: (R2 - y * y) ** (a - 1.0)),
+    ):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = make(domain, a)(pts)
+            ref = _interval_field_reference(ref_profile, R, pts)
+        assert _same_bits(got, ref), make.__name__
+
+
+@settings(max_examples=150)
+@given(c=st.floats(-0.4, 0.4), w=st.floats(0.05, 0.5), t=_abscissae(-1.0, 1.0))
+def test_interval_density_matches_deleted_branch(c, w, t):
+    moll = MollifierSpec(IV, c, w)
+    assert _same_bits(moll.density(t), _interval_density_reference(moll, t))
 
 
 @pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
@@ -224,7 +295,7 @@ def test_linearity_via_superposition():
     R2 = IV.R**2
     combo = SampledInteriorField(
         IV,
-        lambda y: (R2 - y * y) ** a + 2.0 * (R2 - y * y) ** (a - 1.0),
+        lambda p: (R2 - p[..., 0] ** 2) ** a + 2.0 * (R2 - p[..., 0] ** 2) ** (a - 1.0),
         "boundary-singular",
     )
     quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-3, resolution=64, budget=10**6)

@@ -249,6 +249,26 @@ def test_fractional_trace_closed_form():
         fractional_trace_green(grid, 1.0, x)
 
 
+@given(R=st.floats(0.5, 3.0), a=st.floats(0.05, 0.95), t=st.floats(-0.999, 0.999))
+def test_interval_trace_matches_deleted_branch(R, a, t):
+    # the interval's own formula front / |z - x| at z = -R, R, bit for bit
+    x = t * R
+    front = green_constant(1, a) / a * (2.0 / R) ** a * (R * R - abs(x) ** 2) ** a
+    ref = front / np.abs(np.array([-R, R]) - x)
+    got = fractional_trace_green(BoundaryGrid(interval(R), 2), a, x).values
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_green_fractional_keeps_abscissa_shape():
+    ys = np.array([[0.1, -0.4, 0.95], [1.2, 0.0, -0.7]])
+    flat = green_fractional(IV, 0.4, 0.3, ys.reshape(-1))
+    for pts in (ys, ys[:, :, None]):
+        got = green_fractional(IV, 0.4, 0.3, pts)
+        assert got.shape == pts.shape and got.tobytes() == flat.tobytes()
+    with pytest.raises(DomainError):
+        green_fractional(DK, 0.4, np.zeros(2), np.zeros(3))
+
+
 def test_interior_point_guards():
     with pytest.raises(DomainError):
         green_classical(IV, 1.2, 0.0)

@@ -130,6 +130,23 @@ def test_singular_pair_guard():
         hadamard_prediction(DK, 0.5, x, x, PerturbationField.dilation(BoundaryGrid(DK, 64)))
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("domain, x, y", [
+    (IV, 1.0e-200, 2.0e-200),
+    (DK, np.array([1.0e-200, 0.0]), np.array([2.0e-200, 0.0])),
+], ids=["interval", "disk"])
+def test_underflowing_gap_is_singular(domain, x, y, a):
+    # distinct points whose squared distance, the divisor of r0, is 0
+    with pytest.raises(SingularityError):
+        dilation_derivative_exact(domain, a, x, y)
+
+
+@pytest.mark.parametrize("a", [1.5, 0.0, -0.5, math.nan])
+def test_report_refuses_order_outside_its_range(a):
+    with pytest.raises(DomainError, match=r"\(0, 1\]"):
+        hadamard_report(IV, a, [(0.0, 0.5)])
+
+
 def test_fd_step_guards():
     with pytest.raises(DomainError):
         dilation_derivative_fd(IV, 1.0, 0.2, -0.3, MIN_FD_STEP / 10.0)

@@ -286,6 +286,17 @@ def test_reproducing_residual_small(domain):
     assert reproducing_residual(domain, 0.5, 0.0, phi, x) < 1e-10
 
 
+@given(v=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), t=st.floats(-0.9, 0.9),
+       a=st.floats(0.05, 0.95), s=st.floats(-0.5, 2.0))
+def test_interval_reproducing_residual_is_exactly_zero(v, t, a, s):
+    # on the interval the pairing and the boundary integral are the same
+    # two-term sum, rounded the same way; a fused dot product on one route
+    # would leave one rounding (5.6e-17 at data (-1.35, 0.94), x = 0.1,
+    # a = 0.22)
+    phi = BoundaryGrid(IV, 2).field(v)
+    assert reproducing_residual(IV, a, s, phi, t) == 0.0
+
+
 def test_classical_reproduction_two_routes():
     # u(x) = <g, P_x>_0 = <g, M^{-s} P_x>_s for band-limited data
     from kernel_lab.boundary import apply_M_power, sobolev_inner
