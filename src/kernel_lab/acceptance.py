@@ -118,7 +118,7 @@ def criterion_5_kernel_vs_oracle():
     out = []
     for s in (-1.0, 0.0, 1.0):
         # a is only echoed, and a classical run does not check it against s
-        rep, _ = kernel_report(dd, "classical", 1.0, s, pts, n_nodes=512)
+        rep, _, _ = kernel_report(dd, "classical", 1.0, s, pts, n_nodes=512)
         out += _prefixed(f"C5: s={s:g}", rep)
     return out
 

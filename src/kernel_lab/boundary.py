@@ -67,7 +67,8 @@ def from_spectrum(spectrum):
 
 
 def apply_M_power(field, t):
-    """Apply M^t; the identity on the interval, whose multipliers are 1."""
+    """Apply M^t, to each row of a stack at once; the identity on the
+    interval, whose multipliers are 1."""
     spec = to_spectrum(field)
     mult = _multipliers(field.grid, t)
     return from_spectrum(Spectrum(field.grid, mult * spec.coefficients))

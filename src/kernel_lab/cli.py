@@ -50,7 +50,7 @@ def _write_csv(path, header, columns):
     """
 
     def cells(column):
-        values = np.asarray(column).tolist()
+        values = column if isinstance(column, list) else np.asarray(column).tolist()
         return values if values and isinstance(values[0], str) else list(map(repr, values))
 
     rows = map(",".join, zip(*map(cells, columns)))
@@ -75,10 +75,16 @@ def cmd_kernel(scenario, out_dir):
     # a classical kernel only echoes a, so the FracParams constraint on
     # (a, s) applies in kernel_report to the fractional kernel alone
     a, s = scenario.params()
-    rep, columns = kernel_report(domain, kind, a, s,
-                                 scenario.interior_points("points"),
-                                 n_nodes=scenario.n_nodes())
+    rep, columns, checks = kernel_report(domain, kind, a, s,
+                                         scenario.interior_points("points"),
+                                         n_nodes=scenario.n_nodes())
     i, j = columns.pop("i"), columns.pop("j")
+    if checks is not None:
+        # K, K_oracle and discrepancy are the oracle checks' computed,
+        # reference and abs_error: each double is formatted once, for the
+        # report and the CSV alike
+        columns.update(K=checks.cells("computed"), K_oracle=checks.cells("reference"),
+                       discrepancy=checks.cells("abs_error"))
     # each point's index and coordinate cells are formatted once, then
     # taken by i and by j
     m = len(rep.scenario["points"])
@@ -204,10 +210,10 @@ def main(argv=None):
         print(f"kernel-lab: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    n_fail = len(report.failing())
-    print(f"{args.command}: {len(report.records)} checks, {n_fail} failed "
+    failing = report.failing()
+    print(f"{args.command}: {len(report.records)} checks, {len(failing)} failed "
           f"-> {report_path}")
-    for rec in report.failing():
+    for rec in failing:
         print(f"  FAIL {rec.name}: computed={rec.computed!r} "
               f"reference={rec.reference!r} tolerance={rec.tolerance!r}")
     for table in tables:

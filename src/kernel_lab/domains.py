@@ -204,16 +204,21 @@ def boundary_grid(domain, n):
 
 @dataclass
 class BoundaryField:
-    """Real samples of a function on a boundary grid."""
+    """Real samples of a function on a boundary grid.
+
+    values has shape (n,), or (m, n) for a stack of m fields on the grid,
+    which apply_M_power transforms row by row; the other operations take
+    single fields.
+    """
 
     grid: BoundaryGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.grid.n:
             raise GridMismatchError(
-                f"expected {self.grid.n} samples, got shape {self.values.shape}"
+                f"expected {self.grid.n} samples per field, got shape {self.values.shape}"
             )
 
     def same_grid(self, other):

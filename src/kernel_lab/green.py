@@ -89,23 +89,35 @@ def green_fractional(domain, a, x, y):
     return float(out[0]) if single else out.reshape(pts.shape[:-1])
 
 
+def _interior_points(domain, x):
+    """(points, single): x read by ModelDomain.points, each point refused
+    unless interior and coerced as require_interior returns it, so points
+    is an (m,) array on the interval and an (m, 2) array on the disk."""
+    arr, single = domain.points(x)
+    return np.array([domain.require_interior(p) for p in arr.reshape(-1, domain.N)]), single
+
+
 def poisson_kernel_classical(grid, x):
     """The positive, unit-mass Poisson kernel P(x, .) sampled on the grid.
 
     This is minus the Neumann trace of the classical Green function; with
     -Delta G = delta that sign makes the kernel positive and reproduces
-    u == 1 with boundary integral exactly 1.
+    u == 1 with boundary integral exactly 1.  x is one point, or an array
+    of points as ModelDomain.points reads them, which gives a stack of
+    fields, one row per point.
     """
     domain = grid.domain
-    x = domain.require_interior(x)
+    pts, single = _interior_points(domain, x)
     R = domain.R
     if domain.kind == INTERVAL:
-        return BoundaryField(grid, np.array([(R - x), (R + x)]) / (2.0 * R))
-    nodes = grid.nodes
-    diff = nodes - x
-    dist2 = squared_norm(diff)
-    values = (R * R - float(x @ x)) / (2.0 * math.pi * R * dist2)
-    return BoundaryField(grid, values)
+        values = np.stack([R - pts, R + pts], axis=-1) / (2.0 * R)
+    else:
+        # |x|^2 as float(x @ x) per point: that BLAS dot may round
+        # differently from a column sum
+        num = R * R - np.array([float(p @ p) for p in pts])
+        dist2 = squared_norm(grid.nodes - pts[:, None, :])
+        values = num[:, None] / (2.0 * math.pi * R * dist2)
+    return BoundaryField(grid, values[0] if single else values)
 
 
 def fractional_trace_green(grid, a, x):
@@ -113,22 +125,27 @@ def fractional_trace_green(grid, a, x):
 
     Pointwise this is the limit of G_a(x, y) / d(y)^a as y approaches the
     boundary node; the closed form is
-    (kappa_{N,a}/a) (2/R)^a (R^2-|x|^2)^a |x - z|^(-N).
+    (kappa_{N,a}/a) (2/R)^a (R^2-|x|^2)^a |x - z|^(-N).  x is one point, or
+    an array of points as ModelDomain.points reads them, which gives a
+    stack of fields, one row per point.
     """
     domain = grid.domain
-    x = domain.require_interior(x)
+    pts, single = _interior_points(domain, x)
     N = domain.N
     R = domain.R
-    front = (
-        green_constant(N, a) / a * (2.0 / R) ** a * (R * R - domain.norm(x) ** 2) ** a
-    )
-    return BoundaryField(grid, front / squared_norm(grid.nodes - x) ** (N / 2))
+    c = green_constant(N, a) / a * (2.0 / R) ** a
+    # each point's prefactor in Python floats, as for a single point
+    front = np.array([c * (R * R - domain.norm(p) ** 2) ** a for p in pts])
+    dist2 = squared_norm(grid.nodes - np.reshape(pts, (-1, 1, N)))
+    values = front[:, None] / dist2 ** (N / 2)
+    return BoundaryField(grid, values[0] if single else values)
 
 
 def boundary_representer(grid, a, x):
     """Representer of point evaluation at x: the weighted trace psi_x, and at
     a = 1 its formal limit P(x, .) (G_1 vanishes on the boundary, so
-    gamma_0^1 G_1 = -gamma_N G_1)."""
+    gamma_0^1 G_1 = -gamma_N G_1).  An array of points gives the stack of
+    their representers."""
     if a == 1.0:
         return poisson_kernel_classical(grid, x)
     return fractional_trace_green(grid, a, x)

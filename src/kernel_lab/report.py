@@ -1,6 +1,7 @@
 """Machine-readable verification reports.
 
-A Report is a schema-versioned bundle of CheckRecords plus a scenario echo.
+A Report is a schema-versioned bundle of CheckRecords plus a scenario echo;
+a run of many checks of one formula may be held as one CheckColumns block.
 Everything in it is deterministic except the single "volatile" field, which
 holds the timestamp and wall time; consumers comparing two reports drop
 that field and may then compare bytes.
@@ -8,9 +9,13 @@ that field and may then compare bytes.
 
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+
+import numpy as np
 
 SCHEMA_VERSION = "kernel-lab-report/1"
 
@@ -26,26 +31,32 @@ class CheckRecord:
     passed: bool
 
 
-def check(name, computed, reference, tolerance, rel=False):
-    """Build a CheckRecord.
+def check_columns(names, computed, reference, tolerance, rel=False):
+    """The checks of computed against reference, one per name, as a block.
 
     tolerance is absolute; with rel=True it is scaled by |reference| first.
-    rel_error falls back to the absolute error when the reference is zero.
+    rel_error falls back to the absolute error where the reference is zero.
+    The formula runs on float64 arrays, whose IEEE operations round as
+    Python's float operations do, so row k is the record check builds for
+    the k-th values.
     """
-    computed = float(computed)
-    reference = float(reference)
-    abs_error = abs(computed - reference)
-    rel_error = abs_error / abs(reference) if reference != 0.0 else abs_error
-    tol = float(tolerance) * abs(reference) if rel else float(tolerance)
-    return CheckRecord(
-        name=name,
-        computed=computed,
-        reference=reference,
-        abs_error=abs_error,
-        rel_error=rel_error,
-        tolerance=tol,
-        passed=bool(abs_error <= tol),
-    )
+    computed = np.asarray(computed, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    # inf - inf, inf / inf and overflow give NaN and inf silently, as in
+    # Python float arithmetic
+    with np.errstate(all="ignore"):
+        abs_error = np.abs(computed - reference)
+        scale = np.abs(reference)
+        rel_error = np.divide(abs_error, scale, out=abs_error.copy(), where=reference != 0.0)
+        tol = float(tolerance) * scale if rel else np.full(scale.shape, float(tolerance))
+    return CheckColumns(list(names), computed, reference, abs_error, rel_error, tol,
+                        abs_error <= tol)
+
+
+def check(name, computed, reference, tolerance, rel=False):
+    """Build a CheckRecord: the one row of check_columns for these values."""
+    block = check_columns([name], [float(computed)], [float(reference)], tolerance, rel)
+    return next(iter(block))
 
 
 def flag(name, ok):
@@ -63,6 +74,57 @@ def flag(name, ok):
 
 
 _FIELDS = tuple(f.name for f in fields(CheckRecord))
+_FLOAT_FIELDS = _FIELDS[1:-1]
+
+
+class CheckColumns:
+    """A block of checks held column by column.
+
+    names is a list of str; computed, reference, abs_error, rel_error and
+    tolerance are float64 arrays and passed a bool array, all of one
+    length.  Iterating yields the rows as CheckRecords.
+    """
+
+    def __init__(self, names, computed, reference, abs_error, rel_error, tolerance, passed):
+        self.names = names
+        self.computed = computed
+        self.reference = reference
+        self.abs_error = abs_error
+        self.rel_error = rel_error
+        self.tolerance = tolerance
+        self.passed = passed
+        self._cells = {}
+
+    @classmethod
+    def from_records(cls, records):
+        """The block whose rows are these CheckRecords (at least one)."""
+        name, *numbers, passed = zip(*map(attrgetter(*_FIELDS), records))
+        return cls(list(name), *(np.array(c, dtype=float) for c in numbers),
+                   np.array(passed, dtype=bool))
+
+    def __len__(self):
+        return len(self.names)
+
+    def __iter__(self):
+        return self._rows(range(len(self)))
+
+    def _rows(self, index):
+        numbers = (getattr(self, f)[index].tolist() for f in _FLOAT_FIELDS)
+        return map(CheckRecord, [self.names[k] for k in index], *numbers,
+                   self.passed[index].tolist())
+
+    def failing(self):
+        return list(self._rows(np.flatnonzero(~self.passed).tolist()))
+
+    def cells(self, field):
+        """A float column as repr writes each double (the shortest digits
+        that round-trip it, and nan, inf, -inf), formatted on first use and
+        kept, so every writer of the column shares one formatting."""
+        if field not in self._cells:
+            self._cells[field] = list(map(float.__repr__, getattr(self, field).tolist()))
+        return self._cells[field]
+
+
 # one record at its indent inside the report's "records" list
 _RECORD = (
     "    {\n"
@@ -75,38 +137,79 @@ _JSON_BOOL = {True: "true", False: "false"}
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_cells(values):
-    cells = list(map(float.__repr__, values))
+def _json_cells(cells):
     if _JSON_SPECIAL.keys() & set(cells):
-        cells = [_JSON_SPECIAL.get(c, c) for c in cells]
+        return [_JSON_SPECIAL.get(c, c) for c in cells]
     return cells
 
 
-def _records_json(records):
-    """The records list as json.dumps(..., indent=2) writes it at depth 1."""
-    if not records:
-        return "[]"
-    name, *numbers, passed = zip(*map(attrgetter(*_FIELDS), records))
-    columns = (
-        map(encode_basestring_ascii, name),
-        *map(_float_cells, numbers),
-        map(_JSON_BOOL.__getitem__, passed),
-    )
-    return "[\n" + ",\n".join(map(_RECORD.__mod__, zip(*columns))) + "\n  ]"
+def _blocks(entries):
+    # a run of single records is written as one block
+    for is_block, run in groupby(entries, key=lambda e: isinstance(e, CheckColumns)):
+        if is_block:
+            yield from run
+        else:
+            yield CheckColumns.from_records(list(run))
+
+
+def _records_json(entries):
+    """The records list as json.dumps(..., indent=2) writes it at depth 1,
+    written column by column."""
+    rows = [
+        ",\n".join(map(_RECORD.__mod__, zip(
+            map(encode_basestring_ascii, block.names),
+            *(_json_cells(block.cells(f)) for f in _FLOAT_FIELDS),
+            map(_JSON_BOOL.__getitem__, block.passed.tolist()),
+        )))
+        for block in _blocks(entries)
+        if len(block)
+    ]
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+class _Records(Sequence):
+    """A report's checks in order, one CheckRecord each; a block's rows are
+    built as they are read."""
+
+    def __init__(self, entries):
+        self._entries = entries
+
+    def __len__(self):
+        return sum(len(e) if isinstance(e, CheckColumns) else 1 for e in self._entries)
+
+    def __iter__(self):
+        for e in self._entries:
+            if isinstance(e, CheckColumns):
+                yield from e
+            else:
+                yield e
+
+    def __getitem__(self, index):
+        return list(self)[index]
 
 
 class Report:
-    """Ordered record collection with overall pass = conjunction (empty passes)."""
+    """Ordered record collection with overall pass = conjunction (empty passes).
+
+    records reads the checks one CheckRecord each, whether they were added
+    as records or as CheckColumns blocks.
+    """
 
     def __init__(self, command, scenario=None, metadata=None):
         self.command = command
         self.scenario = dict(scenario) if scenario else {}
         self.metadata = dict(metadata) if metadata else {}
-        self.records = []
+        # CheckRecords and CheckColumns blocks, in order
+        self._entries = []
         self._t0 = time.perf_counter()
 
+    @property
+    def records(self):
+        return _Records(self._entries)
+
     def add(self, record):
-        self.records.append(record)
+        """Append a CheckRecord or a CheckColumns block; return it."""
+        self._entries.append(record)
         return record
 
     def extend(self, records):
@@ -115,10 +218,16 @@ class Report:
 
     @property
     def overall_pass(self):
-        return all(r.passed for r in self.records)
+        return all(bool(np.all(e.passed)) for e in self._entries)
 
     def failing(self):
-        return [r for r in self.records if not r.passed]
+        out = []
+        for e in self._entries:
+            if isinstance(e, CheckColumns):
+                out += e.failing()
+            elif not e.passed:
+                out.append(e)
+        return out
 
     def _volatile(self):
         return {
@@ -157,7 +266,7 @@ class Report:
             f'  "command": {json.dumps(self.command)},\n'
             f'  "scenario": {nested(self.scenario)},\n'
             f'  "metadata": {nested(self.metadata)},\n'
-            f'  "records": {_records_json(self.records)},\n'
+            f'  "records": {_records_json(self._entries)},\n'
             f'  "overall_pass": {_JSON_BOOL[self.overall_pass]},\n'
             f'  "volatile": {nested(self._volatile())}\n'
             "}\n"

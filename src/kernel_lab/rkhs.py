@@ -31,7 +31,7 @@ from .boundary import apply_M_power, boundary_integrate, sobolev_inner
 from .domains import DISK, INTERVAL, boundary_grid
 from .errors import ConsistencyError, DomainError, GridMismatchError
 from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
-from .report import Report, check, flag
+from .report import Report, check, check_columns, flag
 from .specfun import FracParams
 
 # default circle quadrature resolution for kernel assembly; acceptance
@@ -97,23 +97,21 @@ def poisson_extend_fractional(domain, a, s, phi, x):
 
 
 def _representers(grid, kind, params, points):
-    """(front, V): the kernel's prefactor and the (m, n) rows M^{-t} rep(x_i),
-    t = s/2 for kind "classical" (params = s), theta for "fractional"."""
+    """(front, V): the kernel's prefactor and the (m, n) rows M^{-t} rep(x_i)
+    over a point array, t = s/2 for kind "classical" (params = s), theta
+    for "fractional"; one stack of representers, one FFT pair."""
     if kind == "classical":
         front, a, t = 1.0, 1.0, 0.5 * float(params)
     elif kind == "fractional":
         front, a, t = _gamma_factor(params.a) ** 2, params.a, params.theta
     else:
         raise ValueError(f"unknown kernel selector {kind!r}")
-    V = np.array(
-        [apply_M_power(boundary_representer(grid, a, p), -t).values for p in points]
-    )
-    return front, V
+    return front, apply_M_power(boundary_representer(grid, a, points), -t).values
 
 
 def _two_point(domain, kind, params, x, y, n_nodes):
     grid = boundary_grid(domain, n_nodes)
-    front, V = _representers(grid, kind, params, [x, y])
+    front, V = _representers(grid, kind, params, np.array([domain.point(x), domain.point(y)]))
     return front * float(np.dot(grid.weights, V[0] * V[1]))
 
 
@@ -125,6 +123,18 @@ def kernel_classical(domain, s, x, y, n_nodes=DEFAULT_NODES):
 def _angles(pts):
     # libm atan2 per point: numpy's arctan2 differs from it in the last bit
     return np.array([math.atan2(p1, p0) for p0, p1 in pts.tolist()])
+
+
+def _distinct_rows(pts):
+    """(distinct, inverse) with distinct[inverse] == pts for a (P, 2) float
+    array; rows are told apart by their bits, so -0.0 is not 0.0."""
+    bits = np.ascontiguousarray(pts).view(np.int64)
+    order = np.lexsort((bits[:, 1], bits[:, 0]))
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return pts[order[starts]], inverse
 
 
 def kernel_classical_spectral_oracle(domain, s, x, y):
@@ -143,12 +153,15 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     if x.ndim not in (1, 2) or x.shape[-1] != 2:
         raise DomainError(f"disk points are 2-vectors, got shape {x.shape}")
     R = domain.R
-    x2, y2 = x.reshape(-1, 2), y.reshape(-1, 2)
-    rx, ry = np.hypot(x2[:, 0], x2[:, 1]), np.hypot(y2[:, 0], y2[:, 1])
-    if not (np.all(R - rx > 0.0) and np.all(R - ry > 0.0)):  # also refuses NaN
+    P = x.size // 2
+    # radius and angle once per distinct point
+    pts, inverse = _distinct_rows(np.concatenate([x.reshape(-1, 2), y.reshape(-1, 2)]))
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    if not np.all(R - r > 0.0):  # also refuses NaN
         raise DomainError(f"spectral oracle points must be interior to the disk of radius {R}")
-    rho = rx * ry / R**2
-    delta = _angles(y2) - _angles(x2)
+    r, theta = r[inverse], _angles(pts)[inverse]
+    rho = r[:P] * r[P:] / R**2
+    delta = theta[P:] - theta[:P]
     total = np.ones_like(rho)
     live = np.arange(rho.size)
     k = 1
@@ -218,11 +231,13 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
 
     kind is "classical" (order s; a is only echoed) or "fractional"
     (FracParams(a, s)).  On the classical disk every pair (i, j >= i) is
-    checked against kernel_classical_spectral_oracle at relative 1e-8;
-    then come the Gram PSD flag (one eigensolve) and the exact-symmetry
-    flag.  Returns (report, columns): columns maps "i", "j", "K", and on
-    the classical disk "K_oracle" and "discrepancy", to arrays over the
-    pairs in row-major order.
+    checked against kernel_classical_spectral_oracle at relative 1e-8, as
+    one CheckColumns block; then come the Gram PSD flag (one eigensolve)
+    and the exact-symmetry flag.  Returns (report, columns, checks):
+    columns maps "i", "j", "K", and on the classical disk "K_oracle" and
+    "discrepancy", to arrays over the pairs in row-major order; checks is
+    the oracle block, whose computed, reference and abs_error columns are
+    K, K_oracle and discrepancy, or None off the classical disk.
     """
     params = float(s) if kind == "classical" else FracParams(a, s)
     km = gram_matrix(domain, kind, params, points, n_nodes=n_nodes)
@@ -242,16 +257,17 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
     i, j = np.triu_indices(len(km.points))
     K = km.entries[i, j]
     columns = {"i": i, "j": j, "K": K}
+    checks = None
     if kind == "classical" and domain.kind == DISK:
         oracle = kernel_classical_spectral_oracle(domain, s, km.points[i], km.points[j])
-        columns.update(K_oracle=oracle, discrepancy=np.abs(K - oracle))
-        for pi, pj, k, ref in zip(i.tolist(), j.tolist(), K.tolist(), oracle.tolist()):
-            rep.add(check(f"K[{pi},{pj}] vs spectral oracle", k, ref, 1e-8, rel=True))
+        names = [f"K[{pi},{pj}] vs spectral oracle" for pi, pj in zip(i.tolist(), j.tolist())]
+        checks = rep.add(check_columns(names, K, oracle, 1e-8, rel=True))
+        columns.update(K_oracle=checks.reference, discrepancy=checks.abs_error)
     lo, hi, psd = km.psd_verdict()
     rep.add(flag(f"Gram PSD (min {lo:.3e}, max {hi:.3e})", psd))
     rep.add(flag("assembled matrix exactly symmetric",
                  bool(np.array_equal(km.entries, km.entries.T))))
-    return rep, columns
+    return rep, columns, checks
 
 
 def reproducing_residual(domain, a, s, phi, x):

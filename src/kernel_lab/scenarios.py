@@ -28,6 +28,11 @@ COMMANDS = ("kernel", "reproduce", "hadamard", "limit", "residual", "selftest")
 
 MAX_NODES = 1 << 20
 
+# admitted radii: the closed forms raise R and interior coordinates to
+# powers up to the fourth (green_classical's R^4), which stays a normal
+# double here; past it Python's float ** raises OverflowError
+MIN_RADIUS, MAX_RADIUS = 1e-64, 1e64
+
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """The safe loader (libyaml's parser when present), also reading 1e-3,
@@ -106,8 +111,9 @@ class Scenario:
         if kind not in (INTERVAL, DISK):
             raise ScenarioError(f"domain.kind must be interval or disk, got {kind!r}")
         R = spec.get("R", 1.0)
-        if not _finite(R) or not R > 0:
-            raise ScenarioError(f"domain.R must be finite and positive, got {R!r}")
+        if not (_finite(R) and MIN_RADIUS <= R <= MAX_RADIUS):
+            raise ScenarioError(
+                f"domain.R must lie in [{MIN_RADIUS:g}, {MAX_RADIUS:g}], got {R!r}")
         return ModelDomain(kind, float(R))
 
     def params(self):

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kernel_lab.rkhs as rkhs
 from kernel_lab.acceptance import CRITERIA
 from kernel_lab.cli import main
 from kernel_lab.report import SCHEMA_VERSION
@@ -107,6 +108,56 @@ def test_kernel_table_columns(tmp_path, kind, m):
             assert gap == abs(k - oracle)
     else:
         assert len(rows[0].split(",")) == 7 and len(records) == 2
+
+
+def test_kernel_reports_a_failing_oracle_pair(tmp_path, monkeypatch, capsys):
+    # one perturbed oracle value out of 18,528 pairs: the column block must
+    # fail that pair alone, and the report must still hold every record
+    rng = np.random.default_rng(11)
+    m, bad = 192, 1000
+    r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, m))
+    th = rng.uniform(0.0, 2.0 * math.pi, m)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    oracle = rkhs.kernel_classical_spectral_oracle
+
+    def perturbed(domain, s, x, y):
+        out = oracle(domain, s, x, y)
+        out[bad] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(rkhs, "kernel_classical_spectral_oracle", perturbed)
+    scn = tmp_path / "k.yaml"
+    scn.write_text(yaml.safe_dump({"kernel": {"points": pts.tolist()}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["kernel", "--scenario", str(scn), "--out", str(out)]) == 1
+    i, j = (int(v[bad]) for v in np.triu_indices(m))
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(fails) == 1
+    assert fails[0].startswith(f"  FAIL K[{i},{j}] vs spectral oracle: computed=")
+    rep = _load(out / "kernel_report.json")
+    assert rep["overall_pass"] is False
+    assert len(rep["records"]) == m * (m + 1) // 2 + 2 == 18530
+    assert [r["name"] for r in rep["records"] if not r["passed"]] == [
+        f"K[{i},{j}] vs spectral oracle"
+    ]
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("kernel", "domain: {kind: disk, R: 1.0e160}\nkernel: {points: [[0, 0], [1.0e159, 0]]}\n"),
+    ("hadamard", "domain: {kind: interval, R: 1.0e160}\nhadamard: {pairs: [[0.0, 1.0e159]]}\n"),
+])
+def test_huge_radius_is_invalid_input(tmp_path, cli_env, command, scenario):
+    # past MAX_RADIUS the closed forms' powers of R overflow
+    scn = tmp_path / "huge.yaml"
+    scn.write_text(scenario, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "kernel_lab.cli", command, "--scenario", str(scn),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=cli_env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "invalid input: domain.R must lie in [1e-64, 1e+64]" in proc.stderr
 
 
 def _rowwise_kernel_table(domain, kind, params, points):
@@ -273,6 +324,7 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
         ("kernel", "params: 5"),
         ("kernel", "domain: 5"),
         ("kernel", "domain: {kind: disk, R: .inf}"),
+        ("kernel", "domain: {kind: disk, R: 1.0e-65}"),
         ("kernel", "seed: true"),
         ("kernel", "points: []"),
         ("hadamard", "pairs: []"),

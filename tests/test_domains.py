@@ -152,6 +152,11 @@ def test_field_algebra_and_guards():
         f + other.constant_field(1.0)
     with pytest.raises(GridMismatchError):
         grid.field(np.zeros(8))
+    # a stack holds whole fields on the grid, one per row
+    assert grid.field(np.zeros((3, 16))).values.shape == (3, 16)
+    for shape in ((3, 8), (2, 3, 16), ()):
+        with pytest.raises(GridMismatchError):
+            grid.field(np.zeros(shape))
 
 
 def test_graded_mesh_shape_and_collapse():

@@ -4,7 +4,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_lab.report import CheckRecord, Report, check, flag
+from kernel_lab.report import CheckRecord, Report, check, check_columns, flag
 
 # names that exercise JSON string escaping: quotes, backslashes, control
 # characters, non-ASCII text and astral code points
@@ -76,3 +76,58 @@ def test_to_json_empty_and_special_values():
     for token in ('"computed": NaN', '"computed": Infinity', '"reference": -Infinity',
                   '"computed": -0.0', '"name": "subnormal \\u00e9"', '"passed": false'):
         assert token in s
+
+
+def _rows(records):
+    return [_cells(vars(r)) for r in records]
+
+
+def _check_reference(name, computed, reference, tolerance, rel):
+    # the check formula in Python floats, one record at a time
+    abs_error = abs(computed - reference)
+    rel_error = abs_error / abs(reference) if reference != 0.0 else abs_error
+    tol = tolerance * abs(reference) if rel else tolerance
+    return CheckRecord(name, computed, reference, abs_error, rel_error, tol,
+                       abs_error <= tol)
+
+
+# columns of (computed, reference) pairs, zero references among them
+_PAIRS = st.lists(st.tuples(_FLOATS, st.one_of(_FLOATS, st.sampled_from([0.0, -0.0]))),
+                  max_size=12)
+_TOLERANCES = st.one_of(st.floats(min_value=0.0, allow_infinity=True),
+                        st.sampled_from([0.0, 1e-8, 1e-12]))
+
+
+@settings(max_examples=150)
+@given(pairs=_PAIRS, tolerance=_TOLERANCES, rel=st.booleans())
+def test_check_columns_rows_are_check_records(pairs, tolerance, rel):
+    names = [f"pair {k}" for k in range(len(pairs))]
+    computed = [c for c, _ in pairs]
+    reference = [r for _, r in pairs]
+    block = check_columns(names, computed, reference, tolerance, rel=rel)
+    assert len(block) == len(pairs)
+    rows = list(block)
+    for name, c, r, row in zip(names, computed, reference, rows):
+        for want in (check(name, c, r, tolerance, rel=rel),
+                     _check_reference(name, c, r, tolerance, rel)):
+            assert _cells(vars(row)) == _cells(vars(want))
+    assert _rows(block.failing()) == _rows(row for row in rows if not row.passed)
+    assert block.cells("rel_error") == [repr(row.rel_error) for row in rows]
+
+
+@settings(max_examples=80)
+@given(before=st.lists(_RECORDS, max_size=3), pairs=_PAIRS,
+       after=st.lists(_RECORDS, max_size=3), rel=st.booleans())
+def test_to_json_mixes_blocks_and_records(before, pairs, after, rel):
+    fixed = _FixedClock("kernel")
+    fixed.extend(before)
+    names = [f"K[{k},{k}] \"quoted\" é" for k in range(len(pairs))]
+    block = fixed.add(check_columns(names, [c for c, _ in pairs], [r for _, r in pairs],
+                                    1e-8, rel=rel))
+    fixed.extend(after)
+    records = [*before, *block, *after]
+    assert _rows(fixed.records) == _rows(records)
+    assert len(fixed.records) == len(records)
+    assert _rows(fixed.failing()) == _rows(r for r in records if not r.passed)
+    assert fixed.overall_pass == all(r.passed for r in records)
+    assert fixed.to_json() == json.dumps(fixed.to_dict(), indent=2) + "\n"

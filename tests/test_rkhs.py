@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_lab.rkhs as rkhs
-from kernel_lab.domains import BoundaryGrid, disk, interval
+from kernel_lab.boundary import apply_M_power
+from kernel_lab.domains import BoundaryGrid, boundary_grid, disk, interval
 from kernel_lab.errors import ConsistencyError, DomainError, GridMismatchError
 from kernel_lab.rkhs import (
     gram_matrix,
@@ -19,7 +20,8 @@ from kernel_lab.rkhs import (
     reproduce_report,
     reproducing_residual,
 )
-from kernel_lab.specfun import FracParams
+from kernel_lab.green import boundary_representer
+from kernel_lab.specfun import FracParams, green_constant
 
 IV = interval(1.0)
 DK = disk(1.0)
@@ -153,6 +155,16 @@ def test_array_oracle_matches_scalar_series(pairs, s, R):
         assert kernel_classical_spectral_oracle(dom, s, x, y) == value
 
 
+def test_array_oracle_tells_signed_zeros_apart():
+    # (-0.5, 0.0) and (-0.5, -0.0) are one point at angles pi and -pi:
+    # each distinct set of bits keeps its own angle, as a lone pair does
+    pts = np.array([[-0.5, 0.0], [-0.5, -0.0], [0.0, -0.0], [-0.0, 0.0], [0.3, 0.4]])
+    i, j = np.triu_indices(len(pts))
+    got = kernel_classical_spectral_oracle(DK, 0.5, pts[i], pts[j])
+    for x, y, value in zip(pts[i], pts[j], got):
+        assert kernel_classical_spectral_oracle(DK, 0.5, x, y) == value
+
+
 def test_array_oracle_refuses_bad_points():
     good = np.array([[0.1, 0.2], [0.0, 0.0]])
     with pytest.raises(DomainError):
@@ -253,6 +265,47 @@ def test_has_duplicates_exactly_when_a_point_repeats(domain, picks):
         pool = [_circle_pt(0.1 + 0.15 * k, 0.7 * k) for k in range(6)]
     km = gram_matrix(domain, "classical", 0.0, [pool[k] for k in picks], n_nodes=16)
     assert km.has_duplicates == (len(set(picks)) < len(picks))
+
+
+def _representer_values(grid, a, x):
+    # one point's representer from its closed form, in Python floats where
+    # the prefactor allows: the reference for the stacked builder
+    R = grid.domain.R
+    if grid.domain.kind == "interval":
+        x = float(x)
+        if a == 1.0:
+            return np.array([(R - x), (R + x)]) / (2.0 * R)
+        dist2 = (grid.nodes[:, 0] - x) ** 2
+        front = green_constant(1, a) / a * (2.0 / R) ** a * (R * R - abs(x) ** 2) ** a
+        return front / dist2 ** 0.5
+    diff = grid.nodes - x
+    dist2 = diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
+    if a == 1.0:
+        return (R * R - float(x @ x)) / (2.0 * math.pi * R * dist2)
+    front = green_constant(2, a) / a * (2.0 / R) ** a * (
+        R * R - float(np.hypot(*x)) ** 2) ** a
+    return front / dist2 ** 1.0
+
+
+@pytest.mark.parametrize("domain", [IV, disk(1.0), disk(2.5)], ids=["interval", "disk", "disk-R"])
+@pytest.mark.parametrize("n", [8, 64, 256])
+@settings(max_examples=12)
+@given(data=st.data(), a=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+       s=st.sampled_from([-0.2, 0.0, 0.5, 1.0, 2.5]))
+def test_stacked_representers_match_per_point_bitwise(domain, n, data, a, s):
+    grid = boundary_grid(domain, n)
+    pts = domain.R * np.array(_draw_points(data, domain, 6))
+    kinds = [("fractional", FracParams(a, s), FracParams(a, s).theta)]
+    if a == 1.0:
+        kinds.append(("classical", s, 0.5 * s))
+    for kind, params, t in kinds:
+        _, V = rkhs._representers(grid, kind, params, pts)
+        assert V.shape == (len(pts), grid.n)
+        for row, p in zip(V, pts):
+            want = apply_M_power(boundary_representer(grid, a, p), -t).values
+            assert row.tobytes() == want.tobytes()
+            closed = apply_M_power(grid.field(_representer_values(grid, a, p)), -t).values
+            assert row.tobytes() == closed.tobytes()
 
 
 def test_gram_selector_validation():
