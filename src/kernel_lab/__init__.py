@@ -33,7 +33,6 @@ from .fracop import (
     getoor_field,
     getoor_reference,
     mollified_green,
-    mollified_green_value,
     residual_check,
 )
 from .green import (
@@ -128,7 +127,6 @@ __all__ = [
     "laplace_beltrami_eigenvalues",
     "limit_consistency",
     "mollified_green",
-    "mollified_green_value",
     "poisson_extend_classical",
     "poisson_extend_fractional",
     "poisson_kernel_classical",

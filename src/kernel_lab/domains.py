@@ -207,8 +207,8 @@ class BoundaryField:
     """Real samples of a function on a boundary grid.
 
     values has shape (n,), or (m, n) for a stack of m fields on the grid,
-    which apply_M_power transforms row by row; the other operations take
-    single fields.
+    which apply_M_power and resample transform row by row; the other
+    operations take single fields.
     """
 
     grid: BoundaryGrid
@@ -258,13 +258,13 @@ class BoundaryField:
         if n_new < n or n_new % 2 != 0:
             raise DomainError("resample only refines circle grids (even n_new > n)")
         new_grid = BoundaryGrid(self.grid.domain, n_new)
-        spec = np.fft.fft(self.values)
-        out = np.zeros(n_new, dtype=complex)
+        # half spectra (modes 0 .. n/2) of real fields, row by row
+        spec = np.fft.rfft(self.values)
+        out = np.zeros(self.values.shape[:-1] + (n_new // 2 + 1,), dtype=complex)
         half = n // 2
-        out[:half] = spec[:half]
-        # Nyquist bin splits evenly between +n/2 and -n/2 on the fine grid
-        out[half] = 0.5 * spec[half]
-        out[n_new - half] = 0.5 * spec[half]
-        out[n_new - half + 1 :] = spec[half + 1 :]
-        values = np.fft.ifft(out).real * (n_new / n)
+        out[..., :half] = spec[..., :half]
+        # the Nyquist bin splits evenly between +n/2 and -n/2 on the fine
+        # grid; irfft supplies the -n/2 half as the conjugate of this one
+        out[..., half] = 0.5 * spec[..., half]
+        values = np.fft.irfft(out, n=n_new) * (n_new / n)
         return BoundaryField(new_grid, values)

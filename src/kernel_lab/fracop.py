@@ -272,15 +272,6 @@ def _far(u, a, x, h0, dirs, weight, panels, budget):
     return tails - weight * float(lengths @ (vals @ w))
 
 
-def mollified_green_value(domain, a, moll, z, quad=None):
-    """v_{x,eps}(z) = int G_a(z, y) rho_eps(y - x) dy by direct quadrature."""
-    if quad is None:
-        quad = _DEFAULT_QUAD
-    if domain.kind == INTERVAL:
-        return float(_moll_values_interval(domain, a, moll, [z], quad)[0])
-    return _moll_value_disk(domain, a, moll, domain.require_interior(z), quad)
-
-
 # Chebyshev resolution of the interval mollified_green build
 _CHEBYSHEV_N = 512
 

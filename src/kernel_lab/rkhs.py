@@ -144,8 +144,9 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     with rho = r1 r2/R^2 and D the angle between x and y; each pair's
     series is truncated at its first term whose magnitude (cosine bounded
     away) is below 1e-16.  x and y are points (float out) or (P, 2) arrays
-    of them ((P,) array out).  Independent of the grid machinery, hence an
-    oracle for it.
+    of them ((P,) array out).  A multiplier (1+k^2/R^2)^{-s} too large for
+    a double, as at a strongly negative s, raises DomainError.  Independent
+    of the grid machinery, hence an oracle for it.
     """
     if domain.kind != DISK:
         raise DomainError("the spectral oracle is defined on the disk")
@@ -166,8 +167,16 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     live = np.arange(rho.size)
     k = 1
     while live.size and k <= 200_000:
+        # rho < 1, so a term can overflow only where its multiplier does
+        try:
+            mult = (1.0 + (k / R) ** 2) ** (-s)
+        except OverflowError:
+            raise DomainError(
+                f"the spectral oracle cannot sum the order s={s:g} series: "
+                f"its multiplier at k={k} overflows"
+            ) from None
         # float_power is libm pow, as Python's float ** int
-        mag = (1.0 + (k / R) ** 2) ** (-s) * np.float_power(rho[live], k)
+        mag = mult * np.float_power(rho[live], k)
         keep = mag >= 1e-16
         live, mag = live[keep], mag[keep]
         total[live] += 2.0 * mag * np.cos(k * delta[live])

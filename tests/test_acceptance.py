@@ -7,14 +7,18 @@ byte-identical reports modulo the volatile timing field.
 """
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from kernel_lab import acceptance, rkhs
 from kernel_lab.acceptance import CRITERIA, DEFAULT_SEED, run_selftest
 from kernel_lab.debug import DEBUG_CONTROLS
-from kernel_lab.rkhs import KernelMatrix
+from kernel_lab.domains import disk
+from kernel_lab.rkhs import KernelMatrix, kernel_fractional
 
 _BY_NUMBER = dict(CRITERIA)
 
@@ -88,6 +92,52 @@ def test_criterion_08_psd_and_cauchy_schwarz(monkeypatch):
     )
     _assert_all_pass(_run(8))
     assert len(solves) == 3
+
+
+def _per_pair_cauchy_schwarz(seed):
+    # the reference scan: the points drawn pair by pair after the ten Gram
+    # points, three kernel_fractional calls per pair
+    dd = disk(1.0)
+    rng = np.random.default_rng(seed)
+
+    def draw(count):
+        r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, count))
+        th = rng.uniform(0.0, 2.0 * math.pi, count)
+        return np.column_stack([r * np.cos(th), r * np.sin(th)])
+
+    draw(10)
+    pairs, worst = [], math.inf
+    for _ in range(200):
+        p, q = draw(2)
+        kxy = kernel_fractional(dd, 0.5, 0.0, p, q, n_nodes=64)
+        kxx = kernel_fractional(dd, 0.5, 0.0, p, p, n_nodes=64)
+        kyy = kernel_fractional(dd, 0.5, 0.0, q, q, n_nodes=64)
+        worst = min(worst, kxx * kyy - kxy * kxy)
+        pairs += [p, q]
+    return np.array(pairs), worst
+
+
+def test_criterion_08_scan_is_one_representer_stack(monkeypatch):
+    scans, transforms = [], []
+    slacks = acceptance._cauchy_schwarz_slacks
+
+    def scan(*args):
+        scans.append((args, slacks(*args)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(acceptance, "_cauchy_schwarz_slacks", scan)
+    apply = rkhs.apply_M_power
+    monkeypatch.setattr(rkhs, "apply_M_power",
+                        lambda f, t: transforms.append(f.values.shape) or apply(f, t))
+    _assert_all_pass(_run(8))
+    # one transform per Gram matrix, then one (400, 64) stack for the scan
+    assert transforms == [(10, 256)] * 3 + [(400, 64)]
+    assert len(scans) == 1
+    (_, _, pairs, n_nodes), got = scans[0]
+    want_pairs, want_worst = _per_pair_cauchy_schwarz(DEFAULT_SEED)
+    assert n_nodes == 64
+    assert pairs.tobytes() == want_pairs.tobytes()
+    assert abs(float(np.min(got)) - want_worst) <= 1e-15
 
 
 def test_criterion_09_classical_limit():

@@ -167,3 +167,83 @@ def test_resample_band_limited(circle):
     fine = BoundaryGrid(disk(1.0), 256)
     expect = np.cos(5.0 * fine.angles) + 0.3 * np.sin(2.0 * fine.angles)
     assert np.max(np.abs(up.values - expect)) < 1e-12
+
+
+# Full-spectrum references: numpy's complex FFT over all n modes, with the
+# multipliers in fftfreq order (k = 0 .. n/2, -n/2+1 .. -1).  The calculus
+# keeps the half spectrum k = 0 .. n/2 of the real fields instead.
+def _full_multipliers(grid, t):
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    return (1.0 + (k / grid.domain.R) ** 2) ** t
+
+
+def _full_coefficients(grid, values):
+    return math.sqrt(2.0 * math.pi * grid.domain.R) / grid.n * np.fft.fft(values)
+
+
+def _full_resample(values, n_new):
+    n = values.size
+    spec = np.fft.fft(values)
+    out = np.zeros(n_new, dtype=complex)
+    half = n // 2
+    out[:half] = spec[:half]
+    out[half] = out[n_new - half] = 0.5 * spec[half]
+    out[n_new - half + 1:] = spec[half + 1:]
+    return np.fft.ifft(out).real * (n_new / n)
+
+
+@st.composite
+def _circle_stack(draw, min_rows=1, max_rows=1):
+    # circle sizes with and without odd factors, so n/2 is odd at 10 and
+    # 18; every row carries Nyquist-mode content (-1)^j on top of its noise
+    n = draw(st.sampled_from([8, 10, 18, 64, 256]))
+    grid = BoundaryGrid(disk(draw(st.floats(0.5, 2.0))), n)
+    rows = []
+    for _ in range(draw(st.integers(min_rows, max_rows))):
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        nyquist = draw(st.floats(0.25, 2.0)) * (-1.0) ** np.arange(n)
+        rows.append(np.array(noise) + nyquist)
+    return grid, np.array(rows)
+
+
+# Both routes round differently, and the multipliers scale that roundoff
+# by up to their largest value (1 + (n/2R)^2)^|t|, so each error is
+# measured relative to the operator's bound: max multiplier times the
+# input norms.
+@settings(max_examples=60)
+@given(case=_circle_stack(min_rows=2, max_rows=2), s=st.floats(-2.0, 2.0))
+def test_half_spectrum_inner_matches_full_fft(case, s):
+    grid, (f, g) = case
+    mult = _full_multipliers(grid, s)
+    F, G = _full_coefficients(grid, f), _full_coefficients(grid, g)
+    ref = float(np.sum(mult * F * np.conj(G)).real)
+    got = sobolev_inner(grid.field(f), grid.field(g), s)
+    bound = np.max(mult) * np.linalg.norm(F) * np.linalg.norm(G)
+    assert abs(got - ref) <= 1e-13 * bound
+
+
+@settings(max_examples=60)
+@given(case=_circle_stack(max_rows=4), t=st.floats(-2.0, 2.0))
+def test_half_spectrum_M_power_matches_full_fft(case, t):
+    grid, stack = case
+    mult = _full_multipliers(grid, t)
+    out = apply_M_power(grid.field(stack), t).values
+    assert out.shape == stack.shape
+    for row, values in zip(out, stack):
+        # a stack transforms each row exactly as the single-field call
+        assert row.tobytes() == apply_M_power(grid.field(values), t).values.tobytes()
+        ref = np.fft.ifft(mult * np.fft.fft(values)).real
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(mult) * np.max(np.abs(values))
+
+
+@settings(max_examples=60)
+@given(case=_circle_stack(max_rows=4), data=st.data())
+def test_half_spectrum_resample_matches_full_fft(case, data):
+    grid, stack = case
+    n_new = grid.n + 2 * data.draw(st.integers(1, grid.n))
+    out = grid.field(stack).resample(n_new)
+    assert out.grid == BoundaryGrid(grid.domain, n_new)
+    for row, values in zip(out.values, stack):
+        assert row.tobytes() == grid.field(values).resample(n_new).values.tobytes()
+        ref = _full_resample(values, n_new)
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(values))

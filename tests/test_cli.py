@@ -160,6 +160,25 @@ def test_huge_radius_is_invalid_input(tmp_path, cli_env, command, scenario):
     assert "invalid input: domain.R must lie in [1e-64, 1e+64]" in proc.stderr
 
 
+def test_kernel_order_whose_oracle_series_overflows(tmp_path, capsys):
+    # at s = -200 the oracle's terms (1 + k^2)^200 rho^k pass the largest
+    # double at the default points: invalid input, not an OverflowError;
+    # at s = -50 they stay finite, while the grid kernel's multipliers, up
+    # to (1 + 128^2)^25, lift its roundoff far past the oracle: the pair
+    # checks fail, an honest verification failure
+    scn = tmp_path / "s.yaml"
+    scn.write_text("params: {a: 1.0, s: -200}\n", encoding="utf-8")
+    assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: the spectral oracle cannot sum the order s=-200 series" in err
+    scn.write_text("params: {a: 1.0, s: -50}\n", encoding="utf-8")
+    assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path / "b")]) == 1
+    rep = _load(tmp_path / "b" / "kernel_report.json")
+    assert [r["name"] for r in rep["records"] if not r["passed"]] == [
+        f"K[{i},{j}] vs spectral oracle" for i, j in ((0, 0), (0, 1), (1, 1))
+    ]
+
+
 def _rowwise_kernel_table(domain, kind, params, points):
     # the table written one row at a time, every cell by repr: the
     # reference the column writer must reproduce byte for byte

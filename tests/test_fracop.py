@@ -22,7 +22,6 @@ from kernel_lab.fracop import (
     getoor_field,
     getoor_reference,
     mollified_green,
-    mollified_green_value,
     residual_check,
 )
 from kernel_lab.green import green_classical, green_fractional
@@ -357,6 +356,15 @@ def test_mollifier_unit_mass(domain):
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
+def _mollified_value(domain, a, moll, z, quad=fracop._DEFAULT_QUAD):
+    # v_{x,eps}(z) by direct quadrature at one point: the interval build's
+    # batched evaluator on z alone, or the disk field, which evaluates the
+    # convolution on demand
+    if domain.kind == "interval":
+        return float(fracop._moll_values_interval(domain, a, moll, [z], quad)[0])
+    return mollified_green(domain, a, moll, quad)(z)
+
+
 def test_mollifier_validation():
     with pytest.raises(DomainError):
         MollifierSpec(IV, 0.8, 0.3)  # support pokes through the boundary
@@ -377,7 +385,7 @@ def test_mollified_value_shrinks_to_green(domain):
     errs = []
     for w in (0.4, 0.2, 0.1):
         moll = MollifierSpec(domain, c, w)
-        errs.append(abs(mollified_green_value(domain, a, moll, z) - exact))
+        errs.append(abs(_mollified_value(domain, a, moll, z) - exact))
     # smooth Green function away from the bump: O(eps^2) averaging error
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[1] > 2.5 and errs[1] / errs[2] > 2.5
@@ -392,7 +400,7 @@ def interval_mollified():
 def test_mollified_green_spline_matches_direct(interval_mollified):
     moll, field = interval_mollified
     for z in (-0.63, 0.11, 0.4):
-        direct = mollified_green_value(IV, 0.5, moll, z)
+        direct = _mollified_value(IV, 0.5, moll, z)
         assert abs(field(z) - direct) < 1e-6 * max(1.0, abs(direct))
 
 
@@ -410,7 +418,7 @@ def test_batched_build_matches_pointwise(a, center, frac, offset):
     moll = MollifierSpec(IV, center, frac * (1.0 - abs(center)))
     field = mollified_green(IV, a, moll)
     zs = field.grid[offset::7]
-    pointwise = np.array([mollified_green_value(IV, a, moll, z) for z in zs])
+    pointwise = np.array([_mollified_value(IV, a, moll, z) for z in zs])
     np.testing.assert_allclose(field(zs), pointwise, rtol=1e-12, atol=0.0)
 
 
@@ -424,7 +432,7 @@ def test_mollified_green_refusal_names_first_node(interval_mollified, center):
     with pytest.raises(ToleranceError) as batched:
         mollified_green(IV, 0.5, moll, quad)
     with pytest.raises(ToleranceError) as first:
-        mollified_green_value(IV, 0.5, moll, first_node, quad)
+        _mollified_value(IV, 0.5, moll, first_node, quad)
     est, tol = batched.value.estimate, batched.value.achieved_tol
     assert est == pytest.approx(first.value.estimate, rel=1e-12)
     assert tol == pytest.approx(first.value.achieved_tol, rel=1e-3)
@@ -438,17 +446,17 @@ def test_mollified_green_refuses_underflowing_distance():
     # its squared distance underflows to 0: refuse rather than return NaN
     moll = MollifierSpec(IV, 0.0, 0.4)
     with pytest.raises(SingularityError):
-        mollified_green_value(IV, 0.01, moll, 0.1)
+        _mollified_value(IV, 0.01, moll, 0.1)
 
 
 def test_corrupt_kappa_reaches_whole_mollified_field(interval_mollified):
     moll, clean = interval_mollified
     disk_moll = MollifierSpec(DK, np.array([0.2, -0.1]), 0.3)
     z = np.array([-0.5, 0.2])
-    disk_clean = mollified_green_value(DK, 0.5, disk_moll, z)
+    disk_clean = _mollified_value(DK, 0.5, disk_moll, z)
     with debug.corrupted_green_constant():
         bad = mollified_green(IV, 0.5, moll)
-        disk_bad = mollified_green_value(DK, 0.5, disk_moll, z)
+        disk_bad = _mollified_value(DK, 0.5, disk_moll, z)
     np.testing.assert_allclose(
         bad(clean.grid), 1.02 * clean(clean.grid), rtol=1e-13, atol=0.0
     )
@@ -491,7 +499,7 @@ def test_disk_mollified_weighted_trace():
 
     ds = np.array([0.1, 0.05, 0.025])
     vals = np.array(
-        [mollified_green_value(DK, a, moll, (1.0 - d) * zhat) / d**a for d in ds]
+        [_mollified_value(DK, a, moll, (1.0 - d) * zhat) / d**a for d in ds]
     )
     A = np.stack([np.ones(3), ds, ds**1.5], axis=1)
     fit = np.linalg.solve(A, vals)
@@ -502,5 +510,5 @@ def test_mollified_value_bounds():
     # sanity bracket: averaging a unit-mass bump around 0 cannot exceed the
     # maximum of G(z, .) over the support by much at z far away
     moll = MollifierSpec(IV, 0.0, 0.2)
-    val = mollified_green_value(IV, 0.5, moll, 0.6)
+    val = _mollified_value(IV, 0.5, moll, 0.6)
     assert 0.0 < val < green_fractional(IV, 0.5, 0.6, 0.0) * 1.5
