@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import INTERVAL, BoundaryField, BoundaryGrid
-from .errors import GridMismatchError
+from .errors import DomainError, GridMismatchError
 
 
 @dataclass
@@ -53,8 +53,10 @@ def laplace_beltrami_eigenvalues(grid):
 
 
 def _multipliers(grid, t):
-    """Multipliers (1 + lambda_k)^t of M^t on grid, in coefficient order."""
-    return (1.0 + laplace_beltrami_eigenvalues(grid)) ** t
+    """Multipliers (1 + lambda_k)^t of M^t on grid, in coefficient order;
+    one that overflows is inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return (1.0 + laplace_beltrami_eigenvalues(grid)) ** t
 
 
 def _pair_weights(grid):
@@ -89,9 +91,13 @@ def from_spectrum(spectrum):
 
 def apply_M_power(field, t):
     """Apply M^t, to each row of a stack at once; the identity on the
-    interval, whose multipliers are 1."""
-    spec = to_spectrum(field)
+    interval, whose multipliers are 1.  A multiplier that overflows a
+    double raises DomainError."""
     mult = _multipliers(field.grid, t)
+    bad = np.flatnonzero(~np.isfinite(mult))
+    if bad.size:
+        raise DomainError(f"M^t at t={t:g} has a non-finite multiplier at mode k={bad[0]}")
+    spec = to_spectrum(field)
     return from_spectrum(Spectrum(field.grid, mult * spec.coefficients))
 
 

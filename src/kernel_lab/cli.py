@@ -200,10 +200,7 @@ def main(argv=None):
             report, tables = _DISPATCH[args.command](scenario, out_dir)
         report_path = out_dir / f"{args.command}_report.json"
         report.write(report_path)
-    except ScenarioError as exc:
-        print(f"kernel-lab: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (DomainError, GridMismatchError) as exc:
+    except (ScenarioError, DomainError, GridMismatchError) as exc:
         print(f"kernel-lab: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ToleranceError, ConsistencyError, SingularityError) as exc:

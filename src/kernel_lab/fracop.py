@@ -212,7 +212,8 @@ def frac_laplacian_apply(field, a, x, quad=None):
     h0 = min(0.5 * d, 0.1 * domain.R)
     budget = EvalBudget(quad.budget, label="frac_laplacian_apply")
     value, estimate = _apply(field, a, x, h0, quad, budget, c)
-    if estimate > quad.tolerance_for(value):
+    # a NaN value or estimate refuses too
+    if not estimate <= quad.tolerance_for(value):
         raise ToleranceError(
             "principal-value quadrature did not converge to the requested "
             f"tolerance (estimate {estimate:.3g})",

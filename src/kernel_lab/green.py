@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .domains import INTERVAL, BoundaryField, rays, ray_exit, squared_norm
-from .errors import DomainError, SingularityError
+from .errors import DomainError, SingularityError, ToleranceError
 from .quadrature import EvalBudget, QuadratureSpec, graded_mesh, panel_nodes_weights
 from .specfun import boundary_integral_B_array, green_constant, torsion_constant
 
@@ -163,7 +163,8 @@ def green_mass(domain, a, x, quad=None):
     Meshes are graded with exponent 2/a toward the singular point and
     toward the boundary; the panel count doubles until two consecutive
     estimates agree within the quadrature tolerance.  Exhausting the
-    evaluation budget first raises ToleranceError carrying the estimate.
+    evaluation budget first raises ToleranceError carrying the estimate,
+    as does an estimate that is not finite, at once.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -174,18 +175,21 @@ def green_mass(domain, a, x, quad=None):
 
 def _refine(evaluate, quad):
     m = max(4, quad.resolution // 4)
-    prev = evaluate(m)
+    prev = None
     while True:
-        m *= 2
         try:
             cur = evaluate(m)
         except Exception as exc:
             if hasattr(exc, "estimate"):
                 exc.estimate = prev
             raise
-        if abs(cur - prev) <= quad.tolerance_for(cur):
+        if not math.isfinite(cur):
+            raise ToleranceError(f"green_mass is not finite ({cur}) at {m} panels",
+                                 estimate=prev)
+        if prev is not None and abs(cur - prev) <= quad.tolerance_for(cur):
             return cur
         prev = cur
+        m *= 2
 
 
 def _mass(domain, a, x, panels, budget):

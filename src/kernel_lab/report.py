@@ -1,17 +1,18 @@
 """Machine-readable verification reports.
 
-A Report is a schema-versioned bundle of CheckRecords plus a scenario echo;
-a run of many checks of one formula may be held as one CheckColumns block.
-Everything in it is deterministic except the single "volatile" field, which
-holds the timestamp and wall time; consumers comparing two reports drop
-that field and may then compare bytes.
+A Report is a schema-versioned list of checks plus a scenario echo.  Every
+check is made by one formula, check_columns, and is stored in a CheckColumns
+block: a record added alone is a one-row block, a list extended at once is
+one block.  Readers see the checks one CheckRecord each.  Everything in a
+report is deterministic except the single "volatile" field, which holds the
+timestamp and wall time; consumers comparing two reports drop that field and
+may then compare bytes.
 """
 
 import json
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -61,16 +62,7 @@ def check(name, computed, reference, tolerance, rel=False):
 
 def flag(name, ok):
     """A boolean check rendered as a 0/1 record with zero tolerance."""
-    value = 1.0 if ok else 0.0
-    return CheckRecord(
-        name=name,
-        computed=value,
-        reference=1.0,
-        abs_error=1.0 - value,
-        rel_error=1.0 - value,
-        tolerance=0.0,
-        passed=bool(ok),
-    )
+    return check(name, 1.0 if ok else 0.0, 1.0, 0.0)
 
 
 _FIELDS = tuple(f.name for f in fields(CheckRecord))
@@ -143,16 +135,7 @@ def _json_cells(cells):
     return cells
 
 
-def _blocks(entries):
-    # a run of single records is written as one block
-    for is_block, run in groupby(entries, key=lambda e: isinstance(e, CheckColumns)):
-        if is_block:
-            yield from run
-        else:
-            yield CheckColumns.from_records(list(run))
-
-
-def _records_json(entries):
+def _records_json(blocks):
     """The records list as json.dumps(..., indent=2) writes it at depth 1,
     written column by column."""
     rows = [
@@ -161,8 +144,7 @@ def _records_json(entries):
             *(_json_cells(block.cells(f)) for f in _FLOAT_FIELDS),
             map(_JSON_BOOL.__getitem__, block.passed.tolist()),
         )))
-        for block in _blocks(entries)
-        if len(block)
+        for block in blocks
     ]
     return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
@@ -171,18 +153,15 @@ class _Records(Sequence):
     """A report's checks in order, one CheckRecord each; a block's rows are
     built as they are read."""
 
-    def __init__(self, entries):
-        self._entries = entries
+    def __init__(self, blocks):
+        self._blocks = blocks
 
     def __len__(self):
-        return sum(len(e) if isinstance(e, CheckColumns) else 1 for e in self._entries)
+        return sum(map(len, self._blocks))
 
     def __iter__(self):
-        for e in self._entries:
-            if isinstance(e, CheckColumns):
-                yield from e
-            else:
-                yield e
+        for block in self._blocks:
+            yield from block
 
     def __getitem__(self, index):
         return list(self)[index]
@@ -191,43 +170,41 @@ class _Records(Sequence):
 class Report:
     """Ordered record collection with overall pass = conjunction (empty passes).
 
-    records reads the checks one CheckRecord each, whether they were added
-    as records or as CheckColumns blocks.
+    The checks are kept as CheckColumns blocks; records reads them one
+    CheckRecord each.
     """
 
     def __init__(self, command, scenario=None, metadata=None):
         self.command = command
         self.scenario = dict(scenario) if scenario else {}
         self.metadata = dict(metadata) if metadata else {}
-        # CheckRecords and CheckColumns blocks, in order
-        self._entries = []
+        # nonempty CheckColumns blocks, in order
+        self._blocks = []
         self._t0 = time.perf_counter()
 
     @property
     def records(self):
-        return _Records(self._entries)
+        return _Records(self._blocks)
 
     def add(self, record):
-        """Append a CheckRecord or a CheckColumns block; return it."""
-        self._entries.append(record)
+        """Append a CheckRecord (as a one-row block) or a CheckColumns
+        block; return the argument."""
+        block = record if isinstance(record, CheckColumns) else CheckColumns.from_records([record])
+        if len(block):
+            self._blocks.append(block)
         return record
 
     def extend(self, records):
-        for r in records:
-            self.add(r)
+        """Append a list of CheckRecords as one block."""
+        if records:
+            self._blocks.append(CheckColumns.from_records(records))
 
     @property
     def overall_pass(self):
-        return all(bool(np.all(e.passed)) for e in self._entries)
+        return all(bool(np.all(block.passed)) for block in self._blocks)
 
     def failing(self):
-        out = []
-        for e in self._entries:
-            if isinstance(e, CheckColumns):
-                out += e.failing()
-            elif not e.passed:
-                out.append(e)
-        return out
+        return [r for block in self._blocks for r in block.failing()]
 
     def _volatile(self):
         return {
@@ -266,7 +243,7 @@ class Report:
             f'  "command": {json.dumps(self.command)},\n'
             f'  "scenario": {nested(self.scenario)},\n'
             f'  "metadata": {nested(self.metadata)},\n'
-            f'  "records": {_records_json(self._entries)},\n'
+            f'  "records": {_records_json(self._blocks)},\n'
             f'  "overall_pass": {_JSON_BOOL[self.overall_pass]},\n'
             f'  "volatile": {nested(self._volatile())}\n'
             "}\n"

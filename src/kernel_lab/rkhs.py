@@ -43,8 +43,9 @@ _ROUTE_TOL = 1e-12
 
 def _route_guard(name, direct, spectral):
     # scale-guarded: traces blow up near the boundary, so a raw 1e-12
-    # absolute gap would misfire on perfectly healthy large values
-    if abs(direct - spectral) > _ROUTE_TOL * max(1.0, abs(direct)):
+    # absolute gap would misfire on perfectly healthy large values; a NaN
+    # on either route refuses
+    if not abs(direct - spectral) <= _ROUTE_TOL * max(1.0, abs(direct)):
         raise ConsistencyError(
             f"{name}: boundary-integral and multiplier routes disagree",
             route_a=direct,
@@ -243,10 +244,10 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
     checked against kernel_classical_spectral_oracle at relative 1e-8, as
     one CheckColumns block; then come the Gram PSD flag (one eigensolve)
     and the exact-symmetry flag.  Returns (report, columns, checks):
-    columns maps "i", "j", "K", and on the classical disk "K_oracle" and
-    "discrepancy", to arrays over the pairs in row-major order; checks is
-    the oracle block, whose computed, reference and abs_error columns are
-    K, K_oracle and discrepancy, or None off the classical disk.
+    columns maps "i", "j" and "K" to arrays over the pairs in row-major
+    order; checks is the oracle block, whose computed, reference and
+    abs_error columns are K, the oracle values and their discrepancy, or
+    None off the classical disk.
     """
     params = float(s) if kind == "classical" else FracParams(a, s)
     km = gram_matrix(domain, kind, params, points, n_nodes=n_nodes)
@@ -271,7 +272,6 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
         oracle = kernel_classical_spectral_oracle(domain, s, km.points[i], km.points[j])
         names = [f"K[{pi},{pj}] vs spectral oracle" for pi, pj in zip(i.tolist(), j.tolist())]
         checks = rep.add(check_columns(names, K, oracle, 1e-8, rel=True))
-        columns.update(K_oracle=checks.reference, discrepancy=checks.abs_error)
     lo, hi, psd = km.psd_verdict()
     rep.add(flag(f"Gram PSD (min {lo:.3e}, max {hi:.3e})", psd))
     rep.add(flag("assembled matrix exactly symmetric",

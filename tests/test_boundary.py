@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from kernel_lab.boundary import (
     to_spectrum,
 )
 from kernel_lab.domains import BoundaryGrid, disk, interval
-from kernel_lab.errors import GridMismatchError
+from kernel_lab.errors import DomainError, GridMismatchError
 
 
 def _random_field(grid, seed):
@@ -132,6 +133,17 @@ def test_interval_identity_multiplier():
     g = apply_M_power(f, 1.7)
     assert np.array_equal(g.values, f.values)
     assert sobolev_inner(f, f, 2.0) == sobolev_inner(f, f, 0.0) == 13.0
+
+
+def test_M_power_refuses_an_overflowing_multiplier(circle):
+    # (1 + k^2)^200 passes the largest double from k = 6 on, silently in
+    # the multipliers; M^-200 only underflows, which is finite
+    f = _random_field(circle, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"M\^t at t=200 has a non-finite multiplier at mode k=6$"):
+            apply_M_power(f, 200.0)
+        assert np.isfinite(apply_M_power(f, -200.0).values).all()
 
 
 _FINITE = st.floats(-1e150, 1e150) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300])

@@ -161,16 +161,17 @@ def test_huge_radius_is_invalid_input(tmp_path, cli_env, command, scenario):
 
 
 def test_kernel_order_whose_oracle_series_overflows(tmp_path, capsys):
-    # at s = -200 the oracle's terms (1 + k^2)^200 rho^k pass the largest
-    # double at the default points: invalid input, not an OverflowError;
-    # at s = -50 they stay finite, while the grid kernel's multipliers, up
+    # at s = -200 the grid kernel's multipliers pass the largest double
+    # (so would the oracle's terms (1 + k^2)^200 rho^k at the default
+    # points): invalid input, not an OverflowError;
+    # at s = -50 both stay finite, while the grid kernel's multipliers, up
     # to (1 + 128^2)^25, lift its roundoff far past the oracle: the pair
     # checks fail, an honest verification failure
     scn = tmp_path / "s.yaml"
     scn.write_text("params: {a: 1.0, s: -200}\n", encoding="utf-8")
     assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path / "a")]) == 2
     err = capsys.readouterr().err
-    assert "invalid input: the spectral oracle cannot sum the order s=-200 series" in err
+    assert "invalid input: M^t at t=100 has a non-finite multiplier at mode k=" in err
     scn.write_text("params: {a: 1.0, s: -50}\n", encoding="utf-8")
     assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path / "b")]) == 1
     rep = _load(tmp_path / "b" / "kernel_report.json")

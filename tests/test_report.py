@@ -131,3 +131,56 @@ def test_to_json_mixes_blocks_and_records(before, pairs, after, rel):
     assert _rows(fixed.failing()) == _rows(r for r in records if not r.passed)
     assert fixed.overall_pass == all(r.passed for r in records)
     assert fixed.to_json() == json.dumps(fixed.to_dict(), indent=2) + "\n"
+
+
+def _flag_reference(name, ok):
+    # flag as it was written out by hand before it called check
+    value = 1.0 if ok else 0.0
+    return CheckRecord(name=name, computed=value, reference=1.0, abs_error=1.0 - value,
+                       rel_error=1.0 - value, tolerance=0.0, passed=bool(ok))
+
+
+@given(name=_NAMES, ok=st.one_of(st.booleans(), st.sampled_from([0, 1, 2, None, "", "x"])))
+def test_flag_is_the_hand_built_record(name, ok):
+    got, want = flag(name, ok), _flag_reference(name, ok)
+    for key in vars(want):
+        assert type(getattr(got, key)) is type(getattr(want, key))
+        assert repr(getattr(got, key)) == repr(getattr(want, key))
+    assert type(got.passed) is bool
+
+
+_CHECKS = st.builds(check, name=_NAMES, computed=_FLOATS, reference=_FLOATS,
+                    tolerance=_TOLERANCES, rel=st.booleans())
+_FLAGS = st.builds(flag, name=_NAMES, ok=st.booleans())
+_ONE = st.one_of(_CHECKS, _FLAGS, _RECORDS)
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("add"), _ONE),
+    st.tuples(st.just("extend"), st.lists(_ONE, max_size=4)),
+    st.tuples(st.just("columns"), _PAIRS, _TOLERANCES, st.booleans()),
+), max_size=8)
+
+
+@settings(max_examples=150)
+@given(operations=_OPERATIONS)
+def test_report_reads_back_what_was_added(operations):
+    # the report against a plain list of its records, whatever mix of
+    # single records, lists and column blocks built it
+    rep, model = _FixedClock("selftest"), []
+    for op, *args in operations:
+        if op == "add":
+            assert rep.add(args[0]) is args[0]
+            model.append(args[0])
+        elif op == "extend":
+            rep.extend(args[0])
+            model += args[0]
+        else:
+            pairs, tolerance, rel = args
+            block = check_columns([f"c{k}" for k in range(len(pairs))], [c for c, _ in pairs],
+                                  [r for _, r in pairs], tolerance, rel=rel)
+            assert rep.add(block) is block
+            model += list(block)
+    assert _rows(rep.records) == _rows(model)
+    assert len(rep.records) == len(model)
+    assert _rows(rep.failing()) == _rows(r for r in model if not r.passed)
+    assert rep.overall_pass is all(r.passed for r in model)
+    assert rep.to_json() == json.dumps(rep.to_dict(), indent=2) + "\n"

@@ -178,6 +178,14 @@ def test_array_oracle_refuses_bad_points():
         kernel_classical_spectral_oracle(DK, 0.0, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
 
 
+def test_oracle_refuses_an_order_whose_series_overflows():
+    # the kernel command meets s = -200 first at the grid kernel's
+    # multipliers; the oracle refuses it on its own at a default point
+    x = _circle_pt(0.5, 0.0)
+    with pytest.raises(DomainError, match="the spectral oracle cannot sum the order s=-200 series"):
+        kernel_classical_spectral_oracle(DK, -200.0, x, x)
+
+
 def test_oracle_monotone_in_s():
     x = _circle_pt(0.5, 0.0)
     vals = [kernel_classical_spectral_oracle(DK, s, x, x) for s in (-1.0, 0.0, 1.0)]
