@@ -26,6 +26,7 @@ from .boundary import boundary_integrate
 from .hadamard import hadamard_report
 from .report import Report, check, flag
 from .rkhs import (
+    _gram,
     _representers,
     gram_matrix,
     kernel_fractional,
@@ -139,17 +140,12 @@ def criterion_7_reproducing_property():
 
 def _cauchy_schwarz_slacks(domain, params, pairs, n_nodes):
     """K(p,p) K(q,q) - K(p,q)^2 of the fractional kernel for each pair
-    (p, q) = rows (2i, 2i+1) of pairs: all kernel values from one stack of
-    representers."""
+    (p, q) = rows (2i, 2i+1) of pairs: one stack of representers, read as
+    one 2x2 Gram block per pair."""
     grid = boundary_grid(domain, n_nodes)
     front, V = _representers(grid, "fractional", params, pairs)
-    p, q = V[0::2], V[1::2]
-
-    def kernel(f, g):
-        return front * ((f * g) @ grid.weights)
-
-    kpq = kernel(p, q)
-    return kernel(p, p) * kernel(q, q) - kpq * kpq
+    K = _gram(front, V.reshape(-1, 2, V.shape[-1]), grid.weights)
+    return K[:, 0, 0] * K[:, 1, 1] - K[:, 1, 0] ** 2
 
 
 def criterion_8_psd_and_cauchy_schwarz(seed=DEFAULT_SEED):

@@ -54,9 +54,13 @@ def laplace_beltrami_eigenvalues(grid):
 
 def _multipliers(grid, t):
     """Multipliers (1 + lambda_k)^t of M^t on grid, in coefficient order;
-    one that overflows is inf, without a warning."""
+    one that overflows a double raises DomainError."""
     with np.errstate(over="ignore"):
-        return (1.0 + laplace_beltrami_eigenvalues(grid)) ** t
+        mult = (1.0 + laplace_beltrami_eigenvalues(grid)) ** t
+    bad = np.flatnonzero(~np.isfinite(mult))
+    if bad.size:
+        raise DomainError(f"M^t at t={t:g} has a non-finite multiplier at mode k={bad[0]}")
+    return mult
 
 
 def _pair_weights(grid):
@@ -94,9 +98,6 @@ def apply_M_power(field, t):
     interval, whose multipliers are 1.  A multiplier that overflows a
     double raises DomainError."""
     mult = _multipliers(field.grid, t)
-    bad = np.flatnonzero(~np.isfinite(mult))
-    if bad.size:
-        raise DomainError(f"M^t at t={t:g} has a non-finite multiplier at mode k={bad[0]}")
     spec = to_spectrum(field)
     return from_spectrum(Spectrum(field.grid, mult * spec.coefficients))
 
@@ -104,7 +105,8 @@ def apply_M_power(field, t):
 def sobolev_inner(f, g, s):
     """Order-s inner product <f, g>_s = sum_k (1+lambda_k)^s fhat_k conj(ghat_k).
 
-    Exactly real for real fields.  On the circle the sum runs over the half
+    Exactly real for real fields; a multiplier that overflows a double
+    raises DomainError.  On the circle the sum runs over the half
     spectrum, each mode 0 < k < n/2 counted twice for its conjugate partner
     -k, whose term is the conjugate of its own: the real parts add and the
     imaginary parts cancel.  On the interval this is

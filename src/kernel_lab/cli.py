@@ -27,7 +27,6 @@ from .errors import (
     DomainError,
     GridMismatchError,
     ScenarioError,
-    SingularityError,
     ToleranceError,
 )
 from .fracop import residual_check
@@ -203,7 +202,7 @@ def main(argv=None):
     except (ScenarioError, DomainError, GridMismatchError) as exc:
         print(f"kernel-lab: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ToleranceError, ConsistencyError, SingularityError) as exc:
+    except (ToleranceError, ConsistencyError) as exc:
         print(f"kernel-lab: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -62,11 +62,15 @@ def _gamma_factor(a):
     return math.gamma(a) * math.gamma(a + 1.0)
 
 
+def _multiplier_route(front, g, rep, t):
+    # front * <g, M^{-t} rep>_t, which the cancellation makes front * int g rep
+    return front * sobolev_inner(g, apply_M_power(rep, -t), t)
+
+
 def _two_routes(name, front, g, rep, t):
-    # front * int g rep dsigma, checked against front * <g, M^{-t} rep>_t
+    # front * int g rep dsigma, checked against the multiplier route
     direct = front * boundary_integrate(g.pointwise_product(rep))
-    spectral = front * sobolev_inner(g, apply_M_power(rep, -t), t)
-    _route_guard(name, direct, spectral)
+    _route_guard(name, direct, _multiplier_route(front, g, rep, t))
     return direct
 
 
@@ -110,15 +114,17 @@ def _representers(grid, kind, params, points):
     return front, apply_M_power(boundary_representer(grid, a, points), -t).values
 
 
-def _two_point(domain, kind, params, x, y, n_nodes):
-    grid = boundary_grid(domain, n_nodes)
-    front, V = _representers(grid, kind, params, np.array([domain.point(x), domain.point(y)]))
-    return front * float(np.dot(grid.weights, V[0] * V[1]))
+def _gram(front, V, weights):
+    """The kernel pairing front * sum_j w_j V_x(z_j) V_y(z_j) over the rows of
+    an (m, n) representer stack, or of each block of a (b, m, n) stack; the
+    upper triangle mirrors the lower, so each block is exactly symmetric."""
+    K = front * ((V * weights) @ np.swapaxes(V, -1, -2))
+    return np.where(np.tri(V.shape[-2], dtype=bool), K, np.swapaxes(K, -1, -2))
 
 
 def kernel_classical(domain, s, x, y, n_nodes=DEFAULT_NODES):
     """Two-point kernel of the order-s harmonic extension isometry."""
-    return _two_point(domain, "classical", s, x, y, n_nodes)
+    return float(gram_matrix(domain, "classical", s, [x, y], n_nodes).entries[1, 0])
 
 
 def _angles(pts):
@@ -188,7 +194,7 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
 
 def kernel_fractional(domain, a, s, x, y, n_nodes=DEFAULT_NODES):
     """Two-point kernel of the (a, s) fractional extension isometry."""
-    return _two_point(domain, "fractional", FracParams(a, s), x, y, n_nodes)
+    return float(gram_matrix(domain, "fractional", FracParams(a, s), [x, y], n_nodes).entries[1, 0])
 
 
 @dataclass
@@ -226,14 +232,13 @@ def gram_matrix(domain, kind, params, points, n_nodes=DEFAULT_NODES):
     if not len(pts):
         raise DomainError("gram_matrix needs at least one point")
     grid = boundary_grid(domain, n_nodes)
-    front, V = _representers(grid, kind, params, pts)
-    lower = np.tril(front * ((V * grid.weights) @ V.T))
-    entries = lower + np.tril(lower, -1).T
+    entries = _gram(*_representers(grid, kind, params, pts), grid.weights)
 
-    m = len(pts)
-    gaps = np.abs(pts[:, None] - pts[None, :]).reshape(m, m, -1).max(axis=2)
-    dup = bool(np.any(np.tril(gaps < 1e-14 * domain.R, -1)))
-    return KernelMatrix(params, pts, entries, has_duplicates=dup)
+    # a duplicate is a pair closer than 1e-14 R in every coordinate
+    near = np.ones((len(pts),) * 2, dtype=bool)
+    for c in pts.reshape(len(pts), -1).T:
+        near &= np.abs(c[:, None] - c[None, :]) < 1e-14 * domain.R
+    return KernelMatrix(params, pts, entries, has_duplicates=bool(np.any(np.tril(near, -1))))
 
 
 def kernel_report(domain, kind, a, s, points, n_nodes):
@@ -291,9 +296,7 @@ def reproducing_residual(domain, a, s, phi, x):
     u = poisson_extend_fractional(domain, a, s, phi, x)
     phi_fine = phi.resample(boundary_grid(domain, 2 * phi.grid.n).n)
     psi = fractional_trace_green(phi_fine.grid, a, x)
-    pairing = _gamma_factor(a) * sobolev_inner(
-        phi_fine, apply_M_power(psi, -2.0 * params.theta), 2.0 * params.theta
-    )
+    pairing = _multiplier_route(_gamma_factor(a), phi_fine, psi, 2.0 * params.theta)
     return abs(pairing - u)
 
 

@@ -137,7 +137,7 @@ def test_criterion_08_scan_is_one_representer_stack(monkeypatch):
     want_pairs, want_worst = _per_pair_cauchy_schwarz(DEFAULT_SEED)
     assert n_nodes == 64
     assert pairs.tobytes() == want_pairs.tobytes()
-    assert abs(float(np.min(got)) - want_worst) <= 1e-15
+    assert float(np.min(got)) == want_worst
 
 
 def test_criterion_09_classical_limit():

@@ -363,6 +363,16 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
     assert "invalid input" in err
 
 
+def test_reproduce_order_whose_pairing_multipliers_overflow(tmp_path, capsys):
+    # at s = 400 the pairing's order 2 theta = 401 lifts (1 + k^2)^401 past
+    # the largest double from k = 3 on: invalid input, not a route failure
+    scn = tmp_path / "s.yaml"
+    scn.write_text("params: {a: 0.5, s: 400}\n", encoding="utf-8")
+    assert main(["reproduce", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid input: M^t at t=401 has a non-finite multiplier at mode k=3" in err
+
+
 def test_classical_kernel_leaves_a_unchecked(tmp_path):
     # s = -1 violates s > -a - 1/2 at the default a = 1/2; a classical
     # kernel only echoes a, so only the fractional kernel refuses it

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernel_lab.domains import BoundaryGrid, disk, interval, squared_norm
-from kernel_lab.errors import ConsistencyError, DomainError, KernelLabError, ToleranceError
+from kernel_lab.errors import DomainError, KernelLabError, ToleranceError
 from kernel_lab.fracop import TAG_DEGENERATE, SampledInteriorField, frac_laplacian_apply
 from kernel_lab.green import green_mass
 from kernel_lab.hadamard import hadamard_report
@@ -40,10 +40,11 @@ def _point(domain, radius, angle):
 
 
 def test_route_guard_refuses_nan_multiplier_route():
-    # (1 + k^2)^400 overflows, so the multiplier route's pairing is NaN
+    # (1 + k^2)^401 overflows, so the multiplier route's pairing refuses
+    # before it could return NaN from inf * 0
     grid = BoundaryGrid(DK, 256)
     g = grid.field(np.cos(grid.angles))
-    with pytest.raises(ConsistencyError, match="routes disagree"):
+    with pytest.raises(DomainError, match="t=401 has a non-finite multiplier at mode k=3"):
         poisson_extend_fractional(DK, 0.5, 400.0, g, np.array([0.3, 0.0]))
 
 

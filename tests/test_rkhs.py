@@ -275,6 +275,35 @@ def test_has_duplicates_exactly_when_a_point_repeats(domain, picks):
     assert km.has_duplicates == (len(set(picks)) < len(picks))
 
 
+def _gap_flag_reference(pts, R):
+    # the flag from an (m, m, N) array of coordinate gaps
+    m = len(pts)
+    gaps = np.abs(pts[:, None] - pts[None, :]).reshape(m, m, -1).max(axis=2)
+    return bool(np.any(np.tril(gaps < 1e-14 * R, -1)))
+
+
+# coordinate offsets in units of R: on, just below, at and just above the
+# 1e-14 R threshold, and one far past it
+_OFFSETS = [0.0, -0.0, 1e-15, -1e-15, np.nextafter(1e-14, 0.0), 1e-14,
+            np.nextafter(1e-14, 1.0), -1e-14, 0.1]
+_COORD = st.sampled_from([0.0, -0.0]) | st.floats(-0.5, 0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["interval", "disk"]), R=st.sampled_from([1e-3, 1.0, 2.5, 1e3]),
+       base=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=4),
+       near=st.lists(st.tuples(st.integers(0, 3), st.sampled_from(_OFFSETS),
+                               st.sampled_from(_OFFSETS)), max_size=4))
+def test_has_duplicates_matches_gap_array_flag(kind, R, base, near):
+    # each near point shifts one base point by an offset per coordinate
+    domain = disk(R) if kind == "disk" else interval(R)
+    coords = base + [tuple(c + o for c, o in zip(base[i % len(base)], off))
+                     for i, *off in near]
+    pts = [R * np.array(c) if kind == "disk" else R * c[0] for c in coords]
+    km = gram_matrix(domain, "classical", 0.0, pts, n_nodes=8)
+    assert km.has_duplicates == _gap_flag_reference(km.points, R)
+
+
 def _representer_values(grid, a, x):
     # one point's representer from its closed form, in Python floats where
     # the prefactor allows: the reference for the stacked builder
