@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatchError
-from .quadrature import N_ANGLES
 
 INTERVAL = "interval"
 DISK = "disk"
@@ -113,6 +112,10 @@ def ray_directions(n):
     return np.column_stack([np.cos(phis), np.sin(phis)])
 
 
+# the number of rays (equispaced angles) of every polar rule on the disk
+N_ANGLES = 64
+
+
 def rays(domain):
     """The rays of every polar rule around an interior point, as
     (directions, weight per ray).
@@ -139,6 +142,34 @@ def ray_exit(domain, x, direction):
     c = float(x @ x) - domain.R**2
     dist = -b + np.sqrt(b * b - c)
     return float(dist) if direction.ndim == 1 else dist
+
+
+def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
+    """(r, pts, lengths): the rule s on [0, 1] mapped onto [start, stop]
+    along every ray of dirs from the interior point x.
+
+    dirs is an (n, N) array of unit vectors and s an (m,) array of nodes;
+    stop is one radius for every ray, or by default each ray's ray_exit.
+    lengths is the (n,) array stop - start, r the (n, m) radii
+    start + lengths * s, and pts the (n, m, N) points x + r e.  With the
+    rule's weights w and the ray weight of rays(), summing
+    weight * lengths @ ((f(pts) * r^(N-1)) @ w) integrates f over the
+    rays' [start, stop] in polar coordinates.  pts is filled one
+    coordinate at a time, bitwise equal to the broadcast
+    x + r[..., None] * dirs[:, None, :], which numpy would run two
+    elements at a time.
+    """
+    xv = np.reshape(domain.point(x), domain.N)
+    if stop is None:
+        stop = ray_exit(domain, xv, dirs)
+    else:
+        stop = np.full(len(dirs), float(stop))
+    lengths = stop - start
+    r = start + lengths[:, None] * s[None, :]
+    pts = np.empty(r.shape + (domain.N,))
+    for k in range(domain.N):
+        pts[..., k] = xv[k] + r * dirs[:, k, None]
+    return r, pts, lengths
 
 
 def interval(R=1.0):

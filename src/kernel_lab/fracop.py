@@ -6,35 +6,35 @@ the closed-form identities it is meant to validate.  The principal value
 at an interior point x is split three ways:
 
   near field   (c/2) int_{|h|<=h0} (2u(x)-u(x+h)-u(x-h)) |h|^(-N-2a) dh,
-               which cancels the principal value for C^2 fields; graded
-               composite Gauss-Legendre with nodes clustered as j^2
-               toward h = 0, h0 = min(d(x)/2, 0.1R), on one ray of each
-               antipodal pair,
+               which cancels the principal value for C^2 fields; one unit
+               rule, composite Gauss-Legendre with nodes clustered as j^2
+               toward h = 0, on every ray's [0, h0], h0 = min(d(x)/2, 0.1R),
+               ray j paired with its antipode j + n/2,
   far field    c int_{Omega, |y-x|>h0} (u(x)-u(y)) |x-y|^(-N-2a) dy,
                by one fixed rule on every ray's [h0, T], Gauss-Legendre
                panels graded toward h0 and a Gauss-Jacobi exit panel
-               carrying the boundary exponent of the field's tag, all rays
-               evaluated as one array,
+               carrying the boundary exponent of the field's tag,
   exact tail   c u(x) int_{|y-x|>T} |y-x|^(-N-2a) dy once y has left the
                support, integrated analytically.
 
 Both domains run the same rules: the interval is the 1-D ball, with the
-two rays -1 and +1 of measure 1 each (domains.rays).  The convergence
-estimate compares the half-resolution and full-resolution rules in both
-the near and the far field.
+two rays -1 and +1 of measure 1 each (domains.rays).  Every rule on [0, 1]
+reaches the rays through domains.ray_nodes, and the field is evaluated once
+on all (ray, node) points of a rule.  The convergence estimate compares the
+half-resolution and full-resolution rules in both the near and the far
+field.
 
 The same machinery powers the mollified-Green residual oracle: with
 v(z) = int G_a(z,y) rho_eps(y-x) dy one must get (-Delta)^a v = rho_eps(.-x),
 which pins down every constant in specfun and green at once.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .domains import DISK, INTERVAL, rays, ray_exit, squared_norm
+from .domains import DISK, INTERVAL, ModelDomain, ray_nodes, rays, squared_norm
 from .errors import DomainError, SingularityError, ToleranceError
 from .green import green_fractional_radial
 from .quadrature import (
@@ -42,7 +42,6 @@ from .quadrature import (
     QuadratureSpec,
     exit_graded_rule,
     graded_mesh,
-    panel_integrate,
     panel_nodes_weights,
 )
 from .report import Report, check
@@ -149,17 +148,16 @@ def boundary_singular_field(domain, a):
 
 
 @lru_cache(maxsize=None)
-def _bump_base_mass(N):
-    # mass of exp(-1/(1-r^2)) on the unit ball; the bump is C-infinity with
-    # all derivatives flat at the edge, so composite Gauss-Legendre converges
-    # to machine precision
-    if N == 1:
-        return panel_integrate(
-            lambda r: np.exp(-1.0 / (1.0 - r * r)), np.linspace(-1.0, 1.0, 33)
-        )
-    return 2.0 * math.pi * panel_integrate(
-        lambda r: np.exp(-1.0 / (1.0 - r * r)) * r, np.linspace(0.0, 1.0, 33)
-    )
+def _bump_base_mass(kind):
+    # mass of exp(-1/(1-r^2)) on the unit ball, 32 Gauss-Legendre panels on
+    # every ray from the center; the bump is C-infinity with all derivatives
+    # flat at the edge, so the rule converges to machine precision
+    ball = ModelDomain(kind)
+    dirs, weight = rays(ball)
+    s, w = panel_nodes_weights(np.linspace(0.0, 1.0, 33))
+    r, _, lengths = ray_nodes(ball, np.zeros(ball.N), dirs, s)
+    f = np.exp(-1.0 / (1.0 - r * r)) * r ** (ball.N - 1)
+    return weight * float(lengths @ (f @ w))
 
 
 @dataclass(frozen=True)
@@ -184,7 +182,7 @@ class MollifierSpec:
 
     @property
     def normalization(self):
-        return 1.0 / (_bump_base_mass(self.domain.N) * self.width**self.domain.N)
+        return 1.0 / (_bump_base_mass(self.domain.kind) * self.width**self.domain.N)
 
     def density(self, pts):
         """rho_eps evaluated at one point or an array of points."""
@@ -226,24 +224,20 @@ def frac_laplacian_apply(field, a, x, quad=None):
 def _apply(u, a, x, h0, quad, budget, c):
     ux = u(x)
     dirs, weight = rays(u.domain)
-    # the near integrand pairs x + he with x - he, so it runs on one ray of
-    # each antipodal pair at twice the ray weight, which cancels the 1/2
-    half = dirs[len(dirs) // 2:]
-    xv = np.reshape(x, -1)
-    exponent = -1.0 - 2.0 * a
+    half = len(dirs) // 2
 
     def near(panels):
-        def f(h):
-            budget.spend(2 * h.size * len(half))
-            disp = h[:, None, None] * half[None, :, :]
-            plus = u((xv + disp).reshape(-1, xv.size)).reshape(h.size, len(half))
-            minus = u((xv - disp).reshape(-1, xv.size)).reshape(h.size, len(half))
-            return weight * np.sum(2.0 * ux - plus - minus, axis=1) * h**exponent
+        # one unit rule graded toward h = 0 on every ray's [0, h0]; ray
+        # j + n/2 is minus ray j, so pairing the two cancels the first-order
+        # term, and each pair at twice the ray weight cancels the 1/2
+        s, w = panel_nodes_weights(graded_mesh(0.0, 1.0, panels, 2.0, toward="lo"))
+        budget.spend(len(dirs) * s.size)
+        r, pts, lengths = ray_nodes(u.domain, x, dirs, s, stop=h0)
+        vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
+        f = (2.0 * ux - vals[half:] - vals[:half]) * r[0] ** (-1.0 - 2.0 * a)
+        return weight * float(lengths[half:] @ (f @ w))
 
-        mesh = graded_mesh(0.0, h0, panels, 2.0, toward="lo")
-        return panel_integrate(f, mesh)
-
-    coarse = max(4, quad.resolution // 2)
+    coarse = quad.resolution // 2
     near_half = near(coarse)
     near_full = near(quad.resolution)
     far_half = _far(u, a, x, h0, dirs, weight, coarse, budget)
@@ -265,9 +259,7 @@ def _far(u, a, x, h0, dirs, weight, panels, budget):
     beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[u.tag]
     s, w = exit_graded_rule(panels, 2.0, beta)
     budget.spend(len(dirs) * s.size)
-    lengths = ray_exit(u.domain, x, dirs) - h0
-    r = h0 + lengths[:, None] * s[None, :]
-    pts = np.reshape(x, -1) + r[:, :, None] * dirs[:, None, :]
+    r, pts, lengths = ray_nodes(u.domain, x, dirs, s, start=h0)
     vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
     tails = weight * len(dirs) * u(x) * h0 ** (-2.0 * a) / (2.0 * a)
     return tails - weight * float(lengths @ (vals @ w))
@@ -340,7 +332,7 @@ def _moll_values_interval(domain, a, moll, zs, quad):
                     out[rows] = (green_rows(rows, y, dist2) * rho) @ w
         return out
 
-    coarse = value(max(4, quad.resolution // 2))
+    coarse = value(quad.resolution // 2)
     fine = value(quad.resolution)
     err = np.abs(fine - coarse)
     tol = np.array([quad.tolerance_for(v) for v in fine])
@@ -358,23 +350,20 @@ def _moll_values_interval(domain, a, moll, zs, quad):
 
 
 def _moll_value_disk(domain, a, moll, z, quad):
-    # polar product rule around the mollifier center; accurate for z outside
-    # the support (analytic integrand) and smoke-grade when the Green
-    # singularity sits inside it
-    r_nodes, r_weights = panel_nodes_weights(
-        np.linspace(0.0, moll.width, max(8, quad.resolution // 4) + 1)
-    )
-    dirs, dphi = rays(domain)
-    pts = (moll.center[None, None, :] + r_nodes[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-    diff = pts - z[None, :]
-    dist2 = squared_norm(diff)
+    # polar rule on every ray's [0, eps] around the mollifier center;
+    # accurate for z outside the support (analytic integrand) and
+    # smoke-grade when the Green singularity sits inside it
+    s, w = panel_nodes_weights(np.linspace(0.0, 1.0, max(8, quad.resolution // 4) + 1))
+    dirs, weight = rays(domain)
+    r, pts, lengths = ray_nodes(domain, moll.center, dirs, s, stop=moll.width)
+    pts = pts.reshape(-1, 2)
+    dist2 = squared_norm(pts - z)
     y2 = squared_norm(pts)
     vals = np.zeros(len(pts))
     ok = dist2 > 0.0
     vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])
-    vals *= moll.density(pts)
-    vals = vals.reshape(len(r_nodes), len(dirs))
-    return float(np.sum(r_weights * r_nodes * np.sum(vals, axis=1) * dphi))
+    f = (vals * moll.density(pts)).reshape(r.shape) * r
+    return weight * float(lengths @ (f @ w))
 
 
 def mollified_green(domain, a, moll, quad=None):

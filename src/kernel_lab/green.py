@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .domains import INTERVAL, BoundaryField, rays, ray_exit, squared_norm
+from .domains import INTERVAL, BoundaryField, ray_nodes, rays, squared_norm
 from .errors import DomainError, SingularityError, ToleranceError
 from .quadrature import EvalBudget, QuadratureSpec, graded_mesh, panel_nodes_weights
 from .specfun import boundary_integral_B_array, green_constant, torsion_constant
@@ -195,7 +195,8 @@ def _refine(evaluate, quad):
 def _mass(domain, a, x, panels, budget):
     # one rule in s = r/T on [0, 1/2] and [1/2, 1], graded with exponent 2/a
     # toward the point singularity at s = 0 and the boundary weight at
-    # s = 1, maps onto every ray's [0, T]; all rays are evaluated at once.
+    # s = 1, maps onto every ray's [0, T] (ray_nodes); all rays are
+    # evaluated at once.
     # The singular factor is computed from r itself, so grading toward
     # r = 0 cannot collide with the singularity in floating point
     grading = 2.0 / a
@@ -206,11 +207,9 @@ def _mass(domain, a, x, panels, budget):
     ])
     s, w = panel_nodes_weights(mesh)
     budget.spend(len(dirs) * s.size)
-    T = ray_exit(domain, x, dirs)
-    r = T[:, None] * s[None, :]
+    r, pts, T = ray_nodes(domain, x, dirs, s)
     xv = np.reshape(x, -1)
-    pts = xv + r[:, :, None] * dirs[:, None, :]
-    y2 = squared_norm(pts)
     N = domain.N
+    y2 = squared_norm(pts)
     vals = green_fractional_radial(N, a, domain.R, float(xv @ xv), y2, r * r) * r ** (N - 1)
     return weight * float(T @ (vals @ w))

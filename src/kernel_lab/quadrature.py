@@ -8,18 +8,17 @@ tables, and each composite rule is applied as one flattened node/weight
 array.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import ToleranceError
+from .errors import DomainError, ToleranceError
 
-# Gauss-Legendre order of every composite panel, and the number of rays
-# (equispaced angles) of every polar rule on the disk
+# Gauss-Legendre order of every composite panel
 GL_ORDER = 12
-N_ANGLES = 64
 
 
 @dataclass(frozen=True)
@@ -27,14 +26,23 @@ class QuadratureSpec:
     """Accuracy / resolution knobs shared by the singular-integral routines.
 
     resolution is the panel count of each graded mesh; doubling it is the
-    refinement step tested by the convergence suites.  budget caps the
-    number of integrand evaluations a single operation may spend.
+    refinement step tested by the convergence suites, and the convergence
+    estimates compare the resolution // 2 rule against it.  resolution must
+    be an integer >= 8, so that the coarse rule has at least 4 panels and
+    differs from the fine one; two equal rules would estimate 0 and certify
+    any value.  budget caps the number of integrand evaluations a single
+    operation may spend.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     resolution: int = 32
     budget: int = 100_000
+
+    def __post_init__(self):
+        res = self.resolution
+        if not isinstance(res, numbers.Integral) or res < 8:
+            raise DomainError(f"resolution must be an integer >= 8, got {res!r}")
 
     def tolerance_for(self, value):
         return max(self.abs_tol, self.rel_tol * abs(value))

@@ -12,6 +12,7 @@ from kernel_lab.domains import (
     interval,
     ray_directions,
     ray_exit,
+    ray_nodes,
     rays,
     squared_norm,
 )
@@ -75,13 +76,55 @@ def test_ray_exit_disk():
 
 @pytest.mark.parametrize("domain, measure", [(interval(3.0), 2.0), (disk(3.0), 2.0 * math.pi)])
 def test_rays_pair_antipodally(domain, measure):
-    # the principal value's near field runs on the second half of the rays
-    # only, each standing for itself and its antipode
+    # the principal value's near field pairs ray j with ray j + n/2, its
+    # antipode
     dirs, weight = rays(domain)
     n = len(dirs)
     assert dirs.shape == (n, domain.N) and n % 2 == 0
     np.testing.assert_allclose(dirs[n // 2:], -dirs[: n // 2], rtol=0.0, atol=1e-15)
     assert weight * n == pytest.approx(measure, rel=1e-15)
+
+
+@given(
+    kind=st.sampled_from(["interval", "disk"]),
+    R=st.sampled_from([1.0, 2.5]),
+    rho=st.floats(0.0, 0.7),
+    angle=st.floats(0.0, 2.0 * math.pi),
+    start_frac=st.floats(0.0, 0.45),
+    stop_frac=st.floats(0.5, 1.0),
+)
+def test_ray_nodes_map_a_unit_rule_onto_every_ray(kind, R, rho, angle, start_frac, stop_frac):
+    domain = interval(R) if kind == "interval" else disk(R)
+    if kind == "interval":
+        x = R * rho * math.cos(angle)
+    else:
+        x = R * rho * np.array([math.cos(angle), math.sin(angle)])
+    d = domain.distance_to_boundary(x)
+    start, h = start_frac * d, stop_frac * d
+    dirs, weight = rays(domain)
+    s, w = panel_nodes_weights(np.linspace(0.0, 1.0, 5))
+    N = domain.N
+
+    def ball(radius):
+        return 2.0 * radius if N == 1 else math.pi * radius**2
+
+    for lo in (0.0, start):
+        r, pts, lengths = ray_nodes(domain, x, dirs, s, start=lo)
+        # the broadcast formula, bit for bit
+        ref = np.reshape(x, -1) + r[..., None] * dirs[:, None, :]
+        assert pts.shape == ref.shape == (len(dirs), s.size, N)
+        assert pts.tobytes() == ref.tobytes()
+        assert lengths.tobytes() == (ray_exit(domain, x, dirs) - lo).tobytes()
+        # the polar rule integrates 1 over the domain minus the ball of
+        # radius lo around x
+        measure = weight * float(lengths @ (r ** (N - 1) @ w))
+        assert measure == pytest.approx(ball(R) - ball(lo), rel=1e-13)
+        r, pts, lengths = ray_nodes(domain, x, dirs, s, start=lo, stop=h)
+        ref = np.reshape(x, -1) + r[..., None] * dirs[:, None, :]
+        assert pts.tobytes() == ref.tobytes()
+        assert lengths.tolist() == [h - lo] * len(dirs)
+        measure = weight * float(lengths @ (r ** (N - 1) @ w))
+        assert measure == pytest.approx(ball(h) - ball(lo), rel=1e-13)
 
 
 # ModelDomain.points: input, expected array shape, expected single flag
@@ -272,6 +315,16 @@ def test_quadrature_spec_tolerance():
     spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=32, budget=10)
     assert spec.tolerance_for(0.0) == 1e-6
     assert spec.tolerance_for(10.0) == pytest.approx(1e-2)
+
+
+@pytest.mark.parametrize("resolution", [*range(8), 16.0, "32", None])
+def test_quadrature_spec_refuses_resolution_below_8(resolution):
+    # the convergence estimates compare the resolution // 2 rule with the
+    # full one; at 4 the two coincided and certified an estimate of 0
+    with pytest.raises(DomainError, match="integer >= 8"):
+        QuadratureSpec(resolution=resolution)
+    assert QuadratureSpec(resolution=8).resolution == 8
+    assert QuadratureSpec(resolution=np.int64(64)).resolution == 64
 
 
 @pytest.mark.parametrize("beta", [-0.75, -0.5, 0.0, 0.25, 0.9])

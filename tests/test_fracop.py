@@ -26,7 +26,7 @@ from kernel_lab.fracop import (
 )
 from kernel_lab.green import green_classical, green_fractional
 from kernel_lab.quadrature import EvalBudget, QuadratureSpec, panel_integrate
-from kernel_lab.specfun import green_constant
+from kernel_lab.specfun import frac_laplacian_constant, green_constant
 
 IV = interval(1.0)
 DK = disk(1.0)
@@ -226,6 +226,56 @@ def test_disk_far_field_matches_per_ray_quad(a, make, domain, x):
     assert abs(got - ref) < 1e-9
 
 
+# the near field's relative error at resolution 64 is about 2e-8 at
+# a = 0.25, 2e-7 at a = 0.5 and 5.5e-4 at a = 0.75, where the j^2 grading
+# toward h = 0 meets the h^(1-2a) singularity of the integrand
+_NEAR_REL_TOL = {0.25: 1e-7, 0.5: 1e-6, 0.75: 1e-3}
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("make", [getoor_field, boundary_singular_field])
+@pytest.mark.parametrize(
+    "domain, x",
+    [(DK, np.array([0.3, -0.2])), (DK, np.array([0.0, 0.45])), (IV, 0.3), (IV, -0.45)],
+    ids=["x0", "x1", "interval-x0", "interval-x1"],
+)
+def test_near_field_matches_per_ray_quad(a, make, domain, x):
+    # the near field, value / c minus the far field, against adaptive
+    # Gauss-Kronrod on each antipodal pair of rays.  With c0 = R^2 - |x|^2,
+    # al = 2 h x.e / c0 and be = h^2 / c0, the second difference
+    # 2 u(x) - u(x + he) - u(x - he) of u = (R^2 - |y|^2)^p is
+    # -2 c0^p (expm1(sig) cosh(dl) + 2 sinh(dl/2)^2) with
+    # sig = (p/2) log1p(be^2 - 2 be - al^2) and
+    # dl = (p/2) log1p(2 al / (1 - be - al)), free of cancellation near h = 0
+    u = make(domain, a)
+    p = a if make is getoor_field else a - 1.0
+    h0 = min(0.5 * domain.distance_to_boundary(x), 0.1 * domain.R)
+    c = frac_laplacian_constant(domain.N, a)
+    spec = fracop._DEFAULT_QUAD
+    budget = EvalBudget(10**9)
+    value, _ = fracop._apply(u, a, x, h0, spec, budget, c)
+    dirs, weight = rays(domain)
+    near = value / c - fracop._far(u, a, x, h0, dirs, weight, spec.resolution, budget)
+    xs = np.reshape(x, -1).tolist()
+    c0 = domain.R**2 - sum(xi * xi for xi in xs)
+    ref = 0.0
+    for e in dirs[len(dirs) // 2:]:
+        b = sum(xi * ei for xi, ei in zip(xs, e.tolist()))
+
+        def g(h, b=b):
+            al, be = 2.0 * b * h / c0, h * h / c0
+            sig = 0.5 * p * math.log1p(be * be - 2.0 * be - al * al)
+            dl = 0.5 * p * math.log1p(2.0 * al / (1.0 - be - al))
+            second = math.expm1(sig) * math.cosh(dl) + 2.0 * math.sinh(0.5 * dl) ** 2
+            return -2.0 * c0**p * second * h ** (-1.0 - 2.0 * a)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, _ = quad(g, 0.0, h0, epsabs=1e-13, epsrel=1e-13, limit=200)
+        ref += weight * val
+    assert abs(near - ref) < _NEAR_REL_TOL[a] * abs(ref)
+
+
 def test_disk_a_harmonic_certified_at_quarter():
     # per-ray Gauss-Kronrod refused this point (estimate 1.2e-4 > 1e-4)
     x = np.array([0.5283134308537349, -0.28081405199583165])
@@ -278,6 +328,23 @@ def test_getoor_a09_exceeds_quadrature_grading():
     with pytest.raises(ToleranceError) as exc:
         frac_laplacian_apply(u, 0.9, 0.0)
     assert exc.value.estimate == pytest.approx(getoor_reference(1, 0.9), rel=0.2)
+
+
+@pytest.mark.parametrize("a", [0.9, 0.95])
+@pytest.mark.parametrize(
+    "domain, x", [(IV, 0.3), (DK, np.array([0.3, -0.2]))], ids=["interval", "disk"]
+)
+def test_getoor_near_one_refuses_at_lowest_resolution(a, domain, x):
+    # at resolution 4 the half-resolution rule was the full rule itself, so
+    # values 9.2 % (a = 0.9) and 31 % (a = 0.95) off certified with an
+    # estimate of 0; such a spec is now refused, and the lowest resolution
+    # left refuses these values
+    with pytest.raises(DomainError):
+        QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=4, budget=10**6)
+    quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=8, budget=10**6)
+    with pytest.raises(ToleranceError) as exc:
+        frac_laplacian_apply(getoor_field(domain, a), a, x, quad)
+    assert exc.value.achieved_tol > 0.01
 
 
 def test_a_harmonic_profile():
@@ -354,6 +421,21 @@ def test_mollifier_unit_mass(domain):
 
         mass = panel_integrate(ring, np.linspace(0.0, 0.3, 33), 12)
     assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_bump_base_mass_matches_mpmath(domain):
+    # the mass of exp(-1/(1-r^2)) on the unit ball, which normalizes every
+    # mollifier: on the interval by 30-digit quadrature, on the disk
+    # pi E_2(1), from the substitution t = 1 - r^2
+    import mpmath
+
+    with mpmath.workdps(30):
+        if domain.N == 1:
+            ref = mpmath.quad(lambda r: mpmath.exp(-1 / (1 - r * r)), [-1, 0, 1])
+        else:
+            ref = mpmath.pi * mpmath.expint(2, 1)
+    assert fracop._bump_base_mass(domain.kind) == pytest.approx(float(ref), rel=1e-15)
 
 
 def _mollified_value(domain, a, moll, z, quad=fracop._DEFAULT_QUAD):
