@@ -366,6 +366,52 @@ def _moll_value_disk(domain, a, moll, z, quad):
     return weight * float(lengths @ (f @ w))
 
 
+def _not_a_knot_spline(x, y):
+    """The cubic spline through (x, y), x increasing with at least 4
+    entries, with not-a-knot ends (scipy's CubicSpline default); the
+    returned callable extrapolates with the end pieces.
+
+    The slopes s solve the tridiagonal system of C^2 continuity, written
+    as scipy writes it, by one O(n) elimination; each piece is then the
+    Hermite cubic of its end values and slopes, evaluated by Horner's rule.
+    """
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    lower, diag, upper, rhs = (np.empty(n) for _ in range(4))
+    # row i: dx_i s_(i-1) + 2 (dx_(i-1) + dx_i) s_i + dx_(i-1) s_(i+1)
+    lower[1:-1] = dx[1:]
+    diag[1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    upper[1:-1] = dx[:-1]
+    rhs[1:-1] = 3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and x_(n-2)
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    lower[-1], diag[-1] = d, dx[-2]
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    # Python floats: a scalar loop over n rows beats n numpy calls
+    lo, di, up, s = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    for i in range(1, n):
+        m = lo[i] / di[i - 1]
+        di[i] -= m * up[i - 1]
+        s[i] -= m * s[i - 1]
+    s[-1] /= di[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (s[i] - up[i] * s[i + 1]) / di[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    c3, c2, c1, c0 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def spline(z):
+        i = np.clip(np.searchsorted(x, z, side="right") - 1, 0, n - 2)
+        h = z - x[i]
+        return ((c3[i] * h + c2[i]) * h + c1[i]) * h + c0[i]
+
+    return spline
+
+
 def mollified_green(domain, a, moll, quad=None):
     """The field v_{x,eps} = G_a * rho_eps as a SampledInteriorField.
 
@@ -389,9 +435,7 @@ def mollified_green(domain, a, moll, quad=None):
     zs = np.sort(R * np.cos(np.pi * k / _CHEBYSHEV_N))
     vals = _moll_values_interval(domain, a, moll, zs, quad)
     weight = (R * R - zs * zs) ** a
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(zs, vals / weight)
+    spline = _not_a_knot_spline(zs, vals / weight)
 
     def profile(pts):
         y = pts[..., 0]

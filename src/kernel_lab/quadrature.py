@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, ToleranceError
 
@@ -56,9 +55,24 @@ def _gl_nodes(order):
 
 @lru_cache(maxsize=None)
 def _gj_nodes(order, beta):
-    # Gauss-Jacobi on [-1, 1] for the weight (1 - x)^beta
-    x, w = roots_jacobi(order, beta, 0.0)
-    return x, w
+    """Gauss-Jacobi nodes and weights on [-1, 1] for the weight (1 - x)^beta.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the monic Jacobi polynomials
+    P^(beta, 0), and each weight is mu0 = int (1 - x)^beta dx times the
+    squared first component of its unit eigenvector.
+    """
+    k = np.arange(1, order, dtype=float)
+    p = 2.0 * k + beta
+    diag = np.empty(order)
+    # the general term's n = 0 case is 0/0 at beta = 0
+    diag[0] = -beta / (beta + 2.0)
+    diag[1:] = -beta * beta / (p * (p + 2.0))
+    off = 2.0 * k * (k + beta) / (p * np.sqrt((p + 1.0) * (p - 1.0)))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    x, vecs = np.linalg.eigh(jacobi)
+    mu0 = 2.0 ** (beta + 1.0) / (beta + 1.0)
+    return x, mu0 * vecs[0] ** 2
 
 
 def graded_mesh(lo, hi, panels, exponent, toward="lo"):

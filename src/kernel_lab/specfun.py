@@ -6,17 +6,20 @@ oracles) reduces to the gamma function, the radial profile integral
 
     B(r0; a, N) = int_0^{r0} t^(a-1) (1+t)^(-N/2) dt,
 
-and a handful of constants assembled from them.  All routines here are
-pure scalar arithmetic, deterministic and reentrant.
+and a handful of constants assembled from them.  The constants are scalar
+closed forms in math.gamma; B has two independent routes, scalar adaptive
+quadrature (boundary_integral_B) and fixed Gauss-Jacobi rules over numpy
+arrays (boundary_integral_B_array).  Everything is deterministic and
+reentrant.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import DomainError
+from .quadrature import _gj_nodes
 
 
 @dataclass(frozen=True)
@@ -103,8 +106,8 @@ def boundary_integral_B(r0, a, N):
 
 
 def _B_quadrature(r0, a, N):
-    # imported here: scipy.integrate is slow to load and most runs never
-    # reach the scalar-quad route
+    # imported here: scipy.integrate is slow to load, and only this scalar
+    # route, the independent check on boundary_integral_B_array, needs it
     from scipy.integrate import quad
 
     half_n = 0.5 * N
@@ -135,13 +138,41 @@ def _B_quadrature(r0, a, N):
     return total
 
 
+# Gauss-Jacobi order of the array route of B: each of its integrands is
+# analytic at distance >= 1 from [0, 1], so 12 nodes reach rounding level
+_B_ORDER = 12
+
+# r0 values per block of boundary_integral_B_array: the temporaries of one
+# block take 128 KB each, so a call's peak memory is its output plus a
+# few blocks however long its input
+_B_BLOCK = 16384
+
+
+def _unit_jacobi(beta):
+    # nodes and weights on [0, 1] for the weight u^beta
+    x, w = _gj_nodes(_B_ORDER, beta)
+    return 0.5 * (1.0 - x), w * 2.0 ** (-beta - 1.0)
+
+
 def boundary_integral_B_array(r0, a, N):
     """Vectorized boundary_integral_B over an array of r0 values.
 
-    Same closed forms at a = 1/2; otherwise the hypergeometric form
-    B = (r0^a / a) 2F1(N/2, a; a+1; -r0), which the operation contract
-    admits as an alternative route.  Agreement with the scalar routine
-    is pinned by tests at 1e-10.
+    Same closed forms at a = 1/2.  Otherwise fixed 12-node Gauss-Jacobi
+    rules, split at r0 = 1 so that no integrand has a singularity within
+    distance 1 of [0, 1]:
+
+      r0 <= 1:  B = r0^a int_0^1 u^(a-1) (1 + r0 u)^(-N/2) du,
+      r0 > 1:   B = B(1) + (1 - r0^(-c))/c + int_0^1 w^c g(w) dw
+                    - r0^(-c-1) int_0^1 t^c g(t/r0) dt,
+
+    with c = N/2 - a, g(w) = ((1 + w)^(-N/2) - 1)/w, and log r0 in place of
+    (1 - r0^(-c))/c at c = 0.  The second form writes t^(a-1) (1+t)^(-N/2)
+    on [1, r0] as t^(-c-1) (1 + g(1/t)/t), so it holds wherever B grows
+    without bound too (N = 1, a > 1/2).  Each sum runs node by node over a
+    block of r0 values, with no (points, nodes) temporary.  The route shares
+    nothing with the scalar one; tests pin it against that route, the
+    hypergeometric form (r0^a/a) 2F1(N/2, a; a+1; -r0) and the a = 1 closed
+    forms.
     """
     _check_domain(N, a, a_max_inclusive=True)
     r0 = np.asarray(r0, dtype=float)
@@ -151,7 +182,38 @@ def boundary_integral_B_array(r0, a, N):
         return 2.0 * np.arcsinh(np.sqrt(r0))
     if a == 0.5 and N == 2:
         return 2.0 * np.arctan(np.sqrt(r0))
-    return (r0**a / a) * hyp2f1(0.5 * N, a, a + 1.0, -r0)
+    out = np.empty(r0.shape)
+    flat, dest = r0.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _B_BLOCK):
+        block = slice(start, start + _B_BLOCK)
+        dest[block] = _B_gauss_jacobi(flat[block], a, 0.5 * N)
+    return out
+
+
+def _B_gauss_jacobi(r0, a, half_n):
+    # at r0 > 1 the first rule runs at min(r0, 1) = 1 and gives B(1)
+    head = np.minimum(r0, 1.0)
+    out = np.zeros(r0.shape)
+    for u, w in zip(*_unit_jacobi(a - 1.0)):
+        out += w * (1.0 + head * u) ** -half_n
+    out *= head**a
+    far = r0 > 1.0
+    if not far.any():
+        return out
+
+    def g(w):
+        return np.expm1(-half_n * np.log1p(w)) / w
+
+    t = r0[far]
+    c = half_n - a
+    s, v = _unit_jacobi(c)
+    tail = np.zeros(t.shape)
+    for sj, vj in zip(s, v):
+        tail += vj * g(sj / t)
+    log_t = np.log(t)
+    power = log_t if c == 0.0 else -np.expm1(-c * log_t) / c
+    out[far] += power + float(v @ g(s)) - t ** (-c - 1.0) * tail
+    return out
 
 
 def boundary_integral_B_derivative(r0, a, N):

@@ -585,18 +585,35 @@ def test_debug_unit_gamma_fails_c7(tmp_path):
     assert "C7: final trace-recovery error" in failing
 
 
-def test_setup_leaves_scipy_integrate_and_interpolate_unloaded(cli_env):
-    # both are imported on first use; loading them costs about 0.5 s
+def _scipy_modules_after(code, env, cwd=None):
+    # the scipy modules in sys.modules of a fresh interpreter after code
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_setup_loads_no_scipy(cli_env):
+    # importing any of scipy costs more than the work of a default command
     code = (
         "import sys, kernel_lab.cli\n"
         "from kernel_lab.scenarios import COMMANDS, load_scenario\n"
-        "[load_scenario(c) for c in COMMANDS]\n"
-        "print([m for m in ('scipy.integrate', 'scipy.interpolate') if m in sys.modules])\n"
+        "[load_scenario(c) for c in COMMANDS]"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=cli_env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _scipy_modules_after(code, cli_env) == "[]"
+
+
+def test_default_commands_load_no_scipy(tmp_path, cli_env):
+    # all six commands at their defaults, one interpreter: only the scalar
+    # boundary_integral_B and fracop.quad import scipy, and neither runs
+    code = (
+        "import sys\n"
+        "from kernel_lab.cli import main\n"
+        "from kernel_lab.scenarios import COMMANDS\n"
+        "assert [main([c, '--out', c]) for c in COMMANDS] == [0] * len(COMMANDS)"
+    )
+    assert _scipy_modules_after(code, cli_env, cwd=tmp_path) == "[]"
 
 
 def test_console_script_entry(tmp_path, cli_env):

@@ -20,6 +20,7 @@ from kernel_lab.errors import DomainError, GridMismatchError, ToleranceError
 from kernel_lab.quadrature import (
     EvalBudget,
     QuadratureSpec,
+    _gj_nodes,
     exit_graded_rule,
     graded_mesh,
     panel_integrate,
@@ -337,3 +338,29 @@ def test_exit_graded_rule_endpoint_weight(beta):
     assert np.dot(w, (1.0 - s) ** beta) == pytest.approx(1.0 / (1.0 + beta), rel=1e-14)
     moment = 2.0 / ((1.0 + beta) * (2.0 + beta) * (3.0 + beta))
     assert np.dot(w, (1.0 - s) ** beta * s * s) == pytest.approx(moment, rel=1e-14)
+
+
+# Jacobi exponents of the Gauss-Jacobi exactness and reference tests
+_GJ_BETAS = np.linspace(-0.95, 0.9, 38)
+
+
+@pytest.mark.parametrize("order", [12, 24])
+def test_gauss_jacobi_moments_exact(order):
+    # sum w (1-x)^k = int (1-x)^(beta+k) dx on [-1, 1] for every k < 2 order
+    k = np.arange(2 * order)
+    for beta in _GJ_BETAS:
+        x, w = _gj_nodes(order, float(beta))
+        got = ((1.0 - x)[None, :] ** k[:, None]) @ w
+        exact = 2.0 ** (beta + k + 1.0) / (beta + k + 1.0)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0, err_msg=f"beta={beta}")
+
+
+@pytest.mark.parametrize("order", [12, 24])
+def test_gauss_jacobi_matches_scipy(order):
+    from scipy.special import roots_jacobi
+
+    for beta in _GJ_BETAS:
+        x, w = _gj_nodes(order, float(beta))
+        x_ref, w_ref = roots_jacobi(order, beta, 0.0)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-14, err_msg=f"beta={beta}")
+        np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0, err_msg=f"beta={beta}")

@@ -486,6 +486,24 @@ def test_mollified_green_spline_matches_direct(interval_mollified):
         assert abs(field(z) - direct) < 1e-6 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize("data", ["smooth", "mollified quotient"])
+def test_not_a_knot_spline_matches_scipy(interval_mollified, data):
+    # the build's nodes and quotient v/(R^2 - z^2)^a; the queries cover
+    # [-R, R], so they include the end pieces the profile extrapolates
+    from scipy.interpolate import CubicSpline
+
+    moll, field = interval_mollified
+    zs = field.grid
+    if data == "smooth":
+        y = np.exp(zs) * np.sin(3.0 * zs) / (1.0 + zs * zs)
+    else:
+        vals = fracop._moll_values_interval(IV, 0.5, moll, zs, fracop._DEFAULT_QUAD)
+        y = vals / (1.0 - zs * zs) ** 0.5
+    z = np.concatenate([np.linspace(-1.0, 1.0, 4001), zs, [(zs[0] - 1.0) / 2, (zs[-1] + 1.0) / 2]])
+    got = fracop._not_a_knot_spline(zs, y)(z)
+    np.testing.assert_allclose(got, CubicSpline(zs, y)(z), rtol=0.0, atol=1e-14)
+
+
 @given(
     a=st.floats(0.2, 0.8),
     center=st.floats(-0.6, 0.6),

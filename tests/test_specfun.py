@@ -66,6 +66,38 @@ def test_B_closed_forms_at_half():
         )
 
 
+@pytest.fixture(scope="module")
+def log_uniform_r0():
+    rng = np.random.default_rng(20260101)
+    return np.concatenate([10.0 ** rng.uniform(-8.0, 12.0, 200_000), [0.0, 1e-300, 1.0, 1e300]])
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("a", [0.1, 0.25, 0.3, 0.6, 0.75, 0.9, 0.95, 0.99])
+def test_B_array_matches_hypergeometric_form(log_uniform_r0, a, N):
+    # B = (r0^a / a) 2F1(N/2, a; a+1; -r0), across both sides of the r0 = 1
+    # split and 20 decades, at both ends of the float range too
+    r0 = log_uniform_r0
+    hyp = (r0**a / a) * hyp2f1(N / 2.0, a, a + 1.0, -r0)
+    np.testing.assert_allclose(boundary_integral_B_array(r0, a, N), hyp, rtol=2e-13, atol=0.0)
+
+
+def test_B_array_at_a_one_matches_closed_forms():
+    # B(r0; 1, 2) = log(1 + r0) and B(r0; 1, 1) = 2 (sqrt(1 + r0) - 1); the
+    # hypergeometric form was 1.3e-9 off at N = 2, r0 = 1e9 and 7.2e-7 off
+    # at 9.9e11
+    r0 = np.array([1e-8, 0.3, 1.0, 2.5, 1e3, 1e9, 9.9e11, 1e300])
+    np.testing.assert_allclose(boundary_integral_B_array(r0, 1.0, 2), np.log1p(r0),
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(boundary_integral_B_array(r0, 1.0, 1),
+                               2.0 * r0 / (1.0 + np.sqrt(1.0 + r0)), rtol=1e-13, atol=0.0)
+    for N in (1, 2):
+        for t in (0.3, 2.5, 1e9):
+            assert boundary_integral_B_array(t, 1.0, N) == pytest.approx(
+                boundary_integral_B(t, 1.0, N), rel=1e-10
+            )
+
+
 def test_B_monotone_and_array_route():
     r0 = np.linspace(0.05, 6.0, 40)
     vals = boundary_integral_B_array(r0, 0.6, 2)
