@@ -111,6 +111,10 @@ def sobolev_inner(f, g, s):
     -k, whose term is the conjugate of its own: the real parts add and the
     imaginary parts cancel.  On the interval this is
     f(-R) g(-R) + f(R) g(R) for every s.
+
+    Either field may be an (m, n) stack, paired row by row with the other
+    (a single field pairs with every row): one float per row, each bitwise
+    equal to the pairing of that row alone.
     """
     if f.grid != g.grid:
         raise GridMismatchError("sobolev_inner requires fields on one grid")
@@ -118,9 +122,16 @@ def sobolev_inner(f, g, s):
     fh = to_spectrum(f).coefficients
     gh = to_spectrum(g).coefficients
     # Re(fhat conj(ghat)), without the complex product
-    return float(np.sum(mult * (fh.real * gh.real + fh.imag * gh.imag)))
+    out = np.sum(mult * (fh.real * gh.real + fh.imag * gh.imag), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def boundary_integrate(field):
-    """The boundary integral of a sampled field (weighted node sum)."""
-    return float(np.dot(field.grid.weights, field.values))
+    """The boundary integral of a sampled field (weighted node sum); one
+    float per row of a stack.  Each row takes its own dot product, which
+    keeps it bitwise equal to the single field: a matrix-vector product
+    may sum in another order."""
+    w = field.grid.weights
+    if field.values.ndim == 1:
+        return float(np.dot(w, field.values))
+    return np.array([np.dot(w, row) for row in field.values])

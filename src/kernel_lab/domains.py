@@ -12,6 +12,7 @@ trapezoidal weights 2*pi*R/n, which is spectrally accurate for smooth
 periodic integrands.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -201,13 +202,21 @@ class BoundaryGrid:
             raise DomainError("angles are defined for circle grids only")
         return 2.0 * math.pi * np.arange(self.n) / self.n
 
-    @property
+    @functools.cached_property
     def nodes(self):
-        """(n, N) array: [[-R], [R]] for the interval, n points on the circle."""
+        """(n, N) array: [[-R], [R]] for the interval, n points on the circle.
+
+        Built on first access and kept read-only on the grid, so every
+        representer sampled on one grid shares one cos/sin table; the cache
+        is not a field, so grids still compare and hash by (domain, n).
+        """
         R = self.domain.R
         if self.domain.kind == INTERVAL:
-            return np.array([[-R], [R]])
-        return R * ray_directions(self.n)
+            nodes = np.array([[-R], [R]])
+        else:
+            nodes = R * ray_directions(self.n)
+        nodes.flags.writeable = False
+        return nodes
 
     @property
     def weights(self):
@@ -237,9 +246,10 @@ def boundary_grid(domain, n):
 class BoundaryField:
     """Real samples of a function on a boundary grid.
 
-    values has shape (n,), or (m, n) for a stack of m fields on the grid,
-    which apply_M_power and resample transform row by row; the other
-    operations take single fields.
+    values has shape (n,), or (m, n) for a stack of m fields on the grid.
+    apply_M_power and resample transform a stack row by row, and
+    boundary_integrate and sobolev_inner give one value per row; the
+    arithmetic operators broadcast a single field against a stack.
     """
 
     grid: BoundaryGrid

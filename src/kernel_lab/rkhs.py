@@ -40,14 +40,21 @@ DEFAULT_NODES = 256
 
 _ROUTE_TOL = 1e-12
 
+# the most samples (rows x nodes) of a representer stack built at once:
+# the 8 trace-recovery probes share one stack up to n = 8,192 and go one
+# by one at 65,536, where the whole stack's temporaries would raise the
+# peak memory of a `reproduce` run from ~38 to ~54 MB
+_STACK_ELEMENTS = 1 << 16
 
-def _route_guard(name, direct, spectral):
+
+def _route_guard(name, point, direct, spectral):
     # scale-guarded: traces blow up near the boundary, so a raw 1e-12
     # absolute gap would misfire on perfectly healthy large values; a NaN
     # on either route refuses
     if not abs(direct - spectral) <= _ROUTE_TOL * max(1.0, abs(direct)):
         raise ConsistencyError(
-            f"{name}: boundary-integral and multiplier routes disagree",
+            f"{name} at x={np.squeeze(point).tolist()}: "
+            "boundary-integral and multiplier routes disagree",
             route_a=direct,
             route_b=spectral,
         )
@@ -67,10 +74,14 @@ def _multiplier_route(front, g, rep, t):
     return front * sobolev_inner(g, apply_M_power(rep, -t), t)
 
 
-def _two_routes(name, front, g, rep, t):
-    # front * int g rep dsigma, checked against the multiplier route
+def _two_routes(name, front, g, rep, t, points):
+    # front * int g rep dsigma for the representer of each of the points, a
+    # field or a stack with a row per point, each value checked against its
+    # multiplier route
     direct = front * boundary_integrate(g.pointwise_product(rep))
-    _route_guard(name, direct, _multiplier_route(front, g, rep, t))
+    spectral = _multiplier_route(front, g, rep, t)
+    for p, d1, d2 in zip(points, np.atleast_1d(direct), np.atleast_1d(spectral), strict=True):
+        _route_guard(name, p, d1, d2)
     return direct
 
 
@@ -82,7 +93,7 @@ def poisson_extend_classical(domain, s, g, x):
     """
     _check_field_domain(g, domain)
     P = poisson_kernel_classical(g.grid, x)
-    return _two_routes("poisson_extend_classical", 1.0, g, P, s)
+    return _two_routes("poisson_extend_classical", 1.0, g, P, s, [x])
 
 
 def poisson_extend_fractional(domain, a, s, phi, x):
@@ -94,11 +105,26 @@ def poisson_extend_fractional(domain, a, s, phi, x):
     psi_x = gamma_0^a G_a(x,.).  On the interval with phi constant equal
     to (2R)^{a-1} this reproduces the singular a-harmonic profile
     (R^2-|x|^2)^{a-1} exactly, which pins the Gamma normalization.
+
+    x is one point (float out) or an array of points as
+    ModelDomain.points reads them (one value per point, in the points'
+    shape).  The representers are built and paired in row blocks of at
+    most 65,536 samples (rows x nodes); each point's two routes are
+    compared on their own, and each value is bitwise equal to that of a
+    call at its point alone.
     """
     _check_field_domain(phi, domain)
     t = 2.0 * FracParams(a, s).theta
-    psi = fractional_trace_green(phi.grid, a, x)
-    return _two_routes("poisson_extend_fractional", _gamma_factor(a), phi, psi, t)
+    front = _gamma_factor(a)
+    pts, single = domain.points(x)
+    flat = pts.reshape(-1, domain.N)
+    rows = max(1, _STACK_ELEMENTS // phi.grid.n)
+    out = np.concatenate([
+        _two_routes("poisson_extend_fractional", front, phi,
+                    fractional_trace_green(phi.grid, a, block), t, block)
+        for block in np.split(flat, range(rows, len(flat), rows))
+    ])
+    return float(out[0]) if single else out.reshape(pts.shape[:-1])
 
 
 def _representers(grid, kind, params, points):
@@ -317,9 +343,10 @@ def reproduce_report(grid, a, s, data, x, d_values):
     on circle grids refined as 1/d (the interval keeps its two nodes) for
     the recovery u((R-d) z) d^(1-a) -> data(z) at probe points z, where it
     also gives the targets; the circle probes sit off the zeros of cos.
-    d_values are sorted decreasing and must be
-    distinct; the recovery error at every probe must decrease strictly
-    along them, and the worst last one is bounded by
+    Each d extends its grid's data at all probes in one
+    poisson_extend_fractional call.  d_values are sorted decreasing and
+    must be distinct; the recovery error at every probe must decrease
+    strictly along them, and the worst last one is bounded by
     1e-2 max(1, max |data|) over the grid.
     """
     domain = grid.domain
@@ -356,9 +383,10 @@ def reproduce_report(grid, a, s, data, x, d_values):
     for d in d_values:
         n_d = _recovery_grid_n(grid.n, d / domain.R)
         phi_d = boundary_grid(domain, n_d).field_from_function(data)
-        for errs, (z, arg) in zip(per_probe, probes):
-            u = poisson_extend_fractional(domain, a, s, phi_d, (domain.R - d) * z)
-            errs.append(abs(u * d ** (1.0 - a) - data(arg)))
+        inner = np.array([(domain.R - d) * z for z, _ in probes])
+        u = poisson_extend_fractional(domain, a, s, phi_d, inner)
+        for errs, u_z, (_, arg) in zip(per_probe, u.tolist(), probes):
+            errs.append(abs(u_z * d ** (1.0 - a) - data(arg)))
     errors = [max(col) for col in zip(*per_probe)]
     rep.metadata["trace_recovery_errors"] = errors
     scale = max(1.0, float(np.max(np.abs(phi.values))))

@@ -259,3 +259,31 @@ def test_half_spectrum_resample_matches_full_fft(case, data):
         assert row.tobytes() == grid.field(values).resample(n_new).values.tobytes()
         ref = _full_resample(values, n_new)
         assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(values))
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+@pytest.mark.parametrize("domain,n", [(interval(1.5), 2), (disk(0.7), 64), (disk(1.0), 4096),
+                                      (disk(1.0), 65536)],
+                         ids=["interval", "disk-64", "disk-4096", "disk-65536"])
+def test_pairings_of_a_stack_match_each_row(domain, n, m):
+    # one value per row, each bitwise equal to the single-field call, with
+    # the stack on either side of sobolev_inner
+    grid = BoundaryGrid(domain, n)
+    rng = np.random.default_rng(m * n)
+    f = grid.field(rng.standard_normal(n))
+    stack = grid.field(rng.standard_normal((m, n)))
+    integrals = boundary_integrate(stack)
+    assert integrals.shape == (m,)
+    for s in (0.0, 0.75):
+        assert sobolev_inner(f, stack, s).shape == (m,)
+        for k, row in enumerate(stack.values):
+            one = grid.field(row)
+            assert sobolev_inner(f, stack, s)[k].tobytes() == np.float64(
+                sobolev_inner(f, one, s)).tobytes()
+            assert sobolev_inner(stack, f, s)[k].tobytes() == np.float64(
+                sobolev_inner(one, f, s)).tobytes()
+    for k, row in enumerate(stack.values):
+        assert integrals[k].tobytes() == np.float64(boundary_integrate(grid.field(row))).tobytes()
+    # a single field still pairs to a float
+    assert type(boundary_integrate(f)) is float
+    assert type(sobolev_inner(f, f, 0.5)) is float

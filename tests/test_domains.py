@@ -174,6 +174,25 @@ def test_interval_nodes_are_one_column():
     assert field.values.tolist() == [-6.0, 6.0]
 
 
+@pytest.mark.parametrize("domain,n", [(interval(2.0), 2), (disk(1.5), 16), (disk(0.5), 4096)],
+                         ids=["interval", "disk-16", "disk-4096"])
+def test_grid_nodes_are_built_once_and_read_only(domain, n):
+    grid = BoundaryGrid(domain, n)
+    nodes = grid.nodes
+    assert grid.nodes is nodes
+    with pytest.raises(ValueError):
+        nodes[0, 0] = 0.0
+    if domain.kind == "interval":
+        expected = np.array([[-domain.R], [domain.R]])
+    else:
+        expected = domain.R * ray_directions(n)
+    assert nodes.tobytes() == expected.tobytes() and nodes.shape == expected.shape
+    # the cache is not a field: grids still compare and hash by (domain, n)
+    fresh = BoundaryGrid(domain, n)
+    assert fresh == grid and hash(fresh) == hash(grid)
+    assert "nodes" not in vars(fresh) and "nodes" in vars(grid)
+
+
 def test_grid_constraints():
     with pytest.raises(DomainError):
         BoundaryGrid(interval(1.0), 3)

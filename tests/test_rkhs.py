@@ -461,8 +461,10 @@ def test_reproduce_report_flags_each_probe(monkeypatch):
     a = 0.5
 
     def fake_extend(domain, a_, s_, phi, x):
-        d = domain.R - abs(float(x))
-        err = d if x > 0 else 1e-4 * (0.1 / d) ** (math.log10(2.0))
+        # one value per point, as the stacked extension gives
+        x = np.asarray(x, dtype=float)
+        d = domain.R - np.abs(x)
+        err = np.where(x > 0, d, 1e-4 * (0.1 / d) ** (math.log10(2.0)))
         return err / d ** (1.0 - a)
 
     monkeypatch.setattr(rkhs, "poisson_extend_fractional", fake_extend)
@@ -473,3 +475,64 @@ def test_reproduce_report_flags_each_probe(monkeypatch):
     by_name = {r.name: r for r in rep.records}
     assert not by_name["trace-recovery errors decrease along d_values"].passed
     assert by_name["final trace-recovery error"].passed
+
+
+# n = 65,536 stacks one row per block, so its points cross the row blocks
+@pytest.mark.parametrize("domain,n", [(IV, 2), (DK, 256), (DK, 65536)],
+                         ids=["interval", "disk-256", "disk-65536"])
+@settings(max_examples=6)
+@given(data=st.data(), a=st.sampled_from([0.3, 0.5, 0.8]), s=st.floats(-0.5, 1.0))
+def test_stacked_extension_matches_per_point_bitwise(domain, n, data, a, s):
+    grid = BoundaryGrid(domain, n)
+    # smooth data on the circle: white noise would put roundoff at every
+    # mode, where (1 + k^2)^t separates the two routes
+    c = np.random.default_rng(n).standard_normal(3)
+    if domain.kind == "interval":
+        phi = grid.field(c[:2])
+    else:
+        phi = grid.field(c[0] + c[1] * np.cos(grid.angles) + c[2] * np.sin(3.0 * grid.angles))
+    last = -0.5 if domain.kind == "interval" else _circle_pt(0.5, 1.0)
+    pts = _draw_points(data, domain, 8) + [last]
+    got = poisson_extend_fractional(domain, a, s, phi, np.array(pts))
+    assert got.shape == (len(pts),)
+    for value, p in zip(got, pts):
+        one = poisson_extend_fractional(domain, a, s, phi, p)
+        assert type(one) is float
+        assert value.tobytes() == np.float64(one).tobytes()
+    # any array of points, one value per point in the points' shape
+    if domain.kind == "disk":
+        grid_pts = np.array([pts[:2], pts[-2:]])
+        assert poisson_extend_fractional(domain, a, s, phi, grid_pts).tobytes() == (
+            np.array([got[:2], got[-2:]]).tobytes())
+
+
+@pytest.mark.parametrize("n", [256, 65536])
+def test_stacked_extension_guards_each_row(monkeypatch, n):
+    # corrupting one point's multiplier route refuses, naming that point
+    grid = BoundaryGrid(DK, n)
+    phi = grid.field(np.cos(grid.angles))
+    pts = np.array([[0.5 * math.cos(k), 0.5 * math.sin(k)] for k in range(8)])
+    pts[5] = [0.25, -0.5]
+    original = rkhs._multiplier_route
+    seen = [0]
+
+    def corrupt_row_5(front, g, rep, t):
+        out = np.array(original(front, g, rep, t))
+        rows = np.arange(seen[0], seen[0] + len(out))
+        seen[0] += len(out)
+        return np.where(rows == 5, out + 1e-6, out)
+
+    monkeypatch.setattr(rkhs, "_multiplier_route", corrupt_row_5)
+    with pytest.raises(ConsistencyError, match=r"at x=\[0\.25, -0\.5\]: boundary-integral"):
+        poisson_extend_fractional(DK, 0.5, 0.0, phi, pts)
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_stacked_extension_refuses_nan_data(domain):
+    grid = BoundaryGrid(domain, 2 if domain.kind == "interval" else 64)
+    values = np.ones(grid.n)
+    values[1] = math.nan
+    pts = np.array([0.2, -0.7]) if domain.kind == "interval" else np.array(
+        [_circle_pt(0.2, 0.3), _circle_pt(0.7, 2.0)])
+    with np.errstate(invalid="ignore"), pytest.raises(ConsistencyError):
+        poisson_extend_fractional(domain, 0.5, 0.0, grid.field(values), pts)
