@@ -66,7 +66,6 @@ from .rkhs import (
 )
 from .specfun import (
     FracParams,
-    boundary_integral_B,
     boundary_integral_B_derivative,
     frac_laplacian_constant,
     green_constant,
@@ -98,7 +97,6 @@ __all__ = [
     "SingularityError",
     "ToleranceError",
     "apply_M_power",
-    "boundary_integral_B",
     "boundary_integral_B_derivative",
     "boundary_integrate",
     "boundary_singular_field",

@@ -133,7 +133,7 @@ def criterion_6_fractional_kernel_value():
 
 def criterion_7_reproducing_property():
     """Two-resolution reproducing residual and weighted-trace recovery."""
-    rep = reproduce_report(BoundaryGrid(disk(1.0), 256), 0.5, 0.0, math.cos,
+    rep = reproduce_report(BoundaryGrid(disk(1.0), 256), 0.5, 0.0, np.cos,
                            [0.3, 0.0], [1e-1, 1e-2, 1e-3])
     return _prefixed("C7", rep)
 

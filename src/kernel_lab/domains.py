@@ -231,9 +231,9 @@ class BoundaryGrid:
         return BoundaryField(self, np.full(self.n, float(c)))
 
     def field_from_function(self, fn):
-        """Sample fn over the nodes; fn takes an angle (circle) or node (interval)."""
+        """fn maps the (n,) node angles (circle) or abscissae (interval) to n values."""
         args = self.angles if self.domain.kind == DISK else self.nodes[:, 0]
-        return BoundaryField(self, np.fromiter(map(fn, args.tolist()), float, self.n))
+        return BoundaryField(self, np.array(fn(args), dtype=float))
 
 
 def boundary_grid(domain, n):

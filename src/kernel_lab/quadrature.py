@@ -60,8 +60,11 @@ def _gj_nodes(order, beta):
     Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
     the symmetric tridiagonal Jacobi matrix of the monic Jacobi polynomials
     P^(beta, 0), and each weight is mu0 = int (1 - x)^beta dx times the
-    squared first component of its unit eigenvector.
+    squared first component of its unit eigenvector.  beta <= -1 is
+    refused: the weight is not integrable there.
     """
+    if not beta > -1.0:
+        raise DomainError(f"the Jacobi weight (1 - x)^beta needs beta > -1, got {beta}")
     k = np.arange(1, order, dtype=float)
     p = 2.0 * k + beta
     diag = np.empty(order)
@@ -105,18 +108,6 @@ def graded_mesh(lo, hi, panels, exponent, toward="lo"):
         else:
             keep[-1] = pts[-1]
     return np.asarray(keep)
-
-
-def panel_integrate(fn, breakpoints, order=GL_ORDER):
-    """Composite Gauss-Legendre over consecutive panels, fixed order.
-
-    fn is called once, on every node of the flattened rule that
-    panel_nodes_weights returns, so it must be vectorized: it takes a numpy
-    array of abscissae and returns an array of values of the same length.
-    Zero-width panels are dropped.
-    """
-    nodes, weights = panel_nodes_weights(breakpoints, order)
-    return float(np.dot(weights, fn(nodes)))
 
 
 def panel_nodes_weights(breakpoints, order=GL_ORDER):

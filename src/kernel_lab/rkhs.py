@@ -32,7 +32,7 @@ from .domains import DISK, INTERVAL, boundary_grid
 from .errors import ConsistencyError, DomainError, GridMismatchError
 from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
 from .report import Report, check, check_columns, flag
-from .specfun import FracParams
+from .specfun import FracParams, _gamma_checked
 
 # default circle quadrature resolution for kernel assembly; acceptance
 # runs a second resolution to bound the quadrature error empirically
@@ -66,7 +66,7 @@ def _check_field_domain(f, domain):
 
 
 def _gamma_factor(a):
-    return math.gamma(a) * math.gamma(a + 1.0)
+    return _gamma_checked(a, lambda: math.gamma(a) * math.gamma(a + 1.0))
 
 
 def _multiplier_route(front, g, rep, t):
@@ -134,7 +134,8 @@ def _representers(grid, kind, params, points):
     if kind == "classical":
         front, a, t = 1.0, 1.0, 0.5 * float(params)
     elif kind == "fractional":
-        front, a, t = _gamma_factor(params.a) ** 2, params.a, params.theta
+        front = _gamma_checked(params.a, lambda: _gamma_factor(params.a) ** 2)
+        a, t = params.a, params.theta
     else:
         raise ValueError(f"unknown kernel selector {kind!r}")
     return front, apply_M_power(boundary_representer(grid, a, points), -t).values
@@ -337,12 +338,12 @@ def _recovery_grid_n(base_n, d):
 def reproduce_report(grid, a, s, data, x, d_values):
     """Report on the reproducing residual and weighted-trace recovery of data.
 
-    data is the boundary function, called with an angle on the circle and
-    a node on the interval (BoundaryGrid.field_from_function).  It is
+    data is the boundary function, called with an array of angles on the
+    circle or of nodes on the interval (one value per entry out).  It is
     sampled on grid for the two-resolution reproducing residual at x, and
     on circle grids refined as 1/d (the interval keeps its two nodes) for
-    the recovery u((R-d) z) d^(1-a) -> data(z) at probe points z, where it
-    also gives the targets; the circle probes sit off the zeros of cos.
+    the recovery u((R-d) z) d^(1-a) -> data(z) at probe points z, where one
+    call gives the targets; the circle probes sit off the zeros of cos.
     Each d extends its grid's data at all probes in one
     poisson_extend_fractional call.  d_values are sorted decreasing and
     must be distinct; the recovery error at every probe must decrease
@@ -373,24 +374,23 @@ def reproduce_report(grid, a, s, data, x, d_values):
     res_tol = 1e-12 if domain.kind == INTERVAL else 1e-8
     rep.add(check("two-resolution reproducing residual", residual, 0.0, res_tol))
 
-    # probes: the boundary direction z and the argument data takes there
+    # probes: the boundary directions z, and the arguments data takes there
     if domain.kind == INTERVAL:
-        probes = [(z, z * domain.R) for z in (-1.0, 1.0)]
+        zs, args = np.array([-1.0, 1.0]), np.array([-domain.R, domain.R])
     else:
-        thetas = [2.0 * math.pi * j / 8.0 + math.pi / 8.0 for j in range(8)]
-        probes = [(np.array([math.cos(t), math.sin(t)]), t) for t in thetas]
-    per_probe = [[] for _ in probes]
-    for d in d_values:
+        args = np.array([2.0 * math.pi * j / 8.0 + math.pi / 8.0 for j in range(8)])
+        zs = np.array([[math.cos(t), math.sin(t)] for t in args.tolist()])
+    targets = data(args)
+    errs = np.empty((len(d_values), len(zs)))
+    for row, d in zip(errs, d_values):
         n_d = _recovery_grid_n(grid.n, d / domain.R)
         phi_d = boundary_grid(domain, n_d).field_from_function(data)
-        inner = np.array([(domain.R - d) * z for z, _ in probes])
-        u = poisson_extend_fractional(domain, a, s, phi_d, inner)
-        for errs, u_z, (_, arg) in zip(per_probe, u.tolist(), probes):
-            errs.append(abs(u_z * d ** (1.0 - a) - data(arg)))
-    errors = [max(col) for col in zip(*per_probe)]
+        u = poisson_extend_fractional(domain, a, s, phi_d, (domain.R - d) * zs)
+        row[:] = np.abs(u * d ** (1.0 - a) - targets)
+    errors = errs.max(axis=1).tolist()
     rep.metadata["trace_recovery_errors"] = errors
     scale = max(1.0, float(np.max(np.abs(phi.values))))
-    monotone = all(e1 > e2 for errs in per_probe for e1, e2 in zip(errs, errs[1:]))
+    monotone = bool(np.all(errs[:-1] > errs[1:]))
     rep.add(flag("trace-recovery errors decrease along d_values", monotone))
     rep.add(check("final trace-recovery error", errors[-1], 0.0, 1e-2 * scale))
     return rep

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
 import yaml
 
 from .domains import DISK, INTERVAL, ModelDomain, boundary_grid
@@ -226,8 +227,8 @@ class Scenario:
 def boundary_data_function(grid, spec):
     """The boundary data of a named preset, as a function for grid.
 
-    The function takes an angle on the circle and a node on the interval,
-    as BoundaryGrid.field_from_function calls it.
+    The function maps an array of angles (circle) or nodes (interval) to
+    one value per entry, as BoundaryGrid.field_from_function calls it.
 
     constant: {preset: constant, value: c}
     cosine:   {preset: cosine, mode: k, amplitude: A}   (circle only)
@@ -241,7 +242,7 @@ def boundary_data_function(grid, spec):
         if not _finite(value):
             raise ScenarioError("constant preset needs a finite numeric 'value'")
         value = float(value)
-        return lambda _: value
+        return lambda x: np.full(np.shape(x), value)
     if preset == "cosine":
         if grid.domain.kind != DISK:
             raise ScenarioError("the cosine preset lives on the circle")
@@ -254,7 +255,7 @@ def boundary_data_function(grid, spec):
         if not _finite(amplitude):
             raise ScenarioError("cosine amplitude must be finite and numeric")
         amplitude = float(amplitude)
-        return lambda theta: amplitude * math.cos(mode * theta)
+        return lambda theta: amplitude * np.cos(mode * theta)
     if preset == "endpoints":
         if grid.domain.kind != INTERVAL:
             raise ScenarioError("the endpoints preset lives on the interval")
@@ -262,7 +263,7 @@ def boundary_data_function(grid, spec):
         if not isinstance(values, list) or len(values) != 2 or not all(map(_finite, values)):
             raise ScenarioError("endpoints preset needs finite 'values: [v_minus, v_plus]'")
         v_minus, v_plus = float(values[0]), float(values[1])
-        return lambda node: v_minus if node < 0.0 else v_plus
+        return lambda node: np.where(node < 0.0, v_minus, v_plus)
     raise ScenarioError(f"unknown boundary_data preset {preset!r}")
 
 

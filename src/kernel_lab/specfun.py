@@ -7,10 +7,10 @@ oracles) reduces to the gamma function, the radial profile integral
     B(r0; a, N) = int_0^{r0} t^(a-1) (1+t)^(-N/2) dt,
 
 and a handful of constants assembled from them.  The constants are scalar
-closed forms in math.gamma; B has two independent routes, scalar adaptive
-quadrature (boundary_integral_B) and fixed Gauss-Jacobi rules over numpy
-arrays (boundary_integral_B_array).  Everything is deterministic and
-reentrant.
+closed forms in math.gamma; B is evaluated by fixed Gauss-Jacobi rules over
+numpy arrays (boundary_integral_B_array), which the tests pin against an
+independent scalar adaptive-quadrature route.  Everything is deterministic
+and reentrant.
 """
 
 import math
@@ -72,70 +72,32 @@ def frac_laplacian_constant(N, a):
     )
 
 
+def _gamma_checked(a, evaluate):
+    # evaluate() of a product of Gamma factors at order a, refused where it
+    # leaves the doubles: Gamma(a) ~ 1/a, so Gamma(a)^2 overflows below
+    # a ~ 7.5e-155 (** raises), kappa's denominator below ~ 1.3e-154 (* gives
+    # inf, and dividing by it gives 0), and Gamma(a) itself at subnormal a
+    try:
+        value = evaluate()
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"order a={a!r} is too small: Gamma(a)^2 overflows a double")
+    return value
+
+
 def green_constant(N, a):
     """Prefactor kappa_{N,a} = Gamma(N/2) / (4^a pi^(N/2) Gamma(a)^2) of the
     ball Green function of order a."""
     _check_domain(N, a)
-    return math.gamma(0.5 * N) / (4.0**a * math.pi ** (0.5 * N) * math.gamma(a) ** 2)
+    return _gamma_checked(
+        a, lambda: math.gamma(0.5 * N) / (4.0**a * math.pi ** (0.5 * N) * math.gamma(a) ** 2))
 
 
 def torsion_constant(N, a):
     """Constant kappa* with (-Delta)^a [kappa* (1-|x|^2)^a] = 1 on the unit ball."""
     _check_domain(N, a, a_max_inclusive=True)
     return math.gamma(0.5 * N) / (4.0**a * math.gamma(0.5 * N + a) * math.gamma(1.0 + a))
-
-
-def boundary_integral_B(r0, a, N):
-    """Radial profile B(r0; a, N) = int_0^{r0} t^(a-1) (1+t)^(-N/2) dt.
-
-    Closed antiderivatives are used for (a, N) in {(1/2, 1), (1/2, 2)};
-    everything else goes through adaptive Gauss-Kronrod after the
-    substitution t = u^(1/a), which removes the endpoint singularity.
-    The two routes agree to 1e-10 (tested).
-    """
-    _check_domain(N, a, a_max_inclusive=True)
-    if r0 < 0.0:
-        raise DomainError(f"r0 must be nonnegative, got {r0}")
-    if r0 == 0.0:
-        return 0.0
-    if a == 0.5 and N == 1:
-        return 2.0 * math.asinh(math.sqrt(r0))
-    if a == 0.5 and N == 2:
-        return 2.0 * math.atan(math.sqrt(r0))
-    return _B_quadrature(r0, a, N)
-
-
-def _B_quadrature(r0, a, N):
-    # imported here: scipy.integrate is slow to load, and only this scalar
-    # route, the independent check on boundary_integral_B_array, needs it
-    from scipy.integrate import quad
-
-    half_n = 0.5 * N
-    inv_a = 1.0 / a
-    total = 0.0
-    # [0, min(r0, 1)] with t = u^(1/a): dt t^(a-1) = du / a, integrand smooth
-    head = min(r0, 1.0)
-    val, _ = quad(
-        lambda u: (1.0 + u**inv_a) ** (-half_n),
-        0.0,
-        head**a,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=200,
-    )
-    total += val / a
-    if r0 > 1.0:
-        # log substitution t = e^v keeps large upper limits well conditioned
-        val, _ = quad(
-            lambda v: math.exp(a * v) * (1.0 + math.exp(v)) ** (-half_n),
-            0.0,
-            math.log(r0),
-            epsabs=0.0,
-            epsrel=1e-12,
-            limit=200,
-        )
-        total += val
-    return total
 
 
 # Gauss-Jacobi order of the array route of B: each of its integrands is
@@ -155,11 +117,11 @@ def _unit_jacobi(beta):
 
 
 def boundary_integral_B_array(r0, a, N):
-    """Vectorized boundary_integral_B over an array of r0 values.
+    """B(r0; a, N) over an array of r0 values.
 
-    Same closed forms at a = 1/2.  Otherwise fixed 12-node Gauss-Jacobi
-    rules, split at r0 = 1 so that no integrand has a singularity within
-    distance 1 of [0, 1]:
+    Closed forms at a = 1/2.  Otherwise fixed 12-node Gauss-Jacobi rules,
+    split at r0 = 1 so that no integrand has a singularity within distance
+    1 of [0, 1]:
 
       r0 <= 1:  B = r0^a int_0^1 u^(a-1) (1 + r0 u)^(-N/2) du,
       r0 > 1:   B = B(1) + (1 - r0^(-c))/c + int_0^1 w^c g(w) dw
@@ -169,10 +131,10 @@ def boundary_integral_B_array(r0, a, N):
     (1 - r0^(-c))/c at c = 0.  The second form writes t^(a-1) (1+t)^(-N/2)
     on [1, r0] as t^(-c-1) (1 + g(1/t)/t), so it holds wherever B grows
     without bound too (N = 1, a > 1/2).  Each sum runs node by node over a
-    block of r0 values, with no (points, nodes) temporary.  The route shares
-    nothing with the scalar one; tests pin it against that route, the
-    hypergeometric form (r0^a/a) 2F1(N/2, a; a+1; -r0) and the a = 1 closed
-    forms.
+    block of r0 values, with no (points, nodes) temporary.  Tests pin the
+    route against a scalar adaptive quadrature that shares nothing with it,
+    the hypergeometric form (r0^a/a) 2F1(N/2, a; a+1; -r0) and the a = 1
+    closed forms.
     """
     _check_domain(N, a, a_max_inclusive=True)
     r0 = np.asarray(r0, dtype=float)
@@ -217,7 +179,7 @@ def _B_gauss_jacobi(r0, a, half_n):
 
 
 def boundary_integral_B_derivative(r0, a, N):
-    """d/dr0 of boundary_integral_B, i.e. r0^(a-1) (1+r0)^(-N/2)."""
+    """d/dr0 of B(r0; a, N), i.e. r0^(a-1) (1+r0)^(-N/2)."""
     _check_domain(N, a, a_max_inclusive=True)
     if r0 < 0.0:
         raise DomainError(f"r0 must be nonnegative, got {r0}")

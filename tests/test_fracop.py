@@ -25,8 +25,9 @@ from kernel_lab.fracop import (
     residual_check,
 )
 from kernel_lab.green import green_classical, green_fractional
-from kernel_lab.quadrature import EvalBudget, QuadratureSpec, panel_integrate
+from kernel_lab.quadrature import EvalBudget, QuadratureSpec
 from kernel_lab.specfun import frac_laplacian_constant, green_constant
+from reference import panel_integrate
 
 IV = interval(1.0)
 DK = disk(1.0)

@@ -19,7 +19,8 @@ from kernel_lab.green import (
     torsion_reference,
 )
 from kernel_lab.quadrature import EvalBudget, QuadratureSpec
-from kernel_lab.specfun import boundary_integral_B, green_constant
+from kernel_lab.specfun import green_constant
+from reference import boundary_integral_B
 
 IV = interval(1.0)
 DK = disk(1.0)

@@ -440,9 +440,9 @@ def test_interval_trace_recovery():
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-2 * 2.0
 
-    # the report builder takes the data as one function of the node, sorts
-    # d decreasing, and finds the same errors
-    data = lambda node: 2.0 if node < 0.0 else -1.0
+    # the report builder takes the data as one function of the node array,
+    # sorts d decreasing, and finds the same errors
+    data = lambda node: np.where(node < 0.0, 2.0, -1.0)
     rep = reproduce_report(grid, a, s, data, 0.25, [1e-3, 1e-1, 1e-2])
     assert rep.overall_pass
     assert rep.scenario["d_values"] == [1e-1, 1e-2, 1e-3]
@@ -468,7 +468,7 @@ def test_reproduce_report_flags_each_probe(monkeypatch):
         return err / d ** (1.0 - a)
 
     monkeypatch.setattr(rkhs, "poisson_extend_fractional", fake_extend)
-    rep = reproduce_report(BoundaryGrid(IV, 2), a, 0.0, lambda node: 0.0,
+    rep = reproduce_report(BoundaryGrid(IV, 2), a, 0.0, np.zeros_like,
                            0.25, [1e-1, 1e-2, 1e-3])
     errs = rep.metadata["trace_recovery_errors"]
     assert errs[0] > errs[1] > errs[2]

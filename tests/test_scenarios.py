@@ -115,10 +115,11 @@ def test_boundary_data_presets():
         boundary_data_function(two, {"preset": "endpoints", "values": [1.0, -2.0]})
     )
     assert list(g.values) == [1.0, -2.0]
-    c = circle.field_from_function(
-        boundary_data_function(circle, {"preset": "constant", "value": 3.0})
-    )
-    assert np.all(c.values == 3.0)
+    for grid in (circle, two):
+        c = grid.field_from_function(
+            boundary_data_function(grid, {"preset": "constant", "value": 3.0})
+        )
+        assert c.values.shape == (grid.n,) and np.all(c.values == 3.0)
     for grid, spec in (
         (two, {"preset": "cosine", "mode": 1}),
         (circle, {"preset": "cosine", "mode": 99}),
@@ -130,6 +131,21 @@ def test_boundary_data_presets():
     ):
         with pytest.raises(ScenarioError):
             boundary_data_function(grid, spec)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 8192, 65536])
+def test_cosine_preset_matches_libm_bitwise(n):
+    # the preset samples with np.cos, whose agreement with libm's cos
+    # depends on the numpy build and the CPU; the recovery grids of
+    # reproduce run up to 65,536 nodes
+    grid = BoundaryGrid(disk(1.0), n)
+    angles = grid.angles.tolist()
+    for mode, amplitude in ((1, 1.0), (2, 0.5), (3, 1.0), (7, -2.5), (17, 1.0)):
+        data = boundary_data_function(grid, {"preset": "cosine", "mode": mode,
+                                             "amplitude": amplitude})
+        ref = np.array([amplitude * math.cos(mode * t) for t in angles])
+        got = grid.field_from_function(data).values
+        assert got.tobytes() == ref.tobytes(), (mode, amplitude)
 
 
 def test_report_json_round_trip(tmp_path):

