@@ -93,13 +93,21 @@ def from_spectrum(spectrum):
     return BoundaryField(grid, scale * np.fft.irfft(spectrum.coefficients, n=grid.n))
 
 
+def _apply_multipliers(field, mult):
+    return from_spectrum(Spectrum(field.grid, mult * to_spectrum(field).coefficients))
+
+
+def _pair(mult, fh, gh):
+    # sum_k mult_k Re(fhat_k conj(ghat_k)), without the complex product
+    out = np.sum(mult * (fh.real * gh.real + fh.imag * gh.imag), axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
 def apply_M_power(field, t):
     """Apply M^t, to each row of a stack at once; the identity on the
     interval, whose multipliers are 1.  A multiplier that overflows a
     double raises DomainError."""
-    mult = _multipliers(field.grid, t)
-    spec = to_spectrum(field)
-    return from_spectrum(Spectrum(field.grid, mult * spec.coefficients))
+    return _apply_multipliers(field, _multipliers(field.grid, t))
 
 
 def sobolev_inner(f, g, s):
@@ -119,11 +127,37 @@ def sobolev_inner(f, g, s):
     if f.grid != g.grid:
         raise GridMismatchError("sobolev_inner requires fields on one grid")
     mult = _pair_weights(f.grid) * _multipliers(f.grid, s)
-    fh = to_spectrum(f).coefficients
-    gh = to_spectrum(g).coefficients
-    # Re(fhat conj(ghat)), without the complex product
-    out = np.sum(mult * (fh.real * gh.real + fh.imag * gh.imag), axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return _pair(mult, to_spectrum(f).coefficients, to_spectrum(g).coefficients)
+
+
+@dataclass(frozen=True)
+class DualPairing:
+    """The data side of h -> <g, M^{-t} h>_t for one field g and order t:
+    g's spectrum and the multipliers of M^{-t} and of the order-t pairing,
+    built once (dual_pairing) to pair g with many fields h."""
+
+    grid: BoundaryGrid
+    spectrum: np.ndarray
+    down: np.ndarray
+    up: np.ndarray
+
+    def pair(self, h):
+        """<g, M^{-t} h>_t, one float per row of a stack h.  Each h keeps its
+        full round trip (forward, M^{-t}, inverse, forward again), so every
+        value is bitwise equal to sobolev_inner(g, apply_M_power(h, -t), t)."""
+        if h.grid != self.grid:
+            raise GridMismatchError("a dual pairing requires fields on one grid")
+        hh = to_spectrum(_apply_multipliers(h, self.down)).coefficients
+        return _pair(self.up, self.spectrum, hh)
+
+
+def dual_pairing(g, t):
+    """The DualPairing of g at order t; a multiplier of M^{-t} or M^t that
+    overflows a double raises DomainError."""
+    grid = g.grid
+    return DualPairing(grid, down=_multipliers(grid, -t),
+                       up=_pair_weights(grid) * _multipliers(grid, t),
+                       spectrum=to_spectrum(g).coefficients)
 
 
 def boundary_integrate(field):

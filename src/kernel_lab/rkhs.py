@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import apply_M_power, boundary_integrate, sobolev_inner
+from .boundary import apply_M_power, boundary_integrate, dual_pairing
 from .domains import DISK, INTERVAL, boundary_grid
-from .errors import ConsistencyError, DomainError, GridMismatchError
+from .errors import ConsistencyError, DomainError, GridMismatchError, ToleranceError
 from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
 from .report import Report, check, check_columns, flag
 from .specfun import FracParams, _gamma_checked
@@ -69,17 +69,18 @@ def _gamma_factor(a):
     return _gamma_checked(a, lambda: math.gamma(a) * math.gamma(a + 1.0))
 
 
-def _multiplier_route(front, g, rep, t):
-    # front * <g, M^{-t} rep>_t, which the cancellation makes front * int g rep
-    return front * sobolev_inner(g, apply_M_power(rep, -t), t)
+def _multiplier_route(front, side, rep):
+    # front * <g, M^{-t} rep>_t from g's prebuilt side = dual_pairing(g, t),
+    # which the cancellation makes front * int g rep
+    return front * side.pair(rep)
 
 
-def _two_routes(name, front, g, rep, t, points):
+def _two_routes(name, front, g, side, rep, points):
     # front * int g rep dsigma for the representer of each of the points, a
     # field or a stack with a row per point, each value checked against its
-    # multiplier route
+    # multiplier route on g's side
     direct = front * boundary_integrate(g.pointwise_product(rep))
-    spectral = _multiplier_route(front, g, rep, t)
+    spectral = _multiplier_route(front, side, rep)
     for p, d1, d2 in zip(points, np.atleast_1d(direct), np.atleast_1d(spectral), strict=True):
         _route_guard(name, p, d1, d2)
     return direct
@@ -93,7 +94,7 @@ def poisson_extend_classical(domain, s, g, x):
     """
     _check_field_domain(g, domain)
     P = poisson_kernel_classical(g.grid, x)
-    return _two_routes("poisson_extend_classical", 1.0, g, P, s, [x])
+    return _two_routes("poisson_extend_classical", 1.0, g, dual_pairing(g, s), P, [x])
 
 
 def poisson_extend_fractional(domain, a, s, phi, x):
@@ -109,9 +110,10 @@ def poisson_extend_fractional(domain, a, s, phi, x):
     x is one point (float out) or an array of points as
     ModelDomain.points reads them (one value per point, in the points'
     shape).  The representers are built and paired in row blocks of at
-    most 65,536 samples (rows x nodes); each point's two routes are
-    compared on their own, and each value is bitwise equal to that of a
-    call at its point alone.
+    most 65,536 samples (rows x nodes) against one data side, phi's
+    spectrum and multipliers built once per call; each point's two routes
+    are compared on their own, and each value is bitwise equal to that of
+    a call at its point alone.
     """
     _check_field_domain(phi, domain)
     t = 2.0 * FracParams(a, s).theta
@@ -119,9 +121,10 @@ def poisson_extend_fractional(domain, a, s, phi, x):
     pts, single = domain.points(x)
     flat = pts.reshape(-1, domain.N)
     rows = max(1, _STACK_ELEMENTS // phi.grid.n)
+    side = dual_pairing(phi, t)
     out = np.concatenate([
-        _two_routes("poisson_extend_fractional", front, phi,
-                    fractional_trace_green(phi.grid, a, block), t, block)
+        _two_routes("poisson_extend_fractional", front, phi, side,
+                    fractional_trace_green(phi.grid, a, block), block)
         for block in np.split(flat, range(rows, len(flat), rows))
     ])
     return float(out[0]) if single else out.reshape(pts.shape[:-1])
@@ -171,6 +174,16 @@ def _distinct_rows(pts):
     return pts[order[starts]], inverse
 
 
+# the most terms the spectral oracle sums per pair
+_ORACLE_TERMS = 200_000
+
+
+def _oracle_unconverged(s, rho):
+    return ToleranceError(
+        f"the spectral oracle's order s={s:g} series at rho={rho:.17g} has terms "
+        f"above 1e-16 past k={_ORACLE_TERMS}")
+
+
 def kernel_classical_spectral_oracle(domain, s, x, y):
     """Fourier-series evaluation of the classical disk kernel.
 
@@ -179,8 +192,10 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     series is truncated at its first term whose magnitude (cosine bounded
     away) is below 1e-16.  x and y are points (float out) or (P, 2) arrays
     of them ((P,) array out).  A multiplier (1+k^2/R^2)^{-s} too large for
-    a double, as at a strongly negative s, raises DomainError.  Independent
-    of the grid machinery, hence an oracle for it.
+    a double, as at a strongly negative s, raises DomainError.  A series
+    still above 1e-16 at its 200,000th term (rho near 1) raises
+    ToleranceError, at once where s >= 0 and the largest rho decide it.
+    Independent of the grid machinery, hence an oracle for it.
     """
     if domain.kind != DISK:
         raise DomainError("the spectral oracle is defined on the disk")
@@ -197,10 +212,16 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     r, theta = r[inverse], _angles(pts)[inverse]
     rho = r[:P] * r[P:] / R**2
     delta = theta[P:] - theta[:P]
+    # for s >= 0 the terms fall with k, so the pair of largest rho is live
+    # at the cap when its last term is; hypot keeps this from overflowing
+    rho_max = float(rho.max(initial=0.0))
+    if s >= 0.0 and (math.hypot(1.0, _ORACLE_TERMS / R) ** (-2.0 * s)
+                     * rho_max**_ORACLE_TERMS >= 1e-16):
+        raise _oracle_unconverged(s, rho_max)
     total = np.ones_like(rho)
     live = np.arange(rho.size)
     k = 1
-    while live.size and k <= 200_000:
+    while live.size and k <= _ORACLE_TERMS:
         # rho < 1, so a term can overflow only where its multiplier does
         try:
             mult = (1.0 + (k / R) ** 2) ** (-s)
@@ -215,6 +236,8 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
         live, mag = live[keep], mag[keep]
         total[live] += 2.0 * mag * np.cos(k * delta[live])
         k += 1
+    if live.size:
+        raise _oracle_unconverged(s, rho[live].max())
     out = total / (2.0 * math.pi * R)
     return float(out[0]) if x.ndim == 1 else out
 
@@ -323,7 +346,8 @@ def reproducing_residual(domain, a, s, phi, x):
     u = poisson_extend_fractional(domain, a, s, phi, x)
     phi_fine = phi.resample(boundary_grid(domain, 2 * phi.grid.n).n)
     psi = fractional_trace_green(phi_fine.grid, a, x)
-    pairing = _multiplier_route(_gamma_factor(a), phi_fine, psi, 2.0 * params.theta)
+    side = dual_pairing(phi_fine, 2.0 * params.theta)
+    pairing = _multiplier_route(_gamma_factor(a), side, psi)
     return abs(pairing - u)
 
 

@@ -363,6 +363,17 @@ def test_exit_2_invalid_inputs(tmp_path, capsys):
     assert "invalid input" in err
 
 
+def test_kernel_refuses_an_oracle_series_that_does_not_converge(tmp_path, capsys):
+    # rho = 0.99998 leaves the oracle's series above 1e-16 past its cap: a
+    # numeric failure, not a failing check against a truncated reference
+    scn = tmp_path / "k.yaml"
+    scn.write_text("kernel: {points: [[0.99999, 0.0], [0.99999, 1.0e-3]]}\n", encoding="utf-8")
+    assert main(["kernel", "--scenario", str(scn), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: the spectral oracle's order s=0 series" in err
+    assert not (tmp_path / "kernel_report.json").exists()
+
+
 def test_reproduce_order_whose_pairing_multipliers_overflow(tmp_path, capsys):
     # at s = 400 the pairing's order 2 theta = 401 lifts (1 + k^2)^401 past
     # the largest double from k = 3 on: invalid input, not a route failure

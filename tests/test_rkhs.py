@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_lab.boundary as boundary
 import kernel_lab.rkhs as rkhs
-from kernel_lab.boundary import apply_M_power
+from kernel_lab.boundary import apply_M_power, dual_pairing, sobolev_inner
 from kernel_lab.domains import BoundaryGrid, boundary_grid, disk, interval
-from kernel_lab.errors import ConsistencyError, DomainError, GridMismatchError
+from kernel_lab.errors import ConsistencyError, DomainError, GridMismatchError, ToleranceError
 from kernel_lab.rkhs import (
     gram_matrix,
     kernel_classical,
@@ -20,7 +22,7 @@ from kernel_lab.rkhs import (
     reproduce_report,
     reproducing_residual,
 )
-from kernel_lab.green import boundary_representer
+from kernel_lab.green import boundary_representer, fractional_trace_green
 from kernel_lab.specfun import FracParams, green_constant
 
 IV = interval(1.0)
@@ -63,7 +65,7 @@ def test_fractional_extension_constant_data(domain, a):
 def test_route_guard_trips(monkeypatch):
     grid = BoundaryGrid(DK, 64)
     g = grid.field(np.cos(grid.angles))
-    monkeypatch.setattr(rkhs, "sobolev_inner", lambda f, h, s: 123.0)
+    monkeypatch.setattr(rkhs, "_multiplier_route", lambda front, side, rep: 123.0)
     with pytest.raises(ConsistencyError):
         poisson_extend_classical(DK, 0.0, g, np.array([0.2, 0.1]))
 
@@ -184,6 +186,22 @@ def test_oracle_refuses_an_order_whose_series_overflows():
     x = _circle_pt(0.5, 0.0)
     with pytest.raises(DomainError, match="the spectral oracle cannot sum the order s=-200 series"):
         kernel_classical_spectral_oracle(DK, -200.0, x, x)
+
+
+def test_oracle_refuses_a_series_still_live_at_its_cap(monkeypatch):
+    # rho = 0.99998: the closed form (1-rho^2)/(2pi(1-2rho cos D+rho^2))
+    # reads 6.20 where 200,000 terms summed to 0.526; at s >= 0 the last
+    # term decides before summing, at s < 0 the sum refuses at its cap
+    x, y = np.array([0.99999, 0.0]), np.array([0.99999, 1e-3])
+    for s in (0.0, 1.0):
+        with pytest.raises(ToleranceError, match=r"rho=0\.99998.* past k=200000"):
+            kernel_classical_spectral_oracle(DK, s, x, y)
+    monkeypatch.setattr(rkhs, "_ORACLE_TERMS", 50)
+    with pytest.raises(ToleranceError, match=r"order s=-0\.5 series .* past k=50"):
+        kernel_classical_spectral_oracle(DK, -0.5, x, y)
+    # a pair that converges within the cap still sums
+    z = _circle_pt(0.5, 0.0)
+    assert kernel_classical_spectral_oracle(DK, -0.5, z, z) > 0.0
 
 
 def test_oracle_monotone_in_s():
@@ -516,8 +534,8 @@ def test_stacked_extension_guards_each_row(monkeypatch, n):
     original = rkhs._multiplier_route
     seen = [0]
 
-    def corrupt_row_5(front, g, rep, t):
-        out = np.array(original(front, g, rep, t))
+    def corrupt_row_5(front, side, rep):
+        out = np.array(original(front, side, rep))
         rows = np.arange(seen[0], seen[0] + len(out))
         seen[0] += len(out)
         return np.where(rows == 5, out + 1e-6, out)
@@ -525,6 +543,84 @@ def test_stacked_extension_guards_each_row(monkeypatch, n):
     monkeypatch.setattr(rkhs, "_multiplier_route", corrupt_row_5)
     with pytest.raises(ConsistencyError, match=r"at x=\[0\.25, -0\.5\]: boundary-integral"):
         poisson_extend_fractional(DK, 0.5, 0.0, phi, pts)
+
+
+def _probes(domain, m):
+    # m interior points, as a stack's rows
+    r = np.linspace(0.1, 0.95, m)
+    if domain.kind == "interval":
+        return r * np.where(np.arange(m) % 2, 1.0, -1.0)
+    return np.array([_circle_pt(rk, 2.0 * math.pi * k / m + 0.3) for k, rk in enumerate(r)])
+
+
+@pytest.mark.parametrize("domain,n", [(IV, 2), (DK, 256), (DK, 65536)],
+                         ids=["interval", "disk-256", "disk-65536"])
+@pytest.mark.parametrize("m", [None, 1, 3, 8], ids=["field", "m1", "m3", "m8"])
+@pytest.mark.parametrize("a,s", [(0.3, -0.5), (0.7, 1.0)])
+def test_dual_pairing_route_matches_sobolev_inner_bitwise(domain, n, m, a, s):
+    # the data side built once pairs each row as the per-call composition did
+    grid = BoundaryGrid(domain, n)
+    g = grid.field(np.random.default_rng(n).standard_normal(n))
+    t = 2.0 * FracParams(a, s).theta
+    front = rkhs._gamma_factor(a)
+    pts = _probes(domain, 1 if m is None else m)
+    rep = fractional_trace_green(grid, a, pts[0] if m is None else pts)
+    got = rkhs._multiplier_route(front, dual_pairing(g, t), rep)
+    want = front * sobolev_inner(g, apply_M_power(rep, -t), t)
+    if m is None:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return
+    assert got.shape == want.shape == (m,)
+    for k in range(m):
+        row = grid.field(rep.values[k])
+        alone = front * sobolev_inner(g, apply_M_power(row, -t), t)
+        assert got[k].tobytes() == want[k].tobytes() == np.float64(alone).tobytes()
+
+
+def test_extension_transforms_the_data_once(monkeypatch):
+    # eight probes on 65,536 nodes go one per row block, against one data
+    # side: phi is transformed once and the multipliers are built twice
+    # (M^{-t} and the pairing's M^t), not once and twice per block
+    grid = BoundaryGrid(DK, 65536)
+    phi = grid.field(np.cos(grid.angles))
+    calls = {"phi spectra": 0, "multipliers": 0}
+    to_spectrum, multipliers = boundary.to_spectrum, boundary._multipliers
+
+    def counted_spectrum(field):
+        calls["phi spectra"] += field.values.shape == phi.values.shape
+        return to_spectrum(field)
+
+    def counted_multipliers(grid, t):
+        calls["multipliers"] += 1
+        return multipliers(grid, t)
+
+    monkeypatch.setattr(boundary, "to_spectrum", counted_spectrum)
+    monkeypatch.setattr(boundary, "_multipliers", counted_multipliers)
+    assert poisson_extend_fractional(DK, 0.5, 0.0, phi, _probes(DK, 8)).shape == (8,)
+    assert calls == {"phi spectra": 1, "multipliers": 2}
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_extension_refuses_a_perturbed_data_spectrum(monkeypatch, domain):
+    # one coefficient of phi's prebuilt spectrum off by 1e-9 relative: the
+    # direct route still checks the data side, so every probe refuses
+    grid = BoundaryGrid(domain, 2 if domain.kind == "interval" else 256)
+    phi = grid.field(np.array([1.0, 2.0]) if domain.kind == "interval" else np.cos(grid.angles))
+    original = rkhs._multiplier_route
+
+    def perturbed(front, side, rep):
+        spectrum = side.spectrum.copy()
+        spectrum[1] *= 1.0 + 1e-9
+        return original(front, dataclasses.replace(side, spectrum=spectrum), rep)
+
+    pts = _probes(domain, 8)
+    for p in pts:
+        poisson_extend_fractional(domain, 0.5, 0.0, phi, p)
+    monkeypatch.setattr(rkhs, "_multiplier_route", perturbed)
+    for p in pts:
+        with pytest.raises(ConsistencyError, match="boundary-integral and multiplier routes"):
+            poisson_extend_fractional(domain, 0.5, 0.0, phi, p)
 
 
 @pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
