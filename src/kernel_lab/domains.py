@@ -145,20 +145,36 @@ def ray_exit(domain, x, direction):
     return float(dist) if direction.ndim == 1 else dist
 
 
-def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
-    """(r, pts, lengths): the rule s on [0, 1] mapped onto [start, stop]
-    along every ray of dirs from the interior point x.
+# samples (rays x nodes) per block of ray_nodes: a block's radii, points
+# and field values stay in a core's L2 cache, where one array of every
+# (ray, node) sample of a disk rule does not
+_RAY_BLOCK_ELEMENTS = 1 << 14
 
-    dirs is an (n, N) array of unit vectors and s an (m,) array of nodes;
-    stop is one radius for every ray, or by default each ray's ray_exit.
-    lengths is the (n,) array stop - start, r the (n, m) radii
-    start + lengths * s, and pts the (n, m, N) points x + r e.  With the
-    rule's weights w and the ray weight of rays(), summing
-    weight * lengths @ ((f(pts) * r^(N-1)) @ w) integrates f over the
-    rays' [start, stop] in polar coordinates.  pts is filled one
-    coordinate at a time, bitwise equal to the broadcast
-    x + r[..., None] * dirs[:, None, :], which numpy would run two
-    elements at a time.
+
+def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
+    """Yield (idx, r, pts, lengths): the rule s on [0, 1] mapped onto
+    [start, stop] along the rays of dirs from the interior point x, in
+    blocks of rays.
+
+    dirs is an (n, N) array of unit vectors, n even with ray j + n/2 minus
+    ray j (as rays() gives them), and s an (m,) array of nodes; stop is one
+    radius for every ray, or by default each ray's ray_exit.  lengths is
+    the (n,) array stop - start of all rays, the same in every block.  A
+    block holds rays j, ..., j + b - 1 followed by their antipodes
+    j + n/2, ..., j + n/2 + b - 1, in the index array idx; every ray is in
+    exactly one block, and the interval's two rays form one.  b is the
+    largest power of two that keeps a block within _RAY_BLOCK_ELEMENTS
+    samples, one pair of rays at least.  With 32 pairs on the disk the
+    blocks are equal, and at b >= 4 each block's row dot products f @ w
+    round as the whole array's do (OpenBLAS's gemv takes rows in fours),
+    so the blocked sums are bitwise the unblocked ones there.  r is the
+    block's (2b, m) radii start + lengths[idx] * s and pts its (2b, m, N)
+    points x + r e.  With the rule's weights w and the ray
+    weight of rays(), filling rows[idx] = (f(pts) * r^(N-1)) @ w block by
+    block and summing weight * lengths @ rows integrates f over the rays'
+    [start, stop] in polar coordinates.  pts is filled one coordinate at a
+    time, bitwise equal to the broadcast x + r[..., None] * dirs[idx, None],
+    which numpy would run two elements at a time.
     """
     xv = np.reshape(domain.point(x), domain.N)
     if stop is None:
@@ -166,11 +182,16 @@ def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
     else:
         stop = np.full(len(dirs), float(stop))
     lengths = stop - start
-    r = start + lengths[:, None] * s[None, :]
-    pts = np.empty(r.shape + (domain.N,))
-    for k in range(domain.N):
-        pts[..., k] = xv[k] + r * dirs[:, k, None]
-    return r, pts, lengths
+    half = len(dirs) // 2
+    b = min(half, 1 << max(0, (_RAY_BLOCK_ELEMENTS // (2 * s.size)).bit_length() - 1))
+    for j in range(0, half, b):
+        pair = np.arange(j, min(j + b, half))
+        idx = np.concatenate([pair, pair + half])
+        r = start + lengths[idx, None] * s[None, :]
+        pts = np.empty(r.shape + (domain.N,))
+        for k in range(domain.N):
+            pts[..., k] = xv[k] + r * dirs[idx, k, None]
+        yield idx, r, pts, lengths
 
 
 def interval(R=1.0):

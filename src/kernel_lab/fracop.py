@@ -20,7 +20,8 @@ at an interior point x is split three ways:
 Both domains run the same rules: the interval is the 1-D ball, with the
 two rays -1 and +1 of measure 1 each (domains.rays).  Every rule on [0, 1]
 reaches the rays through domains.ray_nodes, and the field is evaluated once
-on all (ray, node) points of a rule.  The convergence estimate compares the
+per block of rays on all (ray, node) points of the block, which holds a
+ray's antipode along with it.  The convergence estimate compares the
 half-resolution and full-resolution rules in both the near and the far
 field.
 
@@ -155,9 +156,10 @@ def _bump_base_mass(kind):
     ball = ModelDomain(kind)
     dirs, weight = rays(ball)
     s, w = panel_nodes_weights(np.linspace(0.0, 1.0, 33))
-    r, _, lengths = ray_nodes(ball, np.zeros(ball.N), dirs, s)
-    f = np.exp(-1.0 / (1.0 - r * r)) * r ** (ball.N - 1)
-    return weight * float(lengths @ (f @ w))
+    rows = np.empty(len(dirs))
+    for idx, r, _, lengths in ray_nodes(ball, np.zeros(ball.N), dirs, s):
+        rows[idx] = (np.exp(-1.0 / (1.0 - r * r)) * r ** (ball.N - 1)) @ w
+    return weight * float(lengths @ rows)
 
 
 @dataclass(frozen=True)
@@ -232,10 +234,13 @@ def _apply(u, a, x, h0, quad, budget, c):
         # term, and each pair at twice the ray weight cancels the 1/2
         s, w = panel_nodes_weights(graded_mesh(0.0, 1.0, panels, 2.0, toward="lo"))
         budget.spend(len(dirs) * s.size)
-        r, pts, lengths = ray_nodes(u.domain, x, dirs, s, stop=h0)
-        vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
-        f = (2.0 * ux - vals[half:] - vals[:half]) * r[0] ** (-1.0 - 2.0 * a)
-        return weight * float(lengths[half:] @ (f @ w))
+        rows = np.empty(half)
+        for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
+            b = len(idx) // 2
+            vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
+            f = (2.0 * ux - vals[b:] - vals[:b]) * r[0] ** (-1.0 - 2.0 * a)
+            rows[idx[:b]] = f @ w
+        return weight * float(lengths[half:] @ rows)
 
     coarse = quad.resolution // 2
     near_half = near(coarse)
@@ -254,15 +259,17 @@ def _far(u, a, x, h0, dirs, weight, panels, budget):
     u(x) T^(-2a)/(2a) add up to u(x) h0^(-2a)/(2a) - int_{h0}^{T} u(x+re)
     r^(-1-2a) dr.  One exit_graded_rule on [0, 1] maps onto every ray's
     [h0, T], its exit panel fitted to the boundary exponent that the field's
-    tag declares, and the field is evaluated once on all (ray, node) points.
+    tag declares, and the field is evaluated once per block of rays.
     """
     beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[u.tag]
     s, w = exit_graded_rule(panels, 2.0, beta)
     budget.spend(len(dirs) * s.size)
-    r, pts, lengths = ray_nodes(u.domain, x, dirs, s, start=h0)
-    vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
+    rows = np.empty(len(dirs))
+    for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
+        vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
+        rows[idx] = vals @ w
     tails = weight * len(dirs) * u(x) * h0 ** (-2.0 * a) / (2.0 * a)
-    return tails - weight * float(lengths @ (vals @ w))
+    return tails - weight * float(lengths @ rows)
 
 
 # Chebyshev resolution of the interval mollified_green build
@@ -355,15 +362,16 @@ def _moll_value_disk(domain, a, moll, z, quad):
     # smoke-grade when the Green singularity sits inside it
     s, w = panel_nodes_weights(np.linspace(0.0, 1.0, max(8, quad.resolution // 4) + 1))
     dirs, weight = rays(domain)
-    r, pts, lengths = ray_nodes(domain, moll.center, dirs, s, stop=moll.width)
-    pts = pts.reshape(-1, 2)
-    dist2 = squared_norm(pts - z)
-    y2 = squared_norm(pts)
-    vals = np.zeros(len(pts))
-    ok = dist2 > 0.0
-    vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])
-    f = (vals * moll.density(pts)).reshape(r.shape) * r
-    return weight * float(lengths @ (f @ w))
+    rows = np.empty(len(dirs))
+    for idx, r, pts, lengths in ray_nodes(domain, moll.center, dirs, s, stop=moll.width):
+        pts = pts.reshape(-1, 2)
+        dist2 = squared_norm(pts - z)
+        y2 = squared_norm(pts)
+        vals = np.zeros(len(pts))
+        ok = dist2 > 0.0
+        vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])
+        rows[idx] = ((vals * moll.density(pts)).reshape(r.shape) * r) @ w
+    return weight * float(lengths @ rows)
 
 
 def _not_a_knot_spline(x, y):

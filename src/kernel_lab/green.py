@@ -195,8 +195,8 @@ def _refine(evaluate, quad):
 def _mass(domain, a, x, panels, budget):
     # one rule in s = r/T on [0, 1/2] and [1/2, 1], graded with exponent 2/a
     # toward the point singularity at s = 0 and the boundary weight at
-    # s = 1, maps onto every ray's [0, T] (ray_nodes); all rays are
-    # evaluated at once.
+    # s = 1, maps onto every ray's [0, T] (ray_nodes), a block of rays at
+    # a time.
     # The singular factor is computed from r itself, so grading toward
     # r = 0 cannot collide with the singularity in floating point
     grading = 2.0 / a
@@ -207,9 +207,10 @@ def _mass(domain, a, x, panels, budget):
     ])
     s, w = panel_nodes_weights(mesh)
     budget.spend(len(dirs) * s.size)
-    r, pts, T = ray_nodes(domain, x, dirs, s)
     xv = np.reshape(x, -1)
-    N = domain.N
-    y2 = squared_norm(pts)
-    vals = green_fractional_radial(N, a, domain.R, float(xv @ xv), y2, r * r) * r ** (N - 1)
-    return weight * float(T @ (vals @ w))
+    x2, N = float(xv @ xv), domain.N
+    rows = np.empty(len(dirs))
+    for idx, r, pts, T in ray_nodes(domain, x, dirs, s):
+        g = green_fractional_radial(N, a, domain.R, x2, squared_norm(pts), r * r)
+        rows[idx] = (g * r ** (N - 1)) @ w
+    return weight * float(T @ rows)

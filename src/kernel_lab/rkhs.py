@@ -178,6 +178,34 @@ def _distinct_rows(pts):
 _ORACLE_TERMS = 200_000
 
 
+def _live_at_cap(s, R, rho):
+    """Whether the order s series of ratio rho has every term
+    (1 + k^2/R^2)^(-s) rho^k, k = 1, ..., _ORACLE_TERMS, at or above 1e-16,
+    each computed as kernel_classical_spectral_oracle's loop computes it, so
+    that the loop would reach its cap with the pair live.
+
+    The log of the term has slope log(rho) - 2sk/(R^2 + k^2) in k.  For
+    s >= 0 the term falls throughout.  For s < 0 it can fall, rise and fall
+    again; its one local minimum is the smaller root
+    k1 = L R^2 / (sqrt(s^2 - L^2 R^2) - s) <= R of L (R^2 + k^2) = -2sk,
+    L = -log(rho).  So the least term is at k = 1, next to k1, or at the
+    cap.  False where a multiplier overflows, which the loop reports.
+    """
+    K = _ORACLE_TERMS
+    if not rho > 0.0:
+        return False
+    ks = {1, K}
+    L = -math.log(rho)
+    disc = s * s - (L * R) ** 2
+    if s < 0.0 and disc >= 0.0:
+        k1 = int(L * R * R / (math.sqrt(disc) - s))
+        ks.update(range(max(1, k1 - 1), min(K, k1 + 2) + 1))
+    try:
+        return min((1.0 + (k / R) ** 2) ** (-s) * rho**k for k in ks) >= 1e-16
+    except OverflowError:
+        return False
+
+
 def _oracle_unconverged(s, rho):
     return ToleranceError(
         f"the spectral oracle's order s={s:g} series at rho={rho:.17g} has terms "
@@ -194,7 +222,7 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     of them ((P,) array out).  A multiplier (1+k^2/R^2)^{-s} too large for
     a double, as at a strongly negative s, raises DomainError.  A series
     still above 1e-16 at its 200,000th term (rho near 1) raises
-    ToleranceError, at once where s >= 0 and the largest rho decide it.
+    ToleranceError before any term is summed.
     Independent of the grid machinery, hence an oracle for it.
     """
     if domain.kind != DISK:
@@ -212,11 +240,10 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     r, theta = r[inverse], _angles(pts)[inverse]
     rho = r[:P] * r[P:] / R**2
     delta = theta[P:] - theta[:P]
-    # for s >= 0 the terms fall with k, so the pair of largest rho is live
-    # at the cap when its last term is; hypot keeps this from overflowing
+    # every term grows with rho, so a pair is live at the cap only if the
+    # pair of largest rho is
     rho_max = float(rho.max(initial=0.0))
-    if s >= 0.0 and (math.hypot(1.0, _ORACLE_TERMS / R) ** (-2.0 * s)
-                     * rho_max**_ORACLE_TERMS >= 1e-16):
+    if _live_at_cap(s, R, rho_max):
         raise _oracle_unconverged(s, rho_max)
     total = np.ones_like(rho)
     live = np.arange(rho.size)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kernel_lab.domains import (
+    _RAY_BLOCK_ELEMENTS,
     BoundaryGrid,
     disk,
     interval,
@@ -109,23 +110,57 @@ def test_ray_nodes_map_a_unit_rule_onto_every_ray(kind, R, rho, angle, start_fra
     def ball(radius):
         return 2.0 * radius if N == 1 else math.pi * radius**2
 
+    def polar_measure(lo, blocks):
+        # the callers' reduction: rows filled block by block, then one dot
+        rows = np.full(len(dirs), np.nan)
+        for idx, r, pts, lengths in blocks:
+            # the broadcast formulas, bit for bit
+            assert r.tobytes() == (lo + lengths[idx, None] * s[None, :]).tobytes()
+            ref = np.reshape(x, -1) + r[..., None] * dirs[idx, None, :]
+            assert pts.shape == ref.shape == (len(idx), s.size, N)
+            assert pts.tobytes() == ref.tobytes()
+            rows[idx] = r ** (N - 1) @ w
+        return lengths, weight * float(lengths @ rows)
+
     for lo in (0.0, start):
-        r, pts, lengths = ray_nodes(domain, x, dirs, s, start=lo)
-        # the broadcast formula, bit for bit
-        ref = np.reshape(x, -1) + r[..., None] * dirs[:, None, :]
-        assert pts.shape == ref.shape == (len(dirs), s.size, N)
-        assert pts.tobytes() == ref.tobytes()
+        lengths, measure = polar_measure(lo, ray_nodes(domain, x, dirs, s, start=lo))
         assert lengths.tobytes() == (ray_exit(domain, x, dirs) - lo).tobytes()
         # the polar rule integrates 1 over the domain minus the ball of
         # radius lo around x
-        measure = weight * float(lengths @ (r ** (N - 1) @ w))
         assert measure == pytest.approx(ball(R) - ball(lo), rel=1e-13)
-        r, pts, lengths = ray_nodes(domain, x, dirs, s, start=lo, stop=h)
-        ref = np.reshape(x, -1) + r[..., None] * dirs[:, None, :]
-        assert pts.tobytes() == ref.tobytes()
+        lengths, measure = polar_measure(lo, ray_nodes(domain, x, dirs, s, start=lo, stop=h))
         assert lengths.tolist() == [h - lo] * len(dirs)
-        measure = weight * float(lengths @ (r ** (N - 1) @ w))
         assert measure == pytest.approx(ball(h) - ball(lo), rel=1e-13)
+
+
+@pytest.mark.parametrize("domain", [interval(1.0), disk(1.0)], ids=["interval", "disk"])
+@pytest.mark.parametrize("m", [1, 12, 192, 384, 768, 1536, 3072, 12_288])
+def test_ray_blocks_cover_every_ray_once_in_antipodal_pairs(domain, m):
+    dirs, _ = rays(domain)
+    n, half = len(dirs), len(dirs) // 2
+    x = np.full(domain.N, 0.1)
+    s = np.linspace(0.0, 1.0, m)
+    lengths = ray_exit(domain, x, dirs)
+    blocks = list(ray_nodes(domain, x, dirs, s))
+    seen = np.concatenate([idx for idx, *_ in blocks])
+    assert sorted(seen.tolist()) == list(range(n))
+    for idx, r, pts, block_lengths in blocks:
+        b = len(idx) // 2
+        assert len(idx) == 2 * b and b >= 1
+        # rays j.. then their antipodes j + n/2.., so vals[b:] + vals[:b]
+        # pairs every ray with its antipode inside the block
+        assert idx[b:].tolist() == (idx[:b] + half).tolist()
+        np.testing.assert_allclose(dirs[idx[b:]], -dirs[idx[:b]], rtol=0.0, atol=1e-15)
+        assert r.tobytes() == (lengths[idx, None] * s[None, :]).tobytes()
+        assert pts.shape == (2 * b, m, domain.N)
+        assert block_lengths.tobytes() == lengths.tobytes()
+        # within the sample cap, unless a single pair of rays exceeds it
+        assert r.size <= max(_RAY_BLOCK_ELEMENTS, 2 * m)
+    if domain.kind == "interval":
+        assert len(blocks) == 1 and blocks[0][0].tolist() == [0, 1]
+    elif 2 * m <= _RAY_BLOCK_ELEMENTS:
+        # as few blocks as the cap allows, within a factor of two
+        assert len(blocks) < 2 * n * m / _RAY_BLOCK_ELEMENTS + 1
 
 
 # ModelDomain.points: input, expected array shape, expected single flag

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import IntegrationWarning, quad
 
-from kernel_lab import debug, fracop
+from kernel_lab import debug, domains, fracop
 from kernel_lab.domains import disk, interval, ray_directions, ray_exit, rays
 from kernel_lab.errors import DomainError, SingularityError, ToleranceError
 from kernel_lab.fracop import (
@@ -24,7 +24,7 @@ from kernel_lab.fracop import (
     mollified_green,
     residual_check,
 )
-from kernel_lab.green import green_classical, green_fractional
+from kernel_lab.green import green_classical, green_fractional, green_mass
 from kernel_lab.quadrature import EvalBudget, QuadratureSpec
 from kernel_lab.specfun import frac_laplacian_constant, green_constant
 from reference import panel_integrate
@@ -320,6 +320,47 @@ def test_disk_budget_counts_every_node(monkeypatch):
     assert [b.used for b in budgets] == [
         2 * 64 * 12 * (32 + 64), 2 * 2 * 12 * (32 + 64)
     ]
+
+
+# certifies any value: the block tests compare values, not convergence
+_LOOSE_QUAD = QuadratureSpec(rel_tol=1.0, abs_tol=1.0, resolution=64, budget=10**7)
+# the Green mass's default demand, with the budget to meet it at a = 0.25
+_MASS_QUAD = QuadratureSpec(budget=10**6)
+
+
+def _polar_values(domain, a):
+    """Every polar rule's value at one order: the principal value of the
+    Getoor and a-harmonic fields, the Green mass, the mollifier's base mass
+    and, on the disk, the mollified Green value."""
+    x = np.array([0.3, -0.2]) if domain is DK else 0.3
+    fracop._bump_base_mass.cache_clear()
+    vals = [frac_laplacian_apply(make(domain, a), a, x, _LOOSE_QUAD)
+            for make in (getoor_field, boundary_singular_field)]
+    vals += [green_mass(domain, a, x, _MASS_QUAD), fracop._bump_base_mass(domain.kind)]
+    if domain is DK:
+        moll = MollifierSpec(DK, np.array([0.1, 0.0]), 0.2)
+        vals.append(mollified_green(DK, a, moll, _LOOSE_QUAD)(np.array([-0.3, 0.2])))
+    fracop._bump_base_mass.cache_clear()
+    return vals
+
+
+@pytest.mark.parametrize("block", ["default", "one pair"])
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_ray_blocks_match_one_block(monkeypatch, domain, a, block):
+    # with one block of every ray, each rule runs the whole-array arithmetic
+    # of an unblocked evaluation; blocks only split its row dot products
+    if block == "one pair":
+        monkeypatch.setattr(domains, "_RAY_BLOCK_ELEMENTS", 1)
+    got = _polar_values(domain, a)
+    monkeypatch.setattr(domains, "_RAY_BLOCK_ELEMENTS", 1 << 30)
+    one = _polar_values(domain, a)
+    if domain is IV:
+        # two rays: one block at any cap, so bitwise unchanged
+        assert got == one
+    else:
+        # values of order 1, or an a-harmonic value near 0 on that scale
+        assert got == pytest.approx(one, rel=1e-14, abs=1e-14)
 
 
 def test_getoor_a09_exceeds_quadrature_grading():

@@ -190,18 +190,40 @@ def test_oracle_refuses_an_order_whose_series_overflows():
 
 def test_oracle_refuses_a_series_still_live_at_its_cap(monkeypatch):
     # rho = 0.99998: the closed form (1-rho^2)/(2pi(1-2rho cos D+rho^2))
-    # reads 6.20 where 200,000 terms summed to 0.526; at s >= 0 the last
-    # term decides before summing, at s < 0 the sum refuses at its cap
+    # reads 6.20 where 200,000 terms summed to 0.526; the least term over
+    # the cap decides before any term is summed (s = -0.5 summed all
+    # 200,000 first, about 2 s)
     x, y = np.array([0.99999, 0.0]), np.array([0.99999, 1e-3])
-    for s in (0.0, 1.0):
+    r = math.sqrt(0.99998)
+    summed = []
+    monkeypatch.setattr(np, "float_power", lambda *args: summed.append(args))
+    for s in (0.0, 1.0, -0.5, -2.0):
         with pytest.raises(ToleranceError, match=r"rho=0\.99998.* past k=200000"):
             kernel_classical_spectral_oracle(DK, s, x, y)
+        with pytest.raises(ToleranceError, match=r"rho=0\.9999799.* past k=200000"):
+            kernel_classical_spectral_oracle(DK, s, [r, 0.0], [0.0, r])
+    assert summed == []
+    monkeypatch.undo()
     monkeypatch.setattr(rkhs, "_ORACLE_TERMS", 50)
     with pytest.raises(ToleranceError, match=r"order s=-0\.5 series .* past k=50"):
         kernel_classical_spectral_oracle(DK, -0.5, x, y)
     # a pair that converges within the cap still sums
     z = _circle_pt(0.5, 0.0)
     assert kernel_classical_spectral_oracle(DK, -0.5, z, z) > 0.0
+
+
+def test_oracle_sums_a_negative_order_series_that_dips_below_its_cutoff(monkeypatch):
+    # at s < 0 the term (1 + k^2/R^2)^(-s) rho^k falls, rises and falls: here
+    # it drops below 1e-16 near k = 0.49 R and is back at 0.54 by the cap,
+    # so the loop stops at the dip and the up-front check must not refuse
+    monkeypatch.setattr(rkhs, "_ORACLE_TERMS", 50)
+    R, s = 100.0 / 3.0, -254.0
+    r = R * math.exp(-3.0)  # rho = r^2 / R^2 = e^-6
+    rho = (r / R) ** 2
+    assert (1.0 + (50 / R) ** 2) ** (-s) * rho**50 > 0.5
+    got = kernel_classical_spectral_oracle(disk(R), s, [r, 0.0], [0.0, r])
+    want, scale = _scalar_series(R, s, [r, 0.0], [0.0, r])
+    assert abs(got - want) <= 2e-15 * scale
 
 
 def test_oracle_monotone_in_s():
