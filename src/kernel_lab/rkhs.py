@@ -47,16 +47,21 @@ _ROUTE_TOL = 1e-12
 _STACK_ELEMENTS = 1 << 16
 
 
-def _route_guard(name, point, direct, spectral):
+def _route_guard(name, points, direct, spectral):
     # scale-guarded: traces blow up near the boundary, so a raw 1e-12
     # absolute gap would misfire on perfectly healthy large values; a NaN
-    # on either route refuses
-    if not abs(direct - spectral) <= _ROUTE_TOL * max(1.0, abs(direct)):
+    # on either route refuses.  One comparison per block of points, which
+    # names the first failing one
+    direct, spectral = np.broadcast_arrays(direct, spectral)
+    ok = np.abs(direct - spectral) <= _ROUTE_TOL * np.maximum(1.0, np.abs(direct))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        i = bad[0]
         raise ConsistencyError(
-            f"{name} at x={np.squeeze(point).tolist()}: "
+            f"{name} at x={np.squeeze(points[i]).tolist()}: "
             "boundary-integral and multiplier routes disagree",
-            route_a=direct,
-            route_b=spectral,
+            route_a=float(direct[i]),
+            route_b=float(spectral[i]),
         )
 
 
@@ -75,26 +80,42 @@ def _multiplier_route(front, side, rep):
     return front * side.pair(rep)
 
 
-def _two_routes(name, front, g, side, rep, points):
-    # front * int g rep dsigma for the representer of each of the points, a
-    # field or a stack with a row per point, each value checked against its
-    # multiplier route on g's side
-    direct = front * boundary_integrate(g.pointwise_product(rep))
-    spectral = _multiplier_route(front, side, rep)
-    for p, d1, d2 in zip(points, np.atleast_1d(direct), np.atleast_1d(spectral), strict=True):
-        _route_guard(name, p, d1, d2)
-    return direct
+def _extend(name, domain, front, t, g, representer, x):
+    """front * int g rep_x dsigma at each point x, rep_x = representer(grid,
+    points)'s row for x, checked against its multiplier route
+    front * <g, M^{-t} rep_x>_t.
+
+    x is one point (float out) or an array of points as ModelDomain.points
+    reads them (one value per point, in the points' shape).  The
+    representers are built and paired in row blocks of at most 65,536
+    samples (rows x nodes) against one data side, g's spectrum and
+    multipliers built once per call; each point's two routes are compared
+    on their own, and each value is bitwise equal to that of a call at its
+    point alone.
+    """
+    pts, single = domain.points(x)
+    flat = pts.reshape(-1, domain.N)
+    rows = max(1, _STACK_ELEMENTS // g.grid.n)
+    side = dual_pairing(g, t)
+    out = []
+    for block in np.split(flat, range(rows, len(flat), rows)):
+        rep = representer(g.grid, block)
+        direct = front * boundary_integrate(g.pointwise_product(rep))
+        _route_guard(name, block, direct, _multiplier_route(front, side, rep))
+        out.append(direct)
+    out = np.concatenate(out)
+    return float(out[0]) if single else out.reshape(pts.shape[:-1])
 
 
 def poisson_extend_classical(domain, s, g, x):
     """Value at x of the harmonic extension of boundary data g.
 
     Computed as <g, M^{-s} P(x,.)>_s and as int g P(x,.) dsigma; the two
-    must agree to roundoff and the direct value is returned.
+    must agree to roundoff and the direct value is returned.  x is one
+    point or an array of points, as for poisson_extend_fractional.
     """
     _check_field_domain(g, domain)
-    P = poisson_kernel_classical(g.grid, x)
-    return _two_routes("poisson_extend_classical", 1.0, g, dual_pairing(g, s), P, [x])
+    return _extend("poisson_extend_classical", domain, 1.0, s, g, poisson_kernel_classical, x)
 
 
 def poisson_extend_fractional(domain, a, s, phi, x):
@@ -109,25 +130,12 @@ def poisson_extend_fractional(domain, a, s, phi, x):
 
     x is one point (float out) or an array of points as
     ModelDomain.points reads them (one value per point, in the points'
-    shape).  The representers are built and paired in row blocks of at
-    most 65,536 samples (rows x nodes) against one data side, phi's
-    spectrum and multipliers built once per call; each point's two routes
-    are compared on their own, and each value is bitwise equal to that of
-    a call at its point alone.
+    shape), built and paired in row blocks against one data side (_extend).
     """
     _check_field_domain(phi, domain)
     t = 2.0 * FracParams(a, s).theta
-    front = _gamma_factor(a)
-    pts, single = domain.points(x)
-    flat = pts.reshape(-1, domain.N)
-    rows = max(1, _STACK_ELEMENTS // phi.grid.n)
-    side = dual_pairing(phi, t)
-    out = np.concatenate([
-        _two_routes("poisson_extend_fractional", front, phi, side,
-                    fractional_trace_green(phi.grid, a, block), block)
-        for block in np.split(flat, range(rows, len(flat), rows))
-    ])
-    return float(out[0]) if single else out.reshape(pts.shape[:-1])
+    return _extend("poisson_extend_fractional", domain, _gamma_factor(a), t, phi,
+                   lambda grid, pts: fractional_trace_green(grid, a, pts), x)
 
 
 def _representers(grid, kind, params, points):
@@ -157,57 +165,34 @@ def kernel_classical(domain, s, x, y, n_nodes=DEFAULT_NODES):
     return float(gram_matrix(domain, "classical", s, [x, y], n_nodes).entries[1, 0])
 
 
-def _angles(pts):
-    # libm atan2 per point: numpy's arctan2 differs from it in the last bit
-    return np.array([math.atan2(p1, p0) for p0, p1 in pts.tolist()])
-
-
-def _distinct_rows(pts):
-    """(distinct, inverse) with distinct[inverse] == pts for a (P, 2) float
-    array; rows are told apart by their bits, so -0.0 is not 0.0."""
-    bits = np.ascontiguousarray(pts).view(np.int64)
-    order = np.lexsort((bits[:, 1], bits[:, 0]))
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = np.any(bits[order[1:]] != bits[order[:-1]], axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return pts[order[starts]], inverse
-
-
 # the most terms the spectral oracle sums per pair
 _ORACLE_TERMS = 200_000
 
 
-def _live_at_cap(s, R, rho):
-    """Whether the order s series of ratio rho has every term
-    (1 + k^2/R^2)^(-s) rho^k, k = 1, ..., _ORACLE_TERMS, at or above 1e-16,
-    each computed as kernel_classical_spectral_oracle's loop computes it, so
-    that the loop would reach its cap with the pair live.
-
-    The log of the term has slope log(rho) - 2sk/(R^2 + k^2) in k.  For
-    s >= 0 the term falls throughout.  For s < 0 it can fall, rise and fall
-    again; its one local minimum is the smaller root
-    k1 = L R^2 / (sqrt(s^2 - L^2 R^2) - s) <= R of L (R^2 + k^2) = -2sk,
-    L = -log(rho).  So the least term is at k = 1, next to k1, or at the
-    cap.  False where a multiplier overflows, which the loop reports.
-    """
-    K = _ORACLE_TERMS
-    if not rho > 0.0:
-        return False
-    ks = {1, K}
-    L = -math.log(rho)
-    disc = s * s - (L * R) ** 2
-    if s < 0.0 and disc >= 0.0:
-        k1 = int(L * R * R / (math.sqrt(disc) - s))
-        ks.update(range(max(1, k1 - 1), min(K, k1 + 2) + 1))
-    try:
-        return min((1.0 + (k / R) ** 2) ** (-s) * rho**k for k in ks) >= 1e-16
-    except OverflowError:
-        return False
-
-
-def _oracle_unconverged(s, rho):
-    return ToleranceError(
+def _oracle_multipliers(s, R, rho):
+    """The multipliers (1 + k^2/R^2)^(-s) of the live terms of the order s
+    series at ratio rho: k = 1, ... up to, not including, its first term
+    mult_k rho^k below 1e-16.  Built in chunks, each multiplier as Python's
+    float ** float (float_power is libm pow).  A term live at
+    k = _ORACLE_TERMS raises ToleranceError, a live term whose doubled
+    multiplier is not a finite double DomainError."""
+    parts, lo, hi = [], 1, 256
+    while lo <= _ORACLE_TERMS:
+        k = np.arange(lo, min(hi, _ORACLE_TERMS) + 1, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mult = np.float_power(1.0 + np.float_power(k / R, 2), -s)
+            stops = np.flatnonzero(mult * np.float_power(rho, k) < 1e-16)
+            live = mult[:stops[0]] if stops.size else mult
+            bad = np.flatnonzero(~np.isfinite(2.0 * live))
+        if bad.size:
+            raise DomainError(
+                f"the spectral oracle cannot sum the order s={s:g} series: "
+                f"its multiplier at k={int(k[bad[0]])} overflows")
+        parts.append(live)
+        if stops.size:
+            return np.concatenate(parts)
+        lo, hi = hi + 1, 4 * hi
+    raise ToleranceError(
         f"the spectral oracle's order s={s:g} series at rho={rho:.17g} has terms "
         f"above 1e-16 past k={_ORACLE_TERMS}")
 
@@ -219,10 +204,11 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     with rho = r1 r2/R^2 and D the angle between x and y; each pair's
     series is truncated at its first term whose magnitude (cosine bounded
     away) is below 1e-16.  x and y are points (float out) or (P, 2) arrays
-    of them ((P,) array out).  A multiplier (1+k^2/R^2)^{-s} too large for
-    a double, as at a strongly negative s, raises DomainError.  A series
-    still above 1e-16 at its 200,000th term (rho near 1) raises
-    ToleranceError before any term is summed.
+    of them ((P,) array out).  Before any term is summed, one multiplier
+    table decides both refusals: a live term whose doubled multiplier is
+    too large for a double, as at a strongly negative s, raises
+    DomainError, and a series still above 1e-16 at its 200,000th term (rho
+    near 1) raises ToleranceError.
     Independent of the grid machinery, hence an oracle for it.
     """
     if domain.kind != DISK:
@@ -232,39 +218,23 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
         raise DomainError(f"disk points are 2-vectors, got shape {x.shape}")
     R = domain.R
     P = x.size // 2
-    # radius and angle once per distinct point
-    pts, inverse = _distinct_rows(np.concatenate([x.reshape(-1, 2), y.reshape(-1, 2)]))
+    pts = np.concatenate([x.reshape(-1, 2), y.reshape(-1, 2)])
     r = np.hypot(pts[:, 0], pts[:, 1])
     if not np.all(R - r > 0.0):  # also refuses NaN
         raise DomainError(f"spectral oracle points must be interior to the disk of radius {R}")
-    r, theta = r[inverse], _angles(pts)[inverse]
+    theta = np.arctan2(pts[:, 1], pts[:, 0])
     rho = r[:P] * r[P:] / R**2
     delta = theta[P:] - theta[:P]
-    # every term grows with rho, so a pair is live at the cap only if the
-    # pair of largest rho is
-    rho_max = float(rho.max(initial=0.0))
-    if _live_at_cap(s, R, rho_max):
-        raise _oracle_unconverged(s, rho_max)
+    # every term grows with rho, so the pair of largest rho stops last
+    table = _oracle_multipliers(s, R, float(rho.max(initial=0.0)))
     total = np.ones_like(rho)
     live = np.arange(rho.size)
-    k = 1
-    while live.size and k <= _ORACLE_TERMS:
-        # rho < 1, so a term can overflow only where its multiplier does
-        try:
-            mult = (1.0 + (k / R) ** 2) ** (-s)
-        except OverflowError:
-            raise DomainError(
-                f"the spectral oracle cannot sum the order s={s:g} series: "
-                f"its multiplier at k={k} overflows"
-            ) from None
+    for k, mult in enumerate(table.tolist(), 1):
         # float_power is libm pow, as Python's float ** int
         mag = mult * np.float_power(rho[live], k)
         keep = mag >= 1e-16
         live, mag = live[keep], mag[keep]
         total[live] += 2.0 * mag * np.cos(k * delta[live])
-        k += 1
-    if live.size:
-        raise _oracle_unconverged(s, rho[live].max())
     out = total / (2.0 * math.pi * R)
     return float(out[0]) if x.ndim == 1 else out
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
@@ -202,6 +202,23 @@ def test_green_mass_matches_torsion():
     got = green_mass(DK, 0.5, np.array([0.2, 0.1]))
     ref = torsion_reference(DK, 0.5, np.array([0.2, 0.1]))
     assert abs(got - ref) < 1e-5 * ref
+
+
+@settings(max_examples=40)
+@given(domain=st.sampled_from([IV, DK]), a=st.floats(0.05, 0.99),
+       frac=st.floats(0.0, 0.95), angle=st.floats(0.0, 2.0 * math.pi))
+def test_certified_mass_lies_within_its_tolerance(domain, a, frac, angle):
+    # at the default spec the Green mass either refuses or lands within
+    # the tolerance it certified of the torsion function
+    if domain.kind == "interval":
+        x = math.copysign(frac, angle - math.pi)
+    else:
+        x = frac * np.array([math.cos(angle), math.sin(angle)])
+    try:
+        got = green_mass(domain, a, x)
+    except ToleranceError:
+        return
+    assert abs(got - torsion_reference(domain, a, x)) <= QuadratureSpec().tolerance_for(got)
 
 
 def test_green_mass_budget_exhaustion():

@@ -180,23 +180,33 @@ def test_array_oracle_refuses_bad_points():
         kernel_classical_spectral_oracle(DK, 0.0, [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
 
 
-def test_oracle_refuses_an_order_whose_series_overflows():
+def test_oracle_refuses_an_order_whose_series_overflows(monkeypatch):
     # the kernel command meets s = -200 first at the grid kernel's
-    # multipliers; the oracle refuses it on its own at a default point
+    # multipliers; the oracle refuses it on its own at a default point.
+    # At rho = 0.99998 the multipliers decide before any term is summed
+    # (only the sum calls np.cos): s = -30 summed 137,271 terms first, and
+    # s = -60 overflowed the sum's doubled term with a RuntimeWarning
     x = _circle_pt(0.5, 0.0)
     with pytest.raises(DomainError, match="the spectral oracle cannot sum the order s=-200 series"):
         kernel_classical_spectral_oracle(DK, -200.0, x, x)
+    x, y = np.array([0.99999, 0.0]), np.array([0.99999, 1e-3])
+    summed = []
+    monkeypatch.setattr(np, "cos", lambda *args: summed.append(args))
+    for s, k in ((-30.0, 135695), (-60.0, 369)):
+        with pytest.raises(DomainError, match=f"order s={s:g} series: its multiplier at k={k} "):
+            kernel_classical_spectral_oracle(DK, s, x, y)
+    assert summed == []
 
 
 def test_oracle_refuses_a_series_still_live_at_its_cap(monkeypatch):
     # rho = 0.99998: the closed form (1-rho^2)/(2pi(1-2rho cos D+rho^2))
-    # reads 6.20 where 200,000 terms summed to 0.526; the least term over
-    # the cap decides before any term is summed (s = -0.5 summed all
-    # 200,000 first, about 2 s)
+    # reads 6.20 where 200,000 terms summed to 0.526; the multipliers
+    # decide before any term is summed (only the sum calls np.cos; s = -0.5
+    # once summed all 200,000 first, about 2 s)
     x, y = np.array([0.99999, 0.0]), np.array([0.99999, 1e-3])
     r = math.sqrt(0.99998)
     summed = []
-    monkeypatch.setattr(np, "float_power", lambda *args: summed.append(args))
+    monkeypatch.setattr(np, "cos", lambda *args: summed.append(args))
     for s in (0.0, 1.0, -0.5, -2.0):
         with pytest.raises(ToleranceError, match=r"rho=0\.99998.* past k=200000"):
             kernel_classical_spectral_oracle(DK, s, x, y)
@@ -210,6 +220,62 @@ def test_oracle_refuses_a_series_still_live_at_its_cap(monkeypatch):
     # a pair that converges within the cap still sums
     z = _circle_pt(0.5, 0.0)
     assert kernel_classical_spectral_oracle(DK, -0.5, z, z) > 0.0
+
+
+def _series_loop(R, s, xs, ys, cap):
+    # the oracle in Python floats, one k at a time over all pairs: a pair
+    # stops at its first term below 1e-16; a live term whose doubled
+    # multiplier is not finite raises DomainError, a pair live past the cap
+    # ToleranceError.  Returns each pair's value and sum of |terms|
+    rho = [float(np.hypot(*x)) * float(np.hypot(*y)) / R**2 for x, y in zip(xs, ys)]
+    delta = [math.atan2(y[1], y[0]) - math.atan2(x[1], x[0]) for x, y in zip(xs, ys)]
+    total, scale = [1.0] * len(rho), [1.0] * len(rho)
+    live = list(range(len(rho)))
+    for k in range(1, cap + 1):
+        try:
+            mult = (1.0 + (k / R) ** 2) ** (-s)
+        except OverflowError:
+            mult = math.inf
+        live = [i for i in live if not mult * rho[i] ** k < 1e-16]
+        if live and not math.isfinite(2.0 * mult):
+            raise DomainError(f"the spectral oracle cannot sum the order s={s:g} series: "
+                              f"its multiplier at k={k} overflows")
+        for i in live:
+            mag = mult * rho[i] ** k
+            total[i] += 2.0 * mag * math.cos(k * delta[i])
+            scale[i] += 2.0 * mag
+    if live:
+        raise ToleranceError(
+            f"the spectral oracle's order s={s:g} series at rho={max(rho[i] for i in live):.17g} "
+            f"has terms above 1e-16 past k={cap}")
+    return [(t / (2.0 * math.pi * R), a / (2.0 * math.pi * R)) for t, a in zip(total, scale)]
+
+
+@settings(max_examples=200)
+@given(_oracle_pairs(), st.one_of(st.floats(-2.0, 2.0), st.floats(-120.0, 0.0)),
+       st.sampled_from([0.25, 1.0, 2.5, 30.0]), st.sampled_from([50, 200]),
+       st.floats(0.8, 1.0, exclude_max=True))
+def test_oracle_refuses_as_the_scalar_loop(pairs, s, R, cap, reach):
+    # the multiplier table decides the same refusals, at the same k and
+    # rho, as a loop that sums term by term; points out to reach R, so
+    # that the series run past the caps
+    dom = disk(R)
+    xs = reach * R * np.array([p[0] for p in pairs])
+    ys = reach * R * np.array([p[1] for p in pairs])
+    try:
+        want = _series_loop(R, s, xs, ys, cap)
+    except (DomainError, ToleranceError) as exc:
+        want = exc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rkhs, "_ORACLE_TERMS", cap)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as got:
+                kernel_classical_spectral_oracle(dom, s, xs, ys)
+            assert str(got.value) == str(want)
+            return
+        got = kernel_classical_spectral_oracle(dom, s, xs, ys)
+    for value, (ref, scale) in zip(got, want):
+        assert abs(value - ref) <= 2e-15 * scale
 
 
 def test_oracle_sums_a_negative_order_series_that_dips_below_its_cutoff(monkeypatch):
@@ -533,17 +599,19 @@ def test_stacked_extension_matches_per_point_bitwise(domain, n, data, a, s):
         phi = grid.field(c[0] + c[1] * np.cos(grid.angles) + c[2] * np.sin(3.0 * grid.angles))
     last = -0.5 if domain.kind == "interval" else _circle_pt(0.5, 1.0)
     pts = _draw_points(data, domain, 8) + [last]
-    got = poisson_extend_fractional(domain, a, s, phi, np.array(pts))
-    assert got.shape == (len(pts),)
-    for value, p in zip(got, pts):
-        one = poisson_extend_fractional(domain, a, s, phi, p)
-        assert type(one) is float
-        assert value.tobytes() == np.float64(one).tobytes()
-    # any array of points, one value per point in the points' shape
-    if domain.kind == "disk":
-        grid_pts = np.array([pts[:2], pts[-2:]])
-        assert poisson_extend_fractional(domain, a, s, phi, grid_pts).tobytes() == (
-            np.array([got[:2], got[-2:]]).tobytes())
+    # the classical extension runs through the same routine
+    for extend in (lambda x: poisson_extend_fractional(domain, a, s, phi, x),
+                   lambda x: poisson_extend_classical(domain, s, phi, x)):
+        got = extend(np.array(pts))
+        assert got.shape == (len(pts),)
+        for value, p in zip(got, pts):
+            one = extend(p)
+            assert type(one) is float
+            assert value.tobytes() == np.float64(one).tobytes()
+        # any array of points, one value per point in the points' shape
+        if domain.kind == "disk":
+            grid_pts = np.array([pts[:2], pts[-2:]])
+            assert extend(grid_pts).tobytes() == np.array([got[:2], got[-2:]]).tobytes()
 
 
 @pytest.mark.parametrize("n", [256, 65536])
