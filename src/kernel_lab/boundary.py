@@ -79,8 +79,9 @@ def to_spectrum(field):
     grid = field.grid
     if grid.domain.kind == INTERVAL:
         return Spectrum(grid, field.values.astype(complex))
-    scale = math.sqrt(2.0 * math.pi * grid.domain.R) / grid.n
-    return Spectrum(grid, scale * np.fft.rfft(field.values))
+    coefficients = np.fft.rfft(field.values)
+    coefficients *= math.sqrt(2.0 * math.pi * grid.domain.R) / grid.n
+    return Spectrum(grid, coefficients)
 
 
 def from_spectrum(spectrum):
@@ -89,12 +90,17 @@ def from_spectrum(spectrum):
     grid = spectrum.grid
     if grid.domain.kind == INTERVAL:
         return BoundaryField(grid, spectrum.coefficients.real)
-    scale = grid.n / math.sqrt(2.0 * math.pi * grid.domain.R)
-    return BoundaryField(grid, scale * np.fft.irfft(spectrum.coefficients, n=grid.n))
+    values = np.fft.irfft(spectrum.coefficients, n=grid.n)
+    values *= grid.n / math.sqrt(2.0 * math.pi * grid.domain.R)
+    return BoundaryField(grid, values)
 
 
 def _apply_multipliers(field, mult):
-    return from_spectrum(Spectrum(field.grid, mult * to_spectrum(field).coefficients))
+    # to_spectrum's coefficients are a new array, so they take the
+    # multipliers in place
+    spectrum = to_spectrum(field)
+    spectrum.coefficients *= mult
+    return from_spectrum(spectrum)
 
 
 def _pair(mult, fh, gh):

@@ -281,9 +281,16 @@ def _far(u, a, x, h0, dirs, weight, panels, budget):
 # Chebyshev resolution of the interval mollified_green build
 _CHEBYSHEV_N = 512
 
-# z rows evaluated together by _moll_values_interval; at the default
-# resolution each (rows, y-nodes) array of a block stays under 0.4 MB
-_Z_BLOCK = 64
+# z rows evaluated together by _moll_values_interval.  At the default
+# resolution a block's (rows, y-nodes) arrays take 96 KB each, so every
+# block reuses the heap pages the block before it freed; with 384 KB arrays
+# (64 rows) the allocator hands their pages back to the kernel and the next
+# block faults them in again.  A multiple of 4, because OpenBLAS sums the
+# rows of f @ w in fours and a block that split a four would move rows onto
+# its tail path.  At the residual command's mollifier the values are then
+# bitwise those of one block per group; at other mollifiers a row can
+# still move in its last bit
+_Z_BLOCK = 16
 
 
 def _moll_values_interval(domain, a, moll, zs, quad):

@@ -136,8 +136,18 @@ def fractional_trace_green(grid, a, x):
     c = green_constant(N, a) / a * (2.0 / R) ** a
     # each point's prefactor in Python floats, as for a single point
     front = np.array([c * (R * R - domain.norm(p) ** 2) ** a for p in pts])
-    dist2 = squared_norm(grid.nodes - np.reshape(pts, (-1, 1, N)))
-    values = front[:, None] / dist2 ** (N / 2)
+    # |z - x|^2 one coordinate at a time, as squared_norm sums it, with no
+    # (points, nodes, N) difference array; then |z - x|^N and the quotient
+    # in the same buffer
+    pts = np.reshape(pts, (-1, N))
+    values = np.subtract(grid.nodes[:, 0], pts[:, :1])
+    values *= values
+    for k in range(1, N):
+        diff = np.subtract(grid.nodes[:, k], pts[:, k, None])
+        diff *= diff
+        values += diff
+    values **= N / 2
+    np.divide(front[:, None], values, out=values)
     return BoundaryField(grid, values[0] if single else values)
 
 

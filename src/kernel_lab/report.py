@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
+from operator import index as as_int
 
 import numpy as np
 
@@ -164,7 +165,19 @@ class _Records(Sequence):
             yield from block
 
     def __getitem__(self, index):
-        return list(self)[index]
+        # as a list indexes: ints from either end, slices as lists; an int
+        # builds the one record from the block that holds it
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = as_int(index)
+        if i < 0:
+            i += len(self)
+        if i >= 0:
+            for block in self._blocks:
+                if i < len(block):
+                    return next(block._rows([i]))
+                i -= len(block)
+        raise IndexError("record index out of range")
 
 
 class Report:

@@ -42,8 +42,10 @@ _ROUTE_TOL = 1e-12
 
 # the most samples (rows x nodes) of a representer stack built at once:
 # the 8 trace-recovery probes share one stack up to n = 8,192 and go one
-# by one at 65,536, where the whole stack's temporaries would raise the
-# peak memory of a `reproduce` run from ~38 to ~54 MB
+# by one at 65,536.  There a block's representer, spectra and products
+# take 512 KB each, and each block reuses the heap pages the one before it
+# freed; the whole stack's temporaries would raise the peak memory of a
+# `reproduce` run from ~38 to ~54 MB
 _STACK_ELEMENTS = 1 << 16
 
 

@@ -255,7 +255,16 @@ def boundary_data_function(grid, spec):
         if not _finite(amplitude):
             raise ScenarioError("cosine amplitude must be finite and numeric")
         amplitude = float(amplitude)
-        return lambda theta: amplitude * np.cos(mode * theta)
+
+        def cosine(theta):
+            # amplitude * cos(mode * theta), in one new buffer
+            values = np.array(theta, dtype=float)
+            values *= mode
+            np.cos(values, out=values)
+            values *= amplitude
+            return values
+
+        return cosine
     if preset == "endpoints":
         if grid.domain.kind != INTERVAL:
             raise ScenarioError("the endpoints preset lives on the interval")

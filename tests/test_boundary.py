@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kernel_lab.boundary as boundary
 from kernel_lab.boundary import (
     apply_M_power,
     boundary_integrate,
@@ -287,3 +288,47 @@ def test_pairings_of_a_stack_match_each_row(domain, n, m):
     # a single field still pairs to a float
     assert type(boundary_integrate(f)) is float
     assert type(sobolev_inner(f, f, 0.5)) is float
+
+
+# doubles an in-place rewrite must carry as the out-of-place expression
+# did: signed zeros, subnormals, the largest finite values and ordinary ones
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e300, -1e300, 1.7976931348623157e308, 1.0, -0.75, 3.0e-7])
+
+
+def _same_bits(got, ref):
+    # bitwise equal, except that a NaN may carry either sign: x86 keeps the
+    # sign of the first NaN operand, so it follows operand order; no report
+    # or CSV writes it, and a NaN refuses in every route guard
+    got, ref = np.asarray(got).view(float), np.asarray(ref).view(float)
+    nan = np.isnan(ref)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == ref[~nan].tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 256, 8192])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_in_place_scaling_matches_old_expressions(n, seed):
+    # the transforms scale, and the multipliers act, in the new spectrum's
+    # buffer; every result is bitwise the out-of-place expression's
+    rng = np.random.default_rng(seed)
+    grid = BoundaryGrid(disk(1.5), n)
+    values = np.where(rng.random((4, n)) < 0.5, rng.choice(_SPECIAL, size=(4, n)),
+                      rng.standard_normal((4, n)))
+    half = n // 2 + 1
+    mults = [boundary._multipliers(grid, t) for t in (-1.25, 0.0, 0.5)]
+    mults.append(rng.choice(_SPECIAL, size=half))
+    forward = math.sqrt(2.0 * math.pi * grid.domain.R) / n
+    inverse = n / math.sqrt(2.0 * math.pi * grid.domain.R)
+    with np.errstate(all="ignore"):
+        spectrum = to_spectrum(grid.field(values)).coefficients
+        assert _same_bits(spectrum, forward * np.fft.rfft(values))
+        back = from_spectrum(boundary.Spectrum(grid, spectrum.copy())).values
+        assert _same_bits(back, inverse * np.fft.irfft(spectrum, n=n))
+        for mult in mults:
+            got = boundary._apply_multipliers(grid.field(values), mult).values
+            ref = inverse * np.fft.irfft(mult * (forward * np.fft.rfft(values)), n=n)
+            assert _same_bits(got, ref)
+        two = BoundaryGrid(interval(1.0), 2)
+        for mult in (np.array([0.5, 3.0]), _SPECIAL[[1, 4]], _SPECIAL[[8, 2]]):
+            got = boundary._apply_multipliers(two.field(values[:, :2]), mult).values
+            assert _same_bits(got, (mult * values[:, :2].astype(complex)).real)

@@ -693,3 +693,35 @@ def test_mollified_value_bounds():
     moll = MollifierSpec(IV, 0.0, 0.2)
     val = _mollified_value(IV, 0.5, moll, 0.6)
     assert 0.0 < val < green_fractional(IV, 0.5, 0.6, 0.0) * 1.5
+
+
+def _chebyshev_values(a, center, width):
+    # the interval build's values at its Chebyshev nodes, under the
+    # residual command's spec (its tolerance only decides refusals)
+    k = np.arange(1, fracop._CHEBYSHEV_N)
+    zs = np.sort(np.cos(np.pi * k / fracop._CHEBYSHEV_N))
+    quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-3, resolution=64, budget=10**6)
+    return fracop._moll_values_interval(IV, a, MollifierSpec(IV, center, width), zs, quad)
+
+
+@pytest.mark.parametrize("block", [4, 64, 511])
+def test_z_blocks_match_default_block_at_residual_default(monkeypatch, block):
+    # rows in blocks of a multiple of 4, or of a whole group at once, keep
+    # OpenBLAS's row sums on one path: bitwise the default build's values
+    default = _chebyshev_values(0.5, 0.0, 0.4)
+    monkeypatch.setattr(fracop, "_Z_BLOCK", block)
+    assert _chebyshev_values(0.5, 0.0, 0.4).tobytes() == default.tobytes()
+
+
+@given(a=st.floats(0.3, 0.9), center=st.floats(-0.5, 0.5), frac=st.floats(0.1, 0.9))
+@settings(max_examples=5)
+def test_z_blocks_agree_on_any_mollifier(a, center, frac):
+    # a row may fall into another BLAS tail path, so agreement is to
+    # rounding, not bitwise
+    width = frac * (1.0 - abs(center))
+    default = _chebyshev_values(a, center, width)
+    for block in (4, 511):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fracop, "_Z_BLOCK", block)
+            got = _chebyshev_values(a, center, width)
+        np.testing.assert_allclose(got, default, rtol=1e-14, atol=0.0)

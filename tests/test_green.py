@@ -292,3 +292,25 @@ def test_interior_point_guards():
         green_classical(IV, 1.2, 0.0)
     with pytest.raises(DomainError):
         green_mass(DK, 0.5, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("domain,n", [(IV, 2), (DK, 64), (disk(1.7), 4096)],
+                         ids=["interval", "disk-64", "disk-4096"])
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.85])
+def test_trace_stack_matches_broadcast_expression(domain, n, a):
+    # |z - x|^2 summed one coordinate at a time, then powered and divided
+    # in place: bitwise the (points, nodes, N) broadcast it replaces
+    grid = BoundaryGrid(domain, n)
+    rng = np.random.default_rng(5)
+    R, N = domain.R, domain.N
+    radius = R * rng.uniform(0.0, 0.999, 6)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 6)
+    if N == 1:
+        pts = radius * np.sign(np.cos(angle))
+    else:
+        pts = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    c = green_constant(N, a) / a * (2.0 / R) ** a
+    front = np.array([c * (R * R - domain.norm(p) ** 2) ** a for p in pts])
+    diff = grid.nodes - np.reshape(pts, (-1, 1, N))
+    ref = front[:, None] / np.sum(diff * diff, axis=-1) ** (N / 2)
+    assert fractional_trace_green(grid, a, pts).values.tobytes() == ref.tobytes()

@@ -1,6 +1,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -184,3 +185,49 @@ def test_report_reads_back_what_was_added(operations):
     assert _rows(rep.failing()) == _rows(r for r in model if not r.passed)
     assert rep.overall_pass is all(r.passed for r in model)
     assert rep.to_json() == json.dumps(rep.to_dict(), indent=2) + "\n"
+
+
+@settings(max_examples=60)
+@given(operations=_OPERATIONS, data=st.data())
+def test_records_index_as_a_list(operations, data):
+    # ints from either end, slices of any step and out-of-range ints, on
+    # reports of several blocks, against the list of their records
+    rep = Report("selftest")
+    for op, *args in operations:
+        if op == "add":
+            rep.add(args[0])
+        elif op == "extend":
+            rep.extend(args[0])
+        else:
+            pairs, tolerance, rel = args
+            rep.add(check_columns([f"c{k}" for k in range(len(pairs))], [c for c, _ in pairs],
+                                  [r for _, r in pairs], tolerance, rel=rel))
+    model, records = list(rep.records), rep.records
+    n = len(model)
+    for i in range(-n, n):
+        assert _rows([records[i]]) == _rows([model[i]])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            records[i]
+    bound = st.one_of(st.none(), st.integers(-n - 2, n + 2))
+    for _ in range(4):
+        cut = slice(data.draw(bound), data.draw(bound),
+                    data.draw(st.one_of(st.none(), st.sampled_from([-3, -1, 1, 2]))))
+        assert _rows(records[cut]) == _rows(model[cut])
+
+
+def test_records_index_reads_one_block():
+    # a record is built from the block that holds it: the other blocks'
+    # rows are not built
+    rep = Report("kernel")
+    rep.add(check("first", 1.0, 1.0, 0.0))
+    rep.add(check_columns(["b0", "b1", "b2"], [1.0, 2.0, 3.0], [1.0, 2.0, 4.0], 0.5))
+    rep.add(flag("last", True))
+    built = []
+    for block in rep._blocks:
+        rows = block._rows
+        block._rows = lambda index, rows=rows: built.append(list(index)) or rows(index)
+    assert rep.records[3].name == "b2" and rep.records[-4].name == "b0"
+    assert built == [[2], [0]]
+    with pytest.raises(TypeError):
+        rep.records[1.0]
