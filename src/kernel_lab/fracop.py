@@ -371,8 +371,9 @@ def _moll_values_interval(domain, a, moll, zs, quad):
 
 def _moll_value_disk(domain, a, moll, z, quad):
     # polar rule on every ray's [0, eps] around the mollifier center;
-    # accurate for z outside the support (analytic integrand) and
-    # smoke-grade when the Green singularity sits inside it
+    # accurate for z outside the support (analytic integrand), not
+    # convergent when the Green singularity sits inside it, where
+    # mollified_green refuses z
     s, w = panel_nodes_weights(np.linspace(0.0, 1.0, max(8, quad.resolution // 4) + 1))
     dirs, weight = rays(domain)
     rows = np.empty(len(dirs))
@@ -442,14 +443,28 @@ def mollified_green(domain, a, moll, quad=None):
     rules disagree, and stored through the weight (R^2-z^2)^a, so the spline
     interpolates the smooth quotient v/(R^2-z^2)^a right up to the boundary
     (this is what makes the field's own weighted trace extractable).  On the
-    disk the field evaluates the convolution on demand.
+    disk the field evaluates the convolution on demand, outside the
+    mollifier's support only: the polar rule does not converge when the
+    Green singularity sits inside it (83% off at a = 0.25, center 0, width
+    0.4, z = (0.3, 0)), so a call with any z closer to the center than the
+    width raises DomainError naming the first such z.
     """
     if quad is None:
         quad = _DEFAULT_QUAD
     if domain.kind == DISK:
-        profile = lambda pts: np.array(
-            [_moll_value_disk(domain, a, moll, p, quad) for p in pts.reshape(-1, 2)]
-        ).reshape(pts.shape[:-1])
+        def profile(pts):
+            zs = pts.reshape(-1, 2)
+            inside = squared_norm(zs - moll.center) < moll.width**2
+            if inside.any():
+                z = zs[np.argmax(inside)]
+                raise DomainError(
+                    f"z = ({float(z[0])!r}, {float(z[1])!r}) lies inside the mollifier's "
+                    "support, where the disk mollified Green value is not certified"
+                )
+            return np.array(
+                [_moll_value_disk(domain, a, moll, p, quad) for p in zs]
+            ).reshape(pts.shape[:-1])
+
         return SampledInteriorField(domain, profile, TAG_DEGENERATE)
     R = domain.R
     k = np.arange(1, _CHEBYSHEV_N)

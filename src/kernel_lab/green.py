@@ -29,7 +29,14 @@ import numpy as np
 
 from .domains import INTERVAL, BoundaryField, ray_nodes, rays, squared_norm
 from .errors import DomainError, SingularityError, ToleranceError
-from .quadrature import EvalBudget, QuadratureSpec, graded_mesh, panel_nodes_weights
+from .quadrature import (
+    EvalBudget,
+    QuadratureSpec,
+    exit_graded_rule,
+    graded_mesh,
+    origin_graded_rule,
+    panel_nodes_weights,
+)
 from .specfun import boundary_integral_B_array, green_constant, torsion_constant
 
 
@@ -168,13 +175,15 @@ def torsion_reference(domain, a, x):
 
 
 def green_mass(domain, a, x, quad=None):
-    """Domain integral of y -> G_a(x, y), by graded quadrature around x.
+    """Domain integral of y -> G_a(x, y), by polar quadrature around x.
 
-    Meshes are graded with exponent 2/a toward the singular point and
-    toward the boundary; the panel count doubles until two consecutive
-    estimates agree within the quadrature tolerance.  Exhausting the
-    evaluation budget first raises ToleranceError carrying the estimate,
-    as does an estimate that is not finite, at once.
+    On the disk Gauss-Jacobi end panels carry the powers r^(2a-1) at the
+    point and d^a at the boundary, so the estimates agree at 8 and 16
+    panels for every a in (0, 1); on the interval the meshes are graded
+    with exponent 2/a toward both ends.  The panel count doubles until two
+    consecutive estimates agree within the quadrature tolerance.
+    Exhausting the evaluation budget first raises ToleranceError carrying
+    the estimate, as does an estimate that is not finite, at once.
     """
     if quad is None:
         quad = QuadratureSpec()
@@ -203,19 +212,27 @@ def _refine(evaluate, quad):
 
 
 def _mass(domain, a, x, panels, budget):
-    # one rule in s = r/T on [0, 1/2] and [1/2, 1], graded with exponent 2/a
-    # toward the point singularity at s = 0 and the boundary weight at
-    # s = 1, maps onto every ray's [0, T] (ray_nodes), a block of rays at
-    # a time.
+    # one rule in s = r/T on [0, 1/2] and [1/2, 1] maps onto every ray's
+    # [0, T] (ray_nodes), a block of rays at a time.  On the disk the
+    # integrand behaves like s^(2a-1) at the point and (1-s)^a at the
+    # boundary, and a Gauss-Jacobi panel carries each power: the rule
+    # converges at 8 and 16 panels for every a.  On the interval G_a is
+    # r^(2a-1) plus a part that is logarithmic (a = 1/2) or bounded, which
+    # no one Jacobi weight fits, so both ends are graded with exponent 2/a.
     # The singular factor is computed from r itself, so grading toward
     # r = 0 cannot collide with the singularity in floating point
-    grading = 2.0 / a
     dirs, weight = rays(domain)
-    mesh = np.concatenate([
-        graded_mesh(0.0, 0.5, panels, grading, toward="lo"),
-        graded_mesh(0.5, 1.0, panels, grading, toward="hi"),
-    ])
-    s, w = panel_nodes_weights(mesh)
+    if domain.kind == INTERVAL:
+        grading = 2.0 / a
+        s, w = panel_nodes_weights(np.concatenate([
+            graded_mesh(0.0, 0.5, panels, grading, toward="lo"),
+            graded_mesh(0.5, 1.0, panels, grading, toward="hi"),
+        ]))
+    else:
+        s0, w0 = origin_graded_rule(panels, 2.0, 2.0 * a - 1.0)
+        s1, w1 = exit_graded_rule(panels, 2.0, a)
+        s = np.concatenate([0.5 * s0, 0.5 + 0.5 * s1])
+        w = 0.5 * np.concatenate([w0, w1])
     budget.spend(len(dirs) * s.size)
     xv = np.reshape(x, -1)
     x2, N = float(xv @ xv), domain.N

@@ -3,9 +3,12 @@
 Singular integrands (Green-function masses, the principal-value kernel of
 the fractional Laplacian) are handled by composite Gauss-Legendre rules on
 meshes graded algebraically toward the singular endpoint; the grading
-exponent is chosen by the caller.  Everything is deterministic: fixed node
-tables, and each composite rule is applied as one flattened node/weight
-array.
+exponent is chosen by the caller.  Where the endpoint behaviour is a known
+power, exit_graded_rule and origin_graded_rule end the mesh in a
+Gauss-Jacobi panel that carries that power exactly (the disk Green mass
+at s = 0 and at the boundary, the principal value's far field at the
+boundary).  Everything is deterministic: fixed node tables, and each
+composite rule is applied as one flattened node/weight array.
 """
 
 import numbers
@@ -140,6 +143,26 @@ def exit_graded_rule(panels, exponent, beta, order=GL_ORDER):
     return (
         np.concatenate([nodes, 1.0 - half * (1.0 - x)]),
         np.concatenate([weights, half * w * (1.0 - x) ** -beta]),
+    )
+
+
+def origin_graded_rule(panels, exponent, beta, order=GL_ORDER):
+    """Nodes and weights on [0, 1] for integrands that behave like s^beta
+    at s = 0: the twin of exit_graded_rule at the other end.
+
+    The first panel [0, panels^(-exponent)] is Gauss-Jacobi with the weight
+    s^beta folded into its weights, exact there for f = s^beta times a
+    polynomial of degree < 2 order; composite Gauss-Legendre follows on the
+    panels graded toward s = 0 as (j/panels)^exponent.
+    """
+    mesh = graded_mesh(0.0, 1.0, panels, exponent, toward="lo")
+    nodes, weights = panel_nodes_weights(mesh[1:], order)
+    x, w = _gj_nodes(order, beta)
+    # s = half (1 - x) runs down as x runs up; reversed, the nodes ascend
+    half = 0.5 * mesh[1]
+    return (
+        np.concatenate([(half * (1.0 - x))[::-1], nodes]),
+        np.concatenate([(half * w * (1.0 - x) ** -beta)[::-1], weights]),
     )
 
 

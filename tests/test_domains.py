@@ -24,6 +24,7 @@ from kernel_lab.quadrature import (
     _gj_nodes,
     exit_graded_rule,
     graded_mesh,
+    origin_graded_rule,
     panel_nodes_weights,
 )
 from reference import panel_integrate
@@ -409,6 +410,27 @@ def test_exit_graded_rule_endpoint_weight(beta):
     assert np.dot(w, (1.0 - s) ** beta) == pytest.approx(1.0 / (1.0 + beta), rel=1e-14)
     moment = 2.0 / ((1.0 + beta) * (2.0 + beta) * (3.0 + beta))
     assert np.dot(w, (1.0 - s) ** beta * s * s) == pytest.approx(moment, rel=1e-14)
+
+
+@pytest.mark.parametrize("panels", [4, 16])
+@pytest.mark.parametrize("beta", [-0.98, -0.5, 0.0, 0.8])
+def test_origin_graded_rule_endpoint_weight(beta, panels):
+    # s^beta times every monomial of degree < 24: the Gauss-Jacobi panel at
+    # s = 0 is exact to rounding, and the graded Gauss-Legendre panels after
+    # it meet s^beta as a smooth function, 1.3e-13 relative at worst
+    # (beta = -0.98, where the first of them holds the mass s^beta puts
+    # just past the Jacobi panel)
+    s, w = origin_graded_rule(panels, 2.0, beta)
+    assert s.size == panels * 12 and np.all((0.0 < s) & (s < 1.0))
+    assert np.all(np.diff(s) > 0.0)
+    k = np.arange(24)
+    moments = (s[None, :] ** (beta + k[:, None])) @ w
+    np.testing.assert_allclose(moments, 1.0 / (beta + k + 1.0), rtol=5e-13, atol=0.0)
+    first = s < panels**-2.0
+    assert first.sum() == 12
+    exact = panels ** (-2.0 * (beta + k + 1.0)) / (beta + k + 1.0)
+    np.testing.assert_allclose((s[first] ** (beta + k[:, None])) @ w[first], exact,
+                               rtol=5e-14, atol=0.0)
 
 
 # Jacobi exponents of the Gauss-Jacobi exactness and reference tests

@@ -554,6 +554,39 @@ def test_mollified_value_shrinks_to_green(domain):
     assert errs[0] / errs[1] > 2.5 and errs[1] / errs[2] > 2.5
 
 
+def test_disk_mollified_green_refuses_inside_the_support():
+    # the polar rule around the center does not converge when z sits inside
+    # the support: at a = 0.25, center 0, width 0.4 and z = (0.3, 0) it read
+    # 2.10, 6.59 and 12.58 at resolutions 64, 1,024 and 4,096
+    moll = MollifierSpec(DK, np.zeros(2), 0.4)
+    field = mollified_green(DK, 0.25, moll)
+    with pytest.raises(DomainError, match=r"z = \(0\.3, 0\.0\) lies inside"):
+        field(np.array([0.3, 0.0]))
+    # a call names its first point inside the support
+    zs = np.array([[0.5, 0.0], [0.1, 0.05], [0.3, 0.0]])
+    with pytest.raises(DomainError, match=r"z = \(0\.1, 0\.05\) lies inside"):
+        field(zs)
+
+
+@pytest.mark.parametrize("a, center, width, z, quad", [
+    # test_ray_blocks_match_one_block
+    *[(a, (0.1, 0.0), 0.2, (-0.3, 0.2), _LOOSE_QUAD) for a in (0.25, 0.5, 0.75)],
+    # test_mollified_value_shrinks_to_green
+    *[(0.5, (0.1, 0.0), w, (-0.5, 0.2), fracop._DEFAULT_QUAD) for w in (0.4, 0.2, 0.1)],
+    # test_corrupt_kappa_reaches_whole_mollified_field
+    (0.5, (0.2, -0.1), 0.3, (-0.5, 0.2), fracop._DEFAULT_QUAD),
+])
+def test_disk_mollified_green_outside_the_support_is_unguarded(a, center, width, z, quad):
+    # the support check only refuses: outside the support the field is
+    # bitwise the per-point polar rule, alone and in an array of points
+    moll = MollifierSpec(DK, np.array(center), width)
+    z = np.array(z)
+    direct = fracop._moll_value_disk(DK, a, moll, z, quad)
+    field = mollified_green(DK, a, moll, quad)
+    assert field(z) == direct
+    np.testing.assert_array_equal(field(np.stack([z, z])), [direct, direct])
+
+
 @pytest.fixture(scope="module")
 def interval_mollified():
     moll = MollifierSpec(IV, 0.0, 0.4)

@@ -201,7 +201,26 @@ def test_green_mass_matches_torsion():
     assert abs(got - ref) < 1e-6 * ref
     got = green_mass(DK, 0.5, np.array([0.2, 0.1]))
     ref = torsion_reference(DK, 0.5, np.array([0.2, 0.1]))
-    assert abs(got - ref) < 1e-5 * ref
+    assert abs(got - ref) < 1e-8 * ref
+
+
+@pytest.mark.parametrize("a", [0.01, 0.05, 0.1, 0.25, 0.75, 0.9, 0.99])
+def test_disk_green_mass_converges_at_two_levels(monkeypatch, a):
+    # Gauss-Jacobi panels carry s^(2a-1) at the point and (1-s)^a at the
+    # boundary, so levels m = 8 and 16 agree at every a: 64 rays * 12 nodes
+    # * 2m per level, 36,864 evaluations in all
+    budgets = []
+
+    class CountingBudget(EvalBudget):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            budgets.append(self)
+
+    monkeypatch.setattr(green, "EvalBudget", CountingBudget)
+    x = np.array([0.3, -0.2])
+    got = green_mass(DK, a, x)
+    assert got == pytest.approx(torsion_reference(DK, a, x), rel=1e-8)
+    assert [b.used for b in budgets] == [36_864]
 
 
 @settings(max_examples=40)
@@ -230,16 +249,18 @@ def test_green_mass_budget_exhaustion():
 
 
 def test_disk_mass_budget_refusal_level():
-    # at a = 0.25 the levels m = 8, 16, 32 spend 64 rays * 12 nodes * 2m
-    # = 86,016 evaluations; level 64 needs 98,304 more than the default
-    # 100,000 allow, so the refusal carries the m = 32 value
+    # at a = 0.25 level m = 8 spends 64 rays * 12 nodes * 2m = 12,288
+    # evaluations; level 16 needs 24,576 more than a 20,000 budget allows,
+    # so the refusal carries the m = 8 value.  The default budget lets the
+    # rule converge at m = 16
     x = np.array([0.2, 0.1])
-    quad = QuadratureSpec()
+    ref = torsion_reference(DK, 0.25, x)
     with pytest.raises(ToleranceError) as exc:
-        green_mass(DK, 0.25, x, quad)
-    level_32 = green._mass(DK, 0.25, x, 32, EvalBudget(10**9))
-    assert exc.value.estimate == level_32
-    assert level_32 == pytest.approx(torsion_reference(DK, 0.25, x), rel=1e-7)
+        green_mass(DK, 0.25, x, QuadratureSpec(budget=20_000))
+    level_8 = green._mass(DK, 0.25, x, 8, EvalBudget(10**9))
+    assert exc.value.estimate == level_8
+    assert level_8 == pytest.approx(ref, rel=1e-7)
+    assert green_mass(DK, 0.25, x) == pytest.approx(ref, rel=1e-8)
 
 
 def test_poisson_kernel_normalization():
