@@ -130,10 +130,11 @@ _JSON_BOOL = {True: "true", False: "false"}
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_cells(cells):
-    if _JSON_SPECIAL.keys() & set(cells):
-        return [_JSON_SPECIAL.get(c, c) for c in cells]
-    return cells
+def _json_cells(block, field):
+    # a column of finite doubles is written as repr writes it
+    if np.isfinite(getattr(block, field)).all():
+        return block.cells(field)
+    return [_JSON_SPECIAL.get(c, c) for c in block.cells(field)]
 
 
 def _records_json(blocks):
@@ -142,7 +143,7 @@ def _records_json(blocks):
     rows = [
         ",\n".join(map(_RECORD.__mod__, zip(
             map(encode_basestring_ascii, block.names),
-            *(_json_cells(block.cells(f)) for f in _FLOAT_FIELDS),
+            *(_json_cells(block, f) for f in _FLOAT_FIELDS),
             map(_JSON_BOOL.__getitem__, block.passed.tolist()),
         )))
         for block in blocks

@@ -211,6 +211,13 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
     too large for a double, as at a strongly negative s, raises
     DomainError, and a series still above 1e-16 at its 200,000th term (rho
     near 1) raises ToleranceError.
+
+    rho^k cos(k D) is Re z^k, z = rho e^{iD}, each power the previous one
+    times z; rho^k for the cut-off is a running product.  Every term is
+    nondecreasing in rho, so with the pairs sorted by rho, largest first,
+    the pairs still live at each k are a prefix and each k updates one
+    slice.  Each pair is summed on its own: its value does not depend on
+    the other pairs or their order.
     Independent of the grid machinery, hence an oracle for it.
     """
     if domain.kind != DISK:
@@ -226,18 +233,34 @@ def kernel_classical_spectral_oracle(domain, s, x, y):
         raise DomainError(f"spectral oracle points must be interior to the disk of radius {R}")
     theta = np.arctan2(pts[:, 1], pts[:, 0])
     rho = r[:P] * r[P:] / R**2
-    delta = theta[P:] - theta[:P]
     # every term grows with rho, so the pair of largest rho stops last
     table = _oracle_multipliers(s, R, float(rho.max(initial=0.0)))
-    total = np.ones_like(rho)
-    live = np.arange(rho.size)
-    for k, mult in enumerate(table.tolist(), 1):
-        # float_power is libm pow, as Python's float ** int
-        mag = mult * np.float_power(rho[live], k)
-        keep = mag >= 1e-16
-        live, mag = live[keep], mag[keep]
-        total[live] += 2.0 * mag * np.cos(k * delta[live])
-    out = total / (2.0 * math.pi * R)
+    order = np.argsort(-rho, kind="stable")
+    rho = rho[order]
+    delta = (theta[P:] - theta[:P])[order]
+    # z = rho e^{i delta} and w = z^k, each as real and imaginary parts
+    z_re, z_im = rho * np.cos(delta), rho * np.sin(delta)
+    w_re, w_im, rho_k = z_re.copy(), z_im.copy(), rho.copy()
+    acc = np.ones_like(rho)
+    n = rho.size
+    for mult in table.tolist():
+        # the live pairs are a prefix along which the terms fall, so some
+        # stop at this k only if the last one does
+        if mult * rho_k[n - 1] < 1e-16:
+            n = np.count_nonzero(mult * rho_k[:n] >= 1e-16)
+            if not n:
+                break
+        wr, wi, zr, zi = w_re[:n], w_im[:n], z_re[:n], z_im[:n]
+        acc[:n] += 2.0 * mult * wr
+        rho_k[:n] *= rho[:n]
+        # w z in place: (wr zr - wi zi, wi zr + wr zi)
+        cross = wr * zi
+        wr *= zr
+        wr -= wi * zi
+        wi *= zr
+        wi += cross
+    out = np.empty_like(acc)
+    out[order] = acc / (2.0 * math.pi * R)
     return float(out[0]) if x.ndim == 1 else out
 
 

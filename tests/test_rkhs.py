@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,51 @@ def test_array_oracle_matches_scalar_series(pairs, s, R):
         want, scale = _scalar_series(R, s, x, y)
         assert abs(value - want) <= 2e-15 * scale
         assert kernel_classical_spectral_oracle(dom, s, x, y) == value
+
+
+@settings(max_examples=100)
+@given(_oracle_pairs(), st.floats(-2.0, 2.0), st.sampled_from([1.0, 2.5]), st.data())
+def test_oracle_values_follow_a_shuffle_of_the_pairs(pairs, s, R, data):
+    # each pair beside its swap (equal rho, so ties in the sort), centers
+    # (rho = 0) and coincident points: shuffling the pairs permutes the
+    # values bit for bit
+    pairs = pairs + [(y, x) for x, y in pairs]
+    perm = np.array(data.draw(st.permutations(range(len(pairs)))))
+    dom = disk(R)
+    xs = R * np.array([p[0] for p in pairs])
+    ys = R * np.array([p[1] for p in pairs])
+    got = kernel_classical_spectral_oracle(dom, s, xs, ys)
+    shuffled = kernel_classical_spectral_oracle(dom, s, xs[perm], ys[perm])
+    assert shuffled.tobytes() == got[perm].tobytes()
+
+
+def _closed_form_kernel(R, s, x, y):
+    # the s = 0 and s = -1 series summed in closed form at the exact points,
+    # z = conj(x) y / R^2: 1 + 2 Re sum z^k = Re (1 + z)/(1 - z), and
+    # 2 Re sum k^2 z^k = 2 Re z(1 + z)/(1 - z)^3
+    z = mpmath.mpc(x[0], -x[1]) * mpmath.mpc(y[0], y[1]) / R**2
+    series = (1 + z) / (1 - z)
+    if s == -1.0:
+        series += 2 * z * (1 + z) / (1 - z) ** 3 / R**2
+    return float(mpmath.re(series) / (2 * mpmath.pi * R))
+
+
+@pytest.mark.parametrize("R", [1.0, 2.5])
+@pytest.mark.parametrize("s, bound", [(0.0, 4e-15), (-1.0, 4e-13)])
+def test_oracle_matches_closed_form_series(R, s, bound):
+    # 256 seeded pairs with |x|, |y| <= 0.9 R, error relative to |K|.  Worst
+    # at R = 1 / 2.5: s = 0, 2.43e-15 / 2.61e-15; s = -1, 7.39e-14 / 1.73e-13,
+    # at pairs whose |K| is 2.3e-4 / 3.5e-3 of their sum of |terms|.  Summed
+    # with libm pow and cos(k delta) per term the worst was 7.93e-15 /
+    # 6.24e-15 and 2.24e-12 / 1.58e-13: the rounding of k delta grows with k
+    rng = np.random.default_rng(0)
+    r = 0.9 * R * np.sqrt(rng.uniform(0.0, 1.0, (2, 256)))
+    th = rng.uniform(0.0, 2.0 * math.pi, (2, 256))
+    xs, ys = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+    got = kernel_classical_spectral_oracle(disk(R), s, xs, ys)
+    with mpmath.workdps(30):
+        want = np.array([_closed_form_kernel(R, s, x, y) for x, y in zip(xs, ys)])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= bound
 
 
 def test_array_oracle_tells_signed_zeros_apart():
