@@ -19,15 +19,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from .domains import BoundaryGrid, boundary_grid, disk, interval
+from .domains import BoundaryGrid, disk, interval
 from .fracop import MollifierSpec, residual_check
 from .green import green_mass, poisson_kernel_classical, torsion_reference
 from .boundary import boundary_integrate
 from .hadamard import hadamard_report
 from .report import Report, check, flag
 from .rkhs import (
-    _gram,
-    _representers,
     gram_matrix,
     kernel_fractional,
     kernel_report,
@@ -138,44 +136,17 @@ def criterion_7_reproducing_property():
     return _prefixed("C7", rep)
 
 
-def _cauchy_schwarz_slacks(domain, params, pairs, n_nodes):
-    """K(p,p) K(q,q) - K(p,q)^2 of the fractional kernel for each pair
-    (p, q) = rows (2i, 2i+1) of pairs: one stack of representers, read as
-    one 2x2 Gram block per pair."""
-    grid = boundary_grid(domain, n_nodes)
-    front, V = _representers(grid, "fractional", params, pairs)
-    K = _gram(front, V.reshape(-1, 2, V.shape[-1]), grid.weights)
-    return K[:, 0, 0] * K[:, 1, 1] - K[:, 1, 0] ** 2
-
-
-def criterion_8_psd_and_cauchy_schwarz(seed=DEFAULT_SEED):
-    """Gram positivity and Cauchy-Schwarz for both kernel families."""
-    dd = disk(1.0)
+def criterion_8_gram_psd(seed=DEFAULT_SEED):
+    """Gram positivity of the fractional kernel at ten seeded disk points.
+    front * V diag(w) V^T is PSD for any representers V once the weights w
+    and the front are positive, so this flag checks the assembly."""
     rng = np.random.default_rng(seed)
-
-    def draw(count):
-        r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, count))
-        th = rng.uniform(0.0, 2.0 * math.pi, count)
-        return np.column_stack([r * np.cos(th), r * np.sin(th)])
-
-    pts = draw(10)
-    out = []
-    for label, kind, params in (
-        ("classical s=0", "classical", 0.0),
-        ("classical s=1", "classical", 1.0),
-        ("fractional a=1/2 s=0", "fractional", FracParams(0.5, 0.0)),
-    ):
-        km = gram_matrix(dd, kind, params, pts)
-        lo, hi, psd = km.psd_verdict()
-        out.append(flag(f"C8: Gram PSD, {label} (min {lo:.3e}, max {hi:.3e})", psd))
-
-    pairs = np.concatenate([draw(2) for _ in range(200)])  # pair by pair
-    worst = float(np.min(_cauchy_schwarz_slacks(dd, FracParams(0.5, 0.0), pairs, 64)))
-    out.append(flag(
-        f"C8: Cauchy-Schwarz slack >= -1e-12 over 200 pairs (worst {worst:.3e})",
-        worst >= -1e-12,
-    ))
-    return out
+    r = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, 10))
+    th = rng.uniform(0.0, 2.0 * math.pi, 10)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    km = gram_matrix(disk(1.0), "fractional", FracParams(0.5, 0.0), pts)
+    lo, hi, psd = km.psd_verdict()
+    return [flag(f"C8: Gram PSD, fractional a=1/2 s=0 (min {lo:.3e}, max {hi:.3e})", psd)]
 
 
 def criterion_9_limit_consistency():
@@ -213,7 +184,7 @@ CRITERIA = (
     (5, criterion_5_kernel_vs_oracle),
     (6, criterion_6_fractional_kernel_value),
     (7, criterion_7_reproducing_property),
-    (8, criterion_8_psd_and_cauchy_schwarz),
+    (8, criterion_8_gram_psd),
     (9, criterion_9_limit_consistency),
     (10, criterion_10_fracop_oracle),
     (11, criterion_11_poisson_normalization),

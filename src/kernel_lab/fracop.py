@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domains import DISK, INTERVAL, ModelDomain, ray_nodes, rays, squared_norm
-from .errors import DomainError, SingularityError, ToleranceError
+from .errors import DomainError, ToleranceError
 from .green import green_fractional_radial
 from .quadrature import (
     EvalBudget,
@@ -65,7 +65,7 @@ TAG_DEGENERATE = "boundary-degenerate"
 TAG_SINGULAR = "boundary-singular"
 TAG_SMOOTH = "smooth-compact"
 
-# default evaluation clearance from the boundary, as a fraction of R
+# evaluation clearance from the boundary, as a fraction of R
 _DELTA_FRACTION = {TAG_DEGENERATE: 0.05, TAG_SINGULAR: 0.2, TAG_SMOOTH: 0.0}
 
 # validation-oracle accuracy: the identities this module checks carry
@@ -89,23 +89,21 @@ class SampledInteriorField:
     array; otherwise it is called on the inside points alone and the
     wrapper writes 0 elsewhere.  Either way the result is a new float
     array.  The smoothness tag states the boundary behavior (d^a, d^(a-1),
-    or compactly supported smooth) and fixes the default clearance
-    delta_min below which the principal-value quadrature refuses to
-    evaluate.  On both domains it also sets the exponent beta (a, a-1, 0)
-    of the far field's Gauss-Jacobi exit panel; a tag that claims a milder
-    boundary than the profile has makes that rule disagree with itself
-    under refinement, and the principal value refuses.
+    or compactly supported smooth) and fixes the clearance delta_min below
+    which the principal-value quadrature refuses to evaluate.  On both
+    domains it also sets the exponent beta (a, a-1, 0) of the far field's
+    Gauss-Jacobi exit panel; a tag that claims a milder boundary than the
+    profile has makes that rule disagree with itself under refinement, and
+    the principal value refuses.
     """
 
-    def __init__(self, domain, profile, tag, delta_min=None, grid=None):
+    def __init__(self, domain, profile, tag, grid=None):
         if tag not in _DELTA_FRACTION:
             raise DomainError(f"unknown smoothness tag {tag!r}")
         self.domain = domain
         self.profile = profile
         self.tag = tag
-        self.delta_min = (
-            _DELTA_FRACTION[tag] * domain.R if delta_min is None else float(delta_min)
-        )
+        self.delta_min = _DELTA_FRACTION[tag] * domain.R
         self.grid = grid
 
     def __call__(self, pts):
@@ -302,7 +300,9 @@ def _moll_values_interval(domain, a, moll, zs, quad):
     Outside the support all z on one side share the y-nodes and the density
     values, and the Green values form one (z, y) array.  The first z in
     array order whose rule meets y == z, or whose coarse and fine values
-    disagree, is refused.
+    disagree, raises ToleranceError: the zs are the build's own nodes, so
+    a rule node on z (the 2/a grading puts one there at a small a) is the
+    rule's failure, not invalid input.
     """
     zs = np.array([domain.require_interior(z) for z in np.atleast_1d(zs)])
     lo, hi = moll.center - moll.width, moll.center + moll.width
@@ -360,7 +360,8 @@ def _moll_values_interval(domain, a, moll, zs, quad):
     if failed.any():
         i = int(np.argmax(failed))
         if singular[i]:
-            raise SingularityError("green_fractional is singular at x == y")
+            raise ToleranceError("mollified Green quadrature put a node on its "
+                                 f"singularity at z={float(zs[i])!r}")
         raise ToleranceError(
             "mollified Green quadrature did not converge near the singularity",
             estimate=float(fine[i]),

@@ -133,11 +133,11 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
 
     Tabulates the exact derivative, central differences per step, the
     boundary-integral prediction with alpha = R, a Richardson check on
-    the last two steps, an FD convergence-order flag (skipped when FD
-    already sits at the roundoff floor) and a sign flag.  An order a
-    outside (0, 1] (1 is classical), an empty pair list, fewer than two
-    steps, a repeated step or one outside [MIN_FD_STEP, MAX_FD_STEP]
-    raises DomainError before any work.
+    the last two steps and an FD convergence-order flag (skipped when FD
+    already sits at the roundoff floor).  An order a outside (0, 1] (1 is
+    classical), an empty pair list, fewer than two steps, a repeated step
+    or one outside [MIN_FD_STEP, MAX_FD_STEP] raises DomainError before
+    any work.
     """
     if not 0.0 < a <= 1.0:  # also refuses NaN
         raise DomainError(f"hadamard_report needs an order a in (0, 1], got {a}")
@@ -197,8 +197,6 @@ def hadamard_report(domain, a, pairs, t_list=(1e-2, 1e-3), n_nodes=256):
             rep.add(flag(f"{label}: FD order close to 2", 1.4 <= order <= 2.6))
         else:
             entry["order"] = None
-        rep.add(flag(f"{label}: derivative nonnegative for growing domain",
-                     exact >= 0.0 and pred >= 0.0))
         table.append(entry)
 
     rep.metadata["pairs"] = table

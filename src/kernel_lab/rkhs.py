@@ -18,8 +18,11 @@ cancellation <f, M^{-t} g>_t = <f, g>_0, so any disagreement beyond
 roundoff indicates a broken transform and raises ConsistencyError.
 
 As a -> 1 the weighted trace collapses onto the Poisson kernel and
-K_{a,s} -> K_{s+3/2}.  kernel_fractional accepts a = 1 as that formal
-limit, which makes the trend checkable end to end.
+K_{a,s} -> K_{s+3/2}; limit_consistency follows that trend at a < 1.
+kernel_fractional accepts a = 1, where it runs the classical code path
+(the representer is the Poisson kernel, the front is 1 and theta is
+(s + 3/2)/2), so its value there is K_{s+3/2} by construction, not a
+check of the limit.
 """
 
 import math
@@ -156,10 +159,10 @@ def _representers(grid, kind, params, points):
 
 def _gram(front, V, weights):
     """The kernel pairing front * sum_j w_j V_x(z_j) V_y(z_j) over the rows of
-    an (m, n) representer stack, or of each block of a (b, m, n) stack; the
-    upper triangle mirrors the lower, so each block is exactly symmetric."""
-    K = front * ((V * weights) @ np.swapaxes(V, -1, -2))
-    return np.where(np.tri(V.shape[-2], dtype=bool), K, np.swapaxes(K, -1, -2))
+    an (m, n) representer stack; the upper triangle mirrors the lower, so
+    the matrix is exactly symmetric."""
+    K = front * ((V * weights) @ V.T)
+    return np.where(np.tri(len(V), dtype=bool), K, K.T)
 
 
 def kernel_classical(domain, s, x, y, n_nodes=DEFAULT_NODES):
@@ -298,13 +301,19 @@ def gram_matrix(domain, kind, params, points, n_nodes=DEFAULT_NODES):
 
     kind selects the kernel: "classical" (params = order s) or
     "fractional" (params = FracParams).  Duplicate points are allowed and
-    flagged; they make the matrix singular, which is not an error.
+    flagged; they make the matrix singular, which is not an error.  An
+    entry that overflows a double raises DomainError.
     """
     pts = np.array([domain.point(p) for p in points])
     if not len(pts):
         raise DomainError("gram_matrix needs at least one point")
     grid = boundary_grid(domain, n_nodes)
-    entries = _gram(*_representers(grid, kind, params, pts), grid.weights)
+    front, V = _representers(grid, kind, params, pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = _gram(front, V, grid.weights)
+    bad = np.argwhere(~np.isfinite(entries))
+    if bad.size:
+        raise DomainError(f"the Gram matrix has a non-finite entry at {bad[0].tolist()}")
 
     # a duplicate is a pair closer than 1e-14 R in every coordinate
     near = np.ones((len(pts),) * 2, dtype=bool)
@@ -319,8 +328,8 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
     kind is "classical" (order s; a is only echoed) or "fractional"
     (FracParams(a, s)).  On the classical disk every pair (i, j >= i) is
     checked against kernel_classical_spectral_oracle at relative 1e-8, as
-    one CheckColumns block; then come the Gram PSD flag (one eigensolve)
-    and the exact-symmetry flag.  Returns (report, columns, checks):
+    one CheckColumns block; elsewhere the report holds no check.
+    Returns (report, columns, checks):
     columns maps "i", "j" and "K" to arrays over the pairs in row-major
     order; checks is the oracle block, whose computed, reference and
     abs_error columns are K, the oracle values and their discrepancy, or
@@ -349,10 +358,6 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
         oracle = kernel_classical_spectral_oracle(domain, s, km.points[i], km.points[j])
         names = [f"K[{pi},{pj}] vs spectral oracle" for pi, pj in zip(i.tolist(), j.tolist())]
         checks = rep.add(check_columns(names, K, oracle, 1e-8, rel=True))
-    lo, hi, psd = km.psd_verdict()
-    rep.add(flag(f"Gram PSD (min {lo:.3e}, max {hi:.3e})", psd))
-    rep.add(flag("assembled matrix exactly symmetric",
-                 bool(np.array_equal(km.entries, km.entries.T))))
     return rep, columns, checks
 
 
@@ -446,10 +451,10 @@ def limit_consistency(domain, s, x, y, a_list, n_nodes=DEFAULT_NODES):
     """Report on K_{a,s} -> K_{s+3/2} as a increases toward 1.
 
     Records the error sequence against the classical kernel of order
-    s + 3/2, a strict-monotonicity flag, the formal a=1 agreement, and a
-    final-error bound of 1e-2 times the classical value.  Every kernel is
-    evaluated on n_nodes boundary nodes.  An empty a_list, or one that does
-    not increase strictly, raises DomainError.
+    s + 3/2, a strict-monotonicity flag and a final-error bound of 1e-2
+    times the classical value.  Every kernel is evaluated on n_nodes
+    boundary nodes.  An empty a_list, or one that does not increase
+    strictly, raises DomainError.
     """
     a_list = [float(a) for a in a_list]
     if not a_list:
@@ -460,7 +465,6 @@ def limit_consistency(domain, s, x, y, a_list, n_nodes=DEFAULT_NODES):
         FracParams(a, s)
     ref = kernel_classical(domain, s + 1.5, x, y, n_nodes)
     errors = [abs(kernel_fractional(domain, a, s, x, y, n_nodes) - ref) for a in a_list]
-    formal = kernel_fractional(domain, 1.0, s, x, y, n_nodes)
 
     rep = Report(
         "limit",
@@ -476,7 +480,6 @@ def limit_consistency(domain, s, x, y, a_list, n_nodes=DEFAULT_NODES):
     )
     decreasing = all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
     rep.add(flag("kernel errors strictly decreasing", decreasing))
-    rep.add(check("formal a=1 matches classical order s+3/2", formal, ref, 1e-10))
     rep.add(
         check(
             "final error within trend bound",

@@ -1,10 +1,15 @@
 import math
 
+import contextlib
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kernel_lab import debug
-from kernel_lab.domains import BoundaryGrid, disk, interval
+from kernel_lab.debug import DEBUG_CONTROLS
+from kernel_lab.domains import BoundaryGrid, boundary_grid, disk, interval
 from kernel_lab.errors import DomainError, GridMismatchError, SingularityError
 from kernel_lab.hadamard import (
     MIN_FD_STEP,
@@ -120,6 +125,30 @@ def test_prediction_symmetry_positivity():
     pyx = hadamard_prediction(DK, 0.6, y, x, alpha)
     assert pxy == pytest.approx(pyx, rel=1e-13)
     assert pxy > 0.0  # dilation can only increase the Green function
+
+
+def _interior_point(data, domain):
+    if domain.kind == "interval":
+        return domain.R * data.draw(st.floats(-0.95, 0.95))
+    r, th = data.draw(st.floats(0.0, 0.95)), data.draw(st.floats(0.0, 2.0 * math.pi))
+    return domain.R * np.array([r * math.cos(th), r * math.sin(th)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["interval", "disk"]), R=st.sampled_from([1e-3, 1.0, 2.5, 1e3]),
+       a=st.just(1.0) | st.floats(0.01, 1.0), control=st.sampled_from([None, *DEBUG_CONTROLS]),
+       data=st.data())
+def test_dilation_derivative_positive(kind, R, a, control, data):
+    # a growing domain raises the Green function at every distinct pair:
+    # every factor of the exact route is positive, and the prediction
+    # integrates psi_x psi_y R with psi > 0
+    domain = disk(R) if kind == "disk" else interval(R)
+    x, y = _interior_point(data, domain), _interior_point(data, domain)
+    assume(np.linalg.norm(np.atleast_1d(x - y)) >= 1e-3 * R)
+    alpha = PerturbationField.dilation(boundary_grid(domain, 64))
+    with DEBUG_CONTROLS[control]() if control else contextlib.nullcontext():
+        assert dilation_derivative_exact(domain, a, x, y) > 0.0
+        assert hadamard_prediction(domain, a, x, y, alpha) > 0.0
 
 
 def test_singular_pair_guard():
