@@ -95,14 +95,6 @@ def from_spectrum(spectrum):
     return BoundaryField(grid, values)
 
 
-def _apply_multipliers(field, mult):
-    # to_spectrum's coefficients are a new array, so they take the
-    # multipliers in place
-    spectrum = to_spectrum(field)
-    spectrum.coefficients *= mult
-    return from_spectrum(spectrum)
-
-
 def _pair(mult, fh, gh):
     # sum_k mult_k Re(fhat_k conj(ghat_k)), without the complex product
     out = np.sum(mult * (fh.real * gh.real + fh.imag * gh.imag), axis=-1)
@@ -113,7 +105,10 @@ def apply_M_power(field, t):
     """Apply M^t, to each row of a stack at once; the identity on the
     interval, whose multipliers are 1.  A multiplier that overflows a
     double raises DomainError."""
-    return _apply_multipliers(field, _multipliers(field.grid, t))
+    mult = _multipliers(field.grid, t)
+    spectrum = to_spectrum(field)
+    spectrum.coefficients *= mult  # a new array, so in place
+    return from_spectrum(spectrum)
 
 
 def sobolev_inner(f, g, s):
@@ -140,7 +135,8 @@ def sobolev_inner(f, g, s):
 class DualPairing:
     """The data side of h -> <g, M^{-t} h>_t for one field g and order t:
     g's spectrum and the multipliers of M^{-t} and of the order-t pairing,
-    built once (dual_pairing) to pair g with many fields h."""
+    built once (dual_pairing) to pair g with many fields h, each by one
+    forward transform, M^{-t} and the order-t pairing (no inverse)."""
 
     grid: BoundaryGrid
     spectrum: np.ndarray
@@ -148,12 +144,14 @@ class DualPairing:
     up: np.ndarray
 
     def pair(self, h):
-        """<g, M^{-t} h>_t, one float per row of a stack h.  Each h keeps its
-        full round trip (forward, M^{-t}, inverse, forward again), so every
-        value is bitwise equal to sobolev_inner(g, apply_M_power(h, -t), t)."""
+        """<g, M^{-t} h>_t, one float per row of a stack h, each bitwise equal
+        to that of its row alone.  M^{-t} acts on h's spectrum in place: an
+        inverse transform would round the modes that M^{-t} shrank, and the
+        pairing's M^t would scale that roundoff back up."""
         if h.grid != self.grid:
             raise GridMismatchError("a dual pairing requires fields on one grid")
-        hh = to_spectrum(_apply_multipliers(h, self.down)).coefficients
+        hh = to_spectrum(h).coefficients
+        hh *= self.down
         return _pair(self.up, self.spectrum, hh)
 
 

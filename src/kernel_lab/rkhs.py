@@ -80,8 +80,9 @@ def _gamma_factor(a):
 
 
 def _multiplier_route(front, side, rep):
-    # front * <g, M^{-t} rep>_t from g's prebuilt side = dual_pairing(g, t),
-    # which the cancellation makes front * int g rep
+    # front * <g, M^{-t} rep>_t from g's prebuilt side = dual_pairing(g, t):
+    # one forward transform of rep, M^{-t} and the order-t pairing, which
+    # the cancellation makes front * int g rep
     return front * side.pair(rep)
 
 

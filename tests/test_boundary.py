@@ -307,9 +307,11 @@ def _same_bits(got, ref):
 
 @pytest.mark.parametrize("n", [16, 256, 8192])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_in_place_scaling_matches_old_expressions(n, seed):
+def test_in_place_scaling_matches_old_expressions(monkeypatch, n, seed):
     # the transforms scale, and the multipliers act, in the new spectrum's
-    # buffer; every result is bitwise the out-of-place expression's
+    # buffer; every result is bitwise the out-of-place expression's.  Any
+    # multiplier set, special values too, reaches apply_M_power through
+    # its _multipliers
     rng = np.random.default_rng(seed)
     grid = BoundaryGrid(disk(1.5), n)
     values = np.where(rng.random((4, n)) < 0.5, rng.choice(_SPECIAL, size=(4, n)),
@@ -325,10 +327,12 @@ def test_in_place_scaling_matches_old_expressions(n, seed):
         back = from_spectrum(boundary.Spectrum(grid, spectrum.copy())).values
         assert _same_bits(back, inverse * np.fft.irfft(spectrum, n=n))
         for mult in mults:
-            got = boundary._apply_multipliers(grid.field(values), mult).values
+            monkeypatch.setattr(boundary, "_multipliers", lambda grid, t: mult)
+            got = apply_M_power(grid.field(values), 0.0).values
             ref = inverse * np.fft.irfft(mult * (forward * np.fft.rfft(values)), n=n)
             assert _same_bits(got, ref)
         two = BoundaryGrid(interval(1.0), 2)
         for mult in (np.array([0.5, 3.0]), _SPECIAL[[1, 4]], _SPECIAL[[8, 2]]):
-            got = boundary._apply_multipliers(two.field(values[:, :2]), mult).values
+            monkeypatch.setattr(boundary, "_multipliers", lambda grid, t: mult)
+            got = apply_M_power(two.field(values[:, :2]), 0.0).values
             assert _same_bits(got, (mult * values[:, :2].astype(complex)).real)

@@ -398,6 +398,19 @@ def test_reproduce_order_whose_pairing_multipliers_overflow(tmp_path, capsys):
     assert "invalid input: M^t at t=401 has a non-finite multiplier at mode k=3" in err
 
 
+@pytest.mark.parametrize("a, s", [(0.7, 1.5), (0.25, 2.0)])
+def test_reproduce_at_larger_order_passes(tmp_path, capsys, a, s):
+    # the pairing's M^t lifts mode k by (1 + k^2)^(2 theta); a multiplier
+    # route that rounded the modes M^{-t} had shrunk refused these orders
+    # at the 65,536-node trace recovery, though both routes were right
+    scn = tmp_path / "s.yaml"
+    scn.write_text(f"params: {{a: {a}, s: {s}}}\n", encoding="utf-8")
+    assert main(["reproduce", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+    assert "reproduce: 3 checks, 0 failed" in capsys.readouterr().out
+    rep = _load(tmp_path / "reproduce_report.json")
+    assert rep["overall_pass"] and len(rep["records"]) == 3
+
+
 @pytest.mark.parametrize("a, refused", [
     (1e-17, ("hadamard", "residual")),
     (1e-154, ("kernel", "reproduce", "hadamard", "residual")),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import kernel_lab.boundary as boundary
 import kernel_lab.rkhs as rkhs
-from kernel_lab.boundary import apply_M_power, dual_pairing, sobolev_inner
+from kernel_lab.boundary import apply_M_power, boundary_integrate, dual_pairing, sobolev_inner
 from kernel_lab.domains import BoundaryGrid, boundary_grid, disk, interval
 from kernel_lab.errors import ConsistencyError, DomainError, GridMismatchError, ToleranceError
 from kernel_lab.rkhs import (
@@ -694,34 +694,39 @@ def _probes(domain, m):
 @pytest.mark.parametrize("m", [None, 1, 3, 8], ids=["field", "m1", "m3", "m8"])
 @pytest.mark.parametrize("a,s", [(0.3, -0.5), (0.7, 1.0)])
 def test_dual_pairing_route_matches_sobolev_inner_bitwise(domain, n, m, a, s):
-    # the data side built once pairs each row as the per-call composition did
+    # the data side built once pairs each row bitwise as that row alone,
+    # and agrees with the direct route at the stability property's bound
+    # (not bitwise with sobolev_inner(g, apply_M_power(rep, -t), t), whose
+    # inverse transform rounds the modes that M^{-t} shrank)
     grid = BoundaryGrid(domain, n)
     g = grid.field(np.random.default_rng(n).standard_normal(n))
     t = 2.0 * FracParams(a, s).theta
     front = rkhs._gamma_factor(a)
+    side = dual_pairing(g, t)
     pts = _probes(domain, 1 if m is None else m)
     rep = fractional_trace_green(grid, a, pts[0] if m is None else pts)
-    got = rkhs._multiplier_route(front, dual_pairing(g, t), rep)
-    want = front * sobolev_inner(g, apply_M_power(rep, -t), t)
+    got = rkhs._multiplier_route(front, side, rep)
+    direct = front * boundary_integrate(g.pointwise_product(rep))
+    assert np.all(np.abs(got - direct) <= _STABLE_TOL * np.maximum(1.0, np.abs(direct)))
     if m is None:
         assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
         return
-    assert got.shape == want.shape == (m,)
+    assert got.shape == (m,)
     for k in range(m):
-        row = grid.field(rep.values[k])
-        alone = front * sobolev_inner(g, apply_M_power(row, -t), t)
-        assert got[k].tobytes() == want[k].tobytes() == np.float64(alone).tobytes()
+        alone = rkhs._multiplier_route(front, side, grid.field(rep.values[k]))
+        assert got[k].tobytes() == np.float64(alone).tobytes()
 
 
 def test_extension_transforms_the_data_once(monkeypatch):
     # eight probes on 65,536 nodes go one per row block, against one data
     # side: phi is transformed once and the multipliers are built twice
-    # (M^{-t} and the pairing's M^t), not once and twice per block
+    # (M^{-t} and the pairing's M^t), not once and twice per block; each
+    # probe takes one forward transform and no inverse one
     grid = BoundaryGrid(DK, 65536)
     phi = grid.field(np.cos(grid.angles))
-    calls = {"phi spectra": 0, "multipliers": 0}
+    calls = {"phi spectra": 0, "multipliers": 0, "rfft": 0, "irfft": 0}
     to_spectrum, multipliers = boundary.to_spectrum, boundary._multipliers
+    rfft, irfft = np.fft.rfft, np.fft.irfft
 
     def counted_spectrum(field):
         calls["phi spectra"] += field.values.shape == phi.values.shape
@@ -731,10 +736,18 @@ def test_extension_transforms_the_data_once(monkeypatch):
         calls["multipliers"] += 1
         return multipliers(grid, t)
 
+    def counted(name, transform):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return run
+
     monkeypatch.setattr(boundary, "to_spectrum", counted_spectrum)
     monkeypatch.setattr(boundary, "_multipliers", counted_multipliers)
+    monkeypatch.setattr(np.fft, "rfft", counted("rfft", rfft))
+    monkeypatch.setattr(np.fft, "irfft", counted("irfft", irfft))
     assert poisson_extend_fractional(DK, 0.5, 0.0, phi, _probes(DK, 8)).shape == (8,)
-    assert calls == {"phi spectra": 1, "multipliers": 2}
+    assert calls == {"phi spectra": 1, "multipliers": 2, "rfft": 9, "irfft": 0}
 
 
 @pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
@@ -757,6 +770,99 @@ def test_extension_refuses_a_perturbed_data_spectrum(monkeypatch, domain):
     for p in pts:
         with pytest.raises(ConsistencyError, match="boundary-integral and multiplier routes"):
             poisson_extend_fractional(domain, 0.5, 0.0, phi, p)
+
+
+@pytest.mark.parametrize("n", [256, 65536])
+@pytest.mark.parametrize("mutant", ["sign-of-t", "one-multiplier", "representer-transform"])
+def test_extension_refuses_mutated_multipliers(monkeypatch, n, mutant):
+    # the multiplier route runs no inverse transform, so the forward
+    # transform and M^{-t} must carry its check: M^{+t} in place of M^{-t},
+    # or one M^{-t} multiplier or one representer coefficient off by 1e-9
+    # relative (mode 1, all of cos theta's data), and every probe refuses
+    grid = BoundaryGrid(DK, n)
+    phi = grid.field(np.cos(grid.angles))
+    pts = _probes(DK, 8)
+    for p in pts:
+        poisson_extend_fractional(DK, 0.5, 0.0, phi, p)
+    original, spectrum = rkhs.dual_pairing, boundary.to_spectrum
+
+    def mutated_side(g, t):
+        side = original(g, t)
+        if mutant == "sign-of-t":
+            return dataclasses.replace(side, down=boundary._multipliers(g.grid, t))
+        down = side.down.copy()
+        down[1] *= 1.0 + 1e-9
+        return dataclasses.replace(side, down=down)
+
+    def mutated_spectrum(field):
+        out = spectrum(field)
+        if field.values.ndim == 2:  # a representer block, not the data
+            out.coefficients[:, 1] *= 1.0 + 1e-9
+        return out
+
+    if mutant == "representer-transform":
+        monkeypatch.setattr(boundary, "to_spectrum", mutated_spectrum)
+    else:
+        monkeypatch.setattr(rkhs, "dual_pairing", mutated_side)
+    for p in pts:
+        with pytest.raises(ConsistencyError, match="boundary-integral and multiplier routes"):
+            poisson_extend_fractional(DK, 0.5, 0.0, phi, p)
+
+
+@pytest.mark.parametrize("data,n,a,s", [
+    ("noise", 4096, 0.5, 0.0), ("noise", 65536, 0.5, 0.0), ("cos3", 65536, 0.7, 1.5),
+], ids=["noise-4096", "noise-65536", "cos3-65536"])
+def test_extension_is_not_falsely_refused(data, n, a, s):
+    # M^{-t} shrinks the high modes, and the pairing's M^t lifts them by up
+    # to (1 + k^2)^t: a route that rounded the shrunk modes through an
+    # inverse transform refused each of these values, though it was right
+    grid = BoundaryGrid(DK, n)
+    if data == "noise":
+        phi = grid.field(np.random.default_rng(1).standard_normal(n))
+    else:
+        phi = grid.field(np.cos(3.0 * grid.angles))
+    pts = np.array([[0.3, -0.2], [0.5, 0.5], [-0.9, 0.1]])
+    got = poisson_extend_fractional(DK, a, s, phi, pts)
+    rep = fractional_trace_green(grid, a, pts)
+    direct = rkhs._gamma_factor(a) * boundary_integrate(phi.pointwise_product(rep))
+    assert got.tobytes() == direct.tobytes()
+
+
+# the multiplier route's agreement with the direct integral, relative to
+# max(1, |direct|): a hundredth of the route guard's 1e-12
+_STABLE_TOL = 1e-14
+
+
+@settings(max_examples=150)
+@given(data=st.data(), kind=st.sampled_from(["interval", "disk"]),
+       R=st.sampled_from([1.0, 2.5]), n=st.sampled_from([256, 1024, 4096]),
+       a=st.floats(0.05, 0.95), noise=st.booleans())
+def test_multiplier_route_is_stable(data, kind, R, n, a, noise):
+    # every order s > -a - 1/2 up to 3, noise or a single mode cos(l theta)
+    # up to the grid's last, points out to 0.95 R: the two routes agree to
+    # roundoff, and the extension returns the direct value
+    s = data.draw(st.floats(-a - 0.5, 3.0, exclude_min=True))
+    if kind == "interval":
+        domain, n = interval(R), 2
+        point = st.floats(-0.95 * R, 0.95 * R)
+    else:
+        domain = disk(R)
+        point = st.builds(_circle_pt, st.floats(0.0, 0.95 * R), st.floats(0.0, 2.0 * math.pi))
+    grid = BoundaryGrid(domain, n)
+    if noise:
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        phi = grid.field(np.random.default_rng(seed).standard_normal(n))
+    else:
+        mode = data.draw(st.integers(0, n // 2))
+        phi = grid.field_from_function(lambda th: np.cos(mode * th))
+    pts = np.array(data.draw(st.lists(point, min_size=1, max_size=4)))
+    t = 2.0 * FracParams(a, s).theta
+    front = rkhs._gamma_factor(a)
+    rep = fractional_trace_green(grid, a, pts)
+    direct = front * boundary_integrate(phi.pointwise_product(rep))
+    got = rkhs._multiplier_route(front, dual_pairing(phi, t), rep)
+    assert np.all(np.abs(got - direct) <= _STABLE_TOL * np.maximum(1.0, np.abs(direct)))
+    assert poisson_extend_fractional(domain, a, s, phi, pts).tobytes() == direct.tobytes()
 
 
 @pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
