@@ -125,10 +125,19 @@ def rays(domain):
     The disk has N_ANGLES equispaced rays of weight 2 pi / N_ANGLES.  Either
     way, summing weight * int_0^T f(x + r e) r^(N-1) dr over the rays is
     the integral of f over the ball around x.  Ray k + n/2 is minus ray k.
+    The table is built once per kind and is read-only.
     """
-    if domain.kind == INTERVAL:
-        return np.array([[-1.0], [1.0]]), 1.0
-    return ray_directions(N_ANGLES), 2.0 * math.pi / N_ANGLES
+    return _ray_table(domain.kind)
+
+
+@functools.lru_cache(maxsize=2)
+def _ray_table(kind):
+    if kind == INTERVAL:
+        dirs, weight = np.array([[-1.0], [1.0]]), 1.0
+    else:
+        dirs, weight = ray_directions(N_ANGLES), 2.0 * math.pi / N_ANGLES
+    dirs.flags.writeable = False
+    return dirs, weight
 
 
 def ray_exit(domain, x, direction):
@@ -139,7 +148,11 @@ def ray_exit(domain, x, direction):
     """
     x = np.reshape(domain.point(x), domain.N)
     direction = np.asarray(direction, dtype=float)
-    b = np.sum(direction * x, axis=-1)
+    # e.x column by column, as squared_norm sums: bitwise np.sum(direction
+    # * x, axis=-1) for N <= 2
+    b = direction[..., 0] * x[0]
+    for k in range(1, domain.N):
+        b = b + direction[..., k] * x[k]
     c = float(x @ x) - domain.R**2
     dist = -b + np.sqrt(b * b - c)
     return float(dist) if direction.ndim == 1 else dist
@@ -172,9 +185,10 @@ def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
     points x + r e.  With the rule's weights w and the ray
     weight of rays(), filling rows[idx] = (f(pts) * r^(N-1)) @ w block by
     block and summing weight * lengths @ rows integrates f over the rays'
-    [start, stop] in polar coordinates.  pts is filled one coordinate at a
-    time, bitwise equal to the broadcast x + r[..., None] * dirs[idx, None],
-    which numpy would run two elements at a time.
+    [start, stop] in polar coordinates.  pts is filled in place one
+    coordinate at a time, bitwise equal to the broadcast
+    x + r[..., None] * dirs[idx, None], which numpy would run two elements
+    at a time.
     """
     xv = np.reshape(domain.point(x), domain.N)
     if stop is None:
@@ -190,7 +204,9 @@ def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
         r = start + lengths[idx, None] * s[None, :]
         pts = np.empty(r.shape + (domain.N,))
         for k in range(domain.N):
-            pts[..., k] = xv[k] + r * dirs[idx, k, None]
+            coord = pts[..., k]
+            np.multiply(r, dirs[idx, k, None], out=coord)
+            coord += xv[k]
         yield idx, r, pts, lengths
 
 

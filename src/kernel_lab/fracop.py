@@ -19,11 +19,13 @@ at an interior point x is split three ways:
 
 Both domains run the same rules: the interval is the 1-D ball, with the
 two rays -1 and +1 of measure 1 each (domains.rays).  Every rule on [0, 1]
-reaches the rays through domains.ray_nodes, and the field is evaluated once
-per block of rays on all (ray, node) points of the block, which holds a
-ray's antipode along with it.  The convergence estimate compares the
-half-resolution and full-resolution rules in both the near and the far
-field.
+is built once per process (quadrature's memoized rules) and reaches the
+rays through domains.ray_nodes, and the field is evaluated once per block
+of rays on all (ray, node) points of the block, which holds a ray's
+antipode along with it; the field hands its profile the |y|^2 its inside
+test computed, so no point's norm is formed twice.  The convergence
+estimate compares the half-resolution and full-resolution rules in both
+the near and the far field.
 
 The same machinery powers the mollified-Green residual oracle: with
 v(z) = int G_a(z,y) rho_eps(y-x) dy one must get (-Delta)^a v = rho_eps(.-x),
@@ -41,7 +43,8 @@ from .green import green_fractional_radial
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
-    exit_graded_rule,
+    _exit_rule,
+    _graded_rule,
     graded_mesh,
     panel_nodes_weights,
 )
@@ -81,14 +84,17 @@ class SampledInteriorField:
 
     The field takes one point or an array of points, as ModelDomain.points
     reads them, and returns a float or one value per point.  profile is a
-    vectorized callable on interior points only, "(..., N) in, (...) out"
-    on both domains: it receives the point array with the coordinates on
-    its last axis, and it must not depend on which other points share the
-    call.  When every point of a call is inside, as the principal value's
-    quadrature nodes always are, the profile is called once on the whole
-    array; otherwise it is called on the inside points alone and the
-    wrapper writes 0 elsewhere.  Either way the result is a new float
-    array.  The smoothness tag states the boundary behavior (d^a, d^(a-1),
+    vectorized callable on interior points only, "(pts, r2) in, (...) out"
+    on both domains: it receives the point array pts with the coordinates
+    on its last axis and r2 = squared_norm(pts), the |y|^2 the field's
+    inside test has already computed, and it must not depend on which other
+    points share the call.  When every point of a call is inside, as the
+    principal value's quadrature nodes always are, the profile is called
+    once on the whole array; otherwise it is called on the inside points
+    and their r2 entries alone and the wrapper writes 0 elsewhere (also at
+    +-inf).  Either way the result is a new float array.  A NaN point
+    fails the inside test too; it raises DomainError instead of reading
+    as 0.  The smoothness tag states the boundary behavior (d^a, d^(a-1),
     or compactly supported smooth) and fixes the clearance delta_min below
     which the principal-value quadrature refuses to evaluate.  On both
     domains it also sets the exponent beta (a, a-1, 0) of the far field's
@@ -109,11 +115,14 @@ class SampledInteriorField:
     def __call__(self, pts):
         y, single = self.domain.points(pts)
         out = np.zeros(y.shape[:-1])
-        inside = squared_norm(y) < self.domain.R**2
+        r2 = squared_norm(y)
+        inside = r2 < self.domain.R**2
         if inside.all():
-            out[...] = self.profile(y)
-        elif inside.any():
-            out[inside] = self.profile(y[inside])
+            out[...] = self.profile(y, r2)
+        else:
+            _refuse_nan(y, r2)
+            if inside.any():
+                out[inside] = self.profile(y[inside], r2[inside])
         return float(out[0]) if single else out
 
     def require_evaluable(self, x):
@@ -126,11 +135,20 @@ class SampledInteriorField:
         return d
 
 
+def _refuse_nan(y, r2):
+    # a NaN coordinate makes |y|^2 NaN, which fails every inside test: the
+    # point would read as lying outside, where the field is 0
+    nan = np.isnan(r2)
+    if nan.any():
+        point = y.reshape(-1, y.shape[-1])[np.argmax(nan.reshape(-1))]
+        raise DomainError(f"point {point.tolist()} has a NaN coordinate")
+
+
 def getoor_field(domain, a):
     """u = (R^2 - |y|^2)^a_+, whose fractional Laplacian is the constant
     1/kappa*(N, a) on the whole domain (the Getoor identity)."""
     R2 = domain.R**2
-    profile = lambda pts: (R2 - squared_norm(pts)) ** a
+    profile = lambda pts, r2: (R2 - r2) ** a
     return SampledInteriorField(domain, profile, TAG_DEGENERATE)
 
 
@@ -142,7 +160,7 @@ def getoor_reference(N, a):
 def boundary_singular_field(domain, a):
     """u = (R^2 - |y|^2)^(a-1)_+, a-harmonic inside the domain."""
     R2 = domain.R**2
-    profile = lambda pts: (R2 - squared_norm(pts)) ** (a - 1.0)
+    profile = lambda pts, r2: (R2 - r2) ** (a - 1.0)
     return SampledInteriorField(domain, profile, TAG_SINGULAR)
 
 
@@ -185,11 +203,14 @@ class MollifierSpec:
         return 1.0 / (_bump_base_mass(self.domain.kind) * self.width**self.domain.N)
 
     def density(self, pts):
-        """rho_eps evaluated at one point or an array of points."""
+        """rho_eps evaluated at one point or an array of points; a NaN
+        point raises DomainError."""
         y, single = self.domain.points(pts)
         r2 = squared_norm((y - self.center) / self.width)
         out = np.zeros_like(r2)
         on = r2 < 1.0
+        if not on.all():
+            _refuse_nan(y, r2)
         out[on] = self.normalization * np.exp(-1.0 / (1.0 - r2[on]))
         return float(out[0]) if single else out
 
@@ -232,7 +253,7 @@ def _apply(u, a, x, h0, quad, budget, c):
         # term, and each pair at twice the ray weight cancels the 1/2.
         # Graded as j^2, the rule converges like panels^(-p), p = 4(1 - a),
         # on the h^(1-2a) integrand
-        s, w = panel_nodes_weights(graded_mesh(0.0, 1.0, panels, 2.0, toward="lo"))
+        s, w = _graded_rule(panels, 2.0)
         budget.spend(len(dirs) * s.size)
         rows = np.empty(half)
         for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
@@ -266,7 +287,7 @@ def _far(u, a, x, h0, dirs, weight, panels, budget):
     tag declares, and the field is evaluated once per block of rays.
     """
     beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[u.tag]
-    s, w = exit_graded_rule(panels, 2.0, beta)
+    s, w = _exit_rule(panels, 2.0, beta)
     budget.spend(len(dirs) * s.size)
     rows = np.empty(len(dirs))
     for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
@@ -339,7 +360,7 @@ def _moll_values_interval(domain, a, moll, zs, quad):
         out = np.empty(zs.shape)
         for idx, toward in groups:
             if toward is None:
-                t, w = panel_nodes_weights(graded_mesh(0.0, 1.0, panels, grading, toward="lo"))
+                t, w = _graded_rule(panels, grading)
             else:
                 y, w = panel_nodes_weights(graded_mesh(lo, hi, panels, 2.0, toward=toward))
                 rho = moll.density(y)
@@ -453,7 +474,7 @@ def mollified_green(domain, a, moll, quad=None):
     if quad is None:
         quad = _DEFAULT_QUAD
     if domain.kind == DISK:
-        def profile(pts):
+        def profile(pts, r2):
             zs = pts.reshape(-1, 2)
             inside = squared_norm(zs - moll.center) < moll.width**2
             if inside.any():
@@ -474,9 +495,8 @@ def mollified_green(domain, a, moll, quad=None):
     weight = (R * R - zs * zs) ** a
     spline = _not_a_knot_spline(zs, vals / weight)
 
-    def profile(pts):
-        y = pts[..., 0]
-        return spline(y) * np.maximum(R * R - y * y, 0.0) ** a
+    def profile(pts, r2):
+        return spline(pts[..., 0]) * np.maximum(R * R - r2, 0.0) ** a
 
     return SampledInteriorField(domain, profile, TAG_DEGENERATE, grid=zs)
 

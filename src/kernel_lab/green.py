@@ -32,6 +32,7 @@ from .errors import DomainError, SingularityError, ToleranceError
 from .quadrature import (
     EvalBudget,
     QuadratureSpec,
+    _memoized_rule,
     exit_graded_rule,
     graded_mesh,
     origin_graded_rule,
@@ -211,28 +212,33 @@ def _refine(evaluate, quad):
         m *= 2
 
 
-def _mass(domain, a, x, panels, budget):
-    # one rule in s = r/T on [0, 1/2] and [1/2, 1] maps onto every ray's
-    # [0, T] (ray_nodes), a block of rays at a time.  On the disk the
-    # integrand behaves like s^(2a-1) at the point and (1-s)^a at the
-    # boundary, and a Gauss-Jacobi panel carries each power: the rule
-    # converges at 8 and 16 panels for every a.  On the interval G_a is
-    # r^(2a-1) plus a part that is logarithmic (a = 1/2) or bounded, which
-    # no one Jacobi weight fits, so both ends are graded with exponent 2/a.
-    # The singular factor is computed from r itself, so grading toward
-    # r = 0 cannot collide with the singularity in floating point
-    dirs, weight = rays(domain)
-    if domain.kind == INTERVAL:
+@_memoized_rule
+def _mass_rule(kind, panels, a):
+    # one rule in s = r/T on [0, 1/2] and [1/2, 1], built once per (kind,
+    # panels, a).  On the disk the integrand behaves like s^(2a-1) at the
+    # point and (1-s)^a at the boundary, and a Gauss-Jacobi panel carries
+    # each power: the rule converges at 8 and 16 panels for every a.  On
+    # the interval G_a is r^(2a-1) plus a part that is logarithmic (a = 1/2)
+    # or bounded, which no one Jacobi weight fits, so both ends are graded
+    # with exponent 2/a
+    if kind == INTERVAL:
         grading = 2.0 / a
-        s, w = panel_nodes_weights(np.concatenate([
+        return panel_nodes_weights(np.concatenate([
             graded_mesh(0.0, 0.5, panels, grading, toward="lo"),
             graded_mesh(0.5, 1.0, panels, grading, toward="hi"),
         ]))
-    else:
-        s0, w0 = origin_graded_rule(panels, 2.0, 2.0 * a - 1.0)
-        s1, w1 = exit_graded_rule(panels, 2.0, a)
-        s = np.concatenate([0.5 * s0, 0.5 + 0.5 * s1])
-        w = 0.5 * np.concatenate([w0, w1])
+    s0, w0 = origin_graded_rule(panels, 2.0, 2.0 * a - 1.0)
+    s1, w1 = exit_graded_rule(panels, 2.0, a)
+    return np.concatenate([0.5 * s0, 0.5 + 0.5 * s1]), 0.5 * np.concatenate([w0, w1])
+
+
+def _mass(domain, a, x, panels, budget):
+    # the mass rule maps onto every ray's [0, T] (ray_nodes), a block of
+    # rays at a time.  The singular factor is computed from r itself, so
+    # grading toward r = 0 cannot collide with the singularity in floating
+    # point
+    dirs, weight = rays(domain)
+    s, w = _mass_rule(domain.kind, panels, a)
     budget.spend(len(dirs) * s.size)
     xv = np.reshape(x, -1)
     x2, N = float(xv @ xv), domain.N

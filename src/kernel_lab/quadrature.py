@@ -9,11 +9,17 @@ Gauss-Jacobi panel that carries that power exactly (the disk Green mass
 at s = 0 and at the boundary, the principal value's far field at the
 boundary).  Everything is deterministic: fixed node tables, and each
 composite rule is applied as one flattened node/weight array.
+
+Node tables and the unit rules on [0, 1] that the principal value and
+the Green mass use on every call are built once per process: _gl_nodes,
+_gj_nodes, _graded_rule (panel_nodes_weights of graded_mesh on [0, 1]),
+_exit_rule (exit_graded_rule) and green's mass rule each keep a bounded
+cache and return read-only arrays that every caller shares.
 """
 
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -50,13 +56,34 @@ class QuadratureSpec:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
 
-@lru_cache(maxsize=None)
+# rules each memo keeps: the getoor benchmark's passes ask for 40
+# distinct rules (0.37 MB in all), the six CLI commands for 12
+_RULE_CACHE_SIZE = 64
+
+
+def _memoized_rule(build):
+    """build(*args) -> (nodes, weights), memoized in a cache of
+    _RULE_CACHE_SIZE entries; the arrays are read-only, as every caller
+    shares them."""
+
+    @lru_cache(maxsize=_RULE_CACHE_SIZE)
+    @wraps(build)
+    def rule(*args):
+        nodes, weights = build(*args)
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        return nodes, weights
+
+    return rule
+
+
+@_memoized_rule
 def _gl_nodes(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    # numpy loads numpy.polynomial on first access, so not at import
+    return np.polynomial.legendre.leggauss(order)
 
 
-@lru_cache(maxsize=None)
+@_memoized_rule
 def _gj_nodes(order, beta):
     """Gauss-Jacobi nodes and weights on [-1, 1] for the weight (1 - x)^beta.
 
@@ -164,6 +191,13 @@ def origin_graded_rule(panels, exponent, beta, order=GL_ORDER):
         np.concatenate([(half * (1.0 - x))[::-1], nodes]),
         np.concatenate([(half * w * (1.0 - x) ** -beta)[::-1], weights]),
     )
+
+
+# the composite Gauss-Legendre rule on [0, 1] with panels graded toward 0
+# as (j/panels)^exponent, and exit_graded_rule, each built once
+_graded_rule = _memoized_rule(
+    lambda panels, exponent: panel_nodes_weights(graded_mesh(0.0, 1.0, panels, exponent)))
+_exit_rule = _memoized_rule(exit_graded_rule)
 
 
 class EvalBudget:

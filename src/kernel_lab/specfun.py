@@ -131,10 +131,11 @@ def boundary_integral_B_array(r0, a, N):
     (1 - r0^(-c))/c at c = 0.  The second form writes t^(a-1) (1+t)^(-N/2)
     on [1, r0] as t^(-c-1) (1 + g(1/t)/t), so it holds wherever B grows
     without bound too (N = 1, a > 1/2).  Each sum runs node by node over a
-    block of r0 values, with no (points, nodes) temporary.  Tests pin the
-    route against a scalar adaptive quadrature that shares nothing with it,
-    the hypergeometric form (r0^a/a) 2F1(N/2, a; a+1; -r0) and the a = 1
-    closed forms.
+    block of r0 values, with no (points, nodes) temporary, and only at the
+    points of its own form (NaN takes the first); B(1) comes from the first
+    form run once, at r0 = 1.  Tests pin the route against a scalar
+    adaptive quadrature that shares nothing with it, the hypergeometric
+    form (r0^a/a) 2F1(N/2, a; a+1; -r0) and the a = 1 closed forms.
     """
     _check_domain(N, a, a_max_inclusive=True)
     r0 = np.asarray(r0, dtype=float)
@@ -152,16 +153,23 @@ def boundary_integral_B_array(r0, a, N):
     return out
 
 
-def _B_gauss_jacobi(r0, a, half_n):
-    # at r0 > 1 the first rule runs at min(r0, 1) = 1 and gives B(1)
-    head = np.minimum(r0, 1.0)
+def _B_near(r0, a, half_n):
+    # the r0 <= 1 form r0^a int_0^1 u^(a-1) (1 + r0 u)^(-N/2) du
     out = np.zeros(r0.shape)
     for u, w in zip(*_unit_jacobi(a - 1.0)):
-        out += w * (1.0 + head * u) ** -half_n
-    out *= head**a
+        out += w * (1.0 + r0 * u) ** -half_n
+    out *= r0**a
+    return out
+
+
+def _B_gauss_jacobi(r0, a, half_n):
     far = r0 > 1.0
     if not far.any():
-        return out
+        return _B_near(r0, a, half_n)
+    out = np.empty(r0.shape)
+    near = ~far  # NaN stays on this branch
+    if near.any():
+        out[near] = _B_near(r0[near], a, half_n)
 
     def g(w):
         return np.expm1(-half_n * np.log1p(w)) / w
@@ -174,7 +182,9 @@ def _B_gauss_jacobi(r0, a, half_n):
         tail += vj * g(sj / t)
     log_t = np.log(t)
     power = log_t if c == 0.0 else -np.expm1(-c * log_t) / c
-    out[far] += power + float(v @ g(s)) - t ** (-c - 1.0) * tail
+    # B(1) by the near sum's own arithmetic, once for every far point
+    out[far] = _B_near(np.ones(1), a, half_n) + (
+        power + float(v @ g(s)) - t ** (-c - 1.0) * tail)
     return out
 
 

@@ -1,8 +1,9 @@
 """Reference routes that only the tests compare against.
 
 The scalar adaptive-quadrature B(r0; a, N), the independent check on
-specfun.boundary_integral_B_array, and the composite Gauss-Legendre
-integrator, the reference rule of the mass and trace tests.  They live
+specfun.boundary_integral_B_array; that array route's Gauss-Jacobi sums as
+they ran at every point, its bitwise reference; and the composite
+Gauss-Legendre integrator, the reference rule of the mass and trace tests.  They live
 here, beside the tests, so that the package itself needs no SciPy.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from kernel_lab.errors import DomainError
 from kernel_lab.quadrature import GL_ORDER, panel_nodes_weights
-from kernel_lab.specfun import _check_domain
+from kernel_lab.specfun import _check_domain, _unit_jacobi
 
 
 def boundary_integral_B(r0, a, N):
@@ -66,6 +67,35 @@ def _B_quadrature(r0, a, N):
         )
         total += val
     return total
+
+
+def B_gauss_jacobi_all_points(r0, a, half_n):
+    """specfun's Gauss-Jacobi B over a flat array as it ran before the
+    r0 <= 1 sum was restricted to its own points: the sum runs at every
+    point, and the r0 > 1 points take B(1) from it at min(r0, 1) = 1."""
+    # at r0 > 1 the first rule runs at min(r0, 1) = 1 and gives B(1)
+    head = np.minimum(r0, 1.0)
+    out = np.zeros(r0.shape)
+    for u, w in zip(*_unit_jacobi(a - 1.0)):
+        out += w * (1.0 + head * u) ** -half_n
+    out *= head**a
+    far = r0 > 1.0
+    if not far.any():
+        return out
+
+    def g(w):
+        return np.expm1(-half_n * np.log1p(w)) / w
+
+    t = r0[far]
+    c = half_n - a
+    s, v = _unit_jacobi(c)
+    tail = np.zeros(t.shape)
+    for sj, vj in zip(s, v):
+        tail += vj * g(sj / t)
+    log_t = np.log(t)
+    power = log_t if c == 0.0 else -np.expm1(-c * log_t) / c
+    out[far] += power + float(v @ g(s)) - t ** (-c - 1.0) * tail
+    return out
 
 
 def panel_integrate(fn, breakpoints, order=GL_ORDER):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from kernel_lab.domains import (
     _RAY_BLOCK_ELEMENTS,
+    N_ANGLES,
     BoundaryGrid,
     disk,
     interval,
@@ -18,10 +20,15 @@ from kernel_lab.domains import (
     squared_norm,
 )
 from kernel_lab.errors import DomainError, GridMismatchError, ToleranceError
+from kernel_lab.green import _mass_rule
 from kernel_lab.quadrature import (
+    _RULE_CACHE_SIZE,
     EvalBudget,
     QuadratureSpec,
+    _exit_rule,
     _gj_nodes,
+    _gl_nodes,
+    _graded_rule,
     exit_graded_rule,
     graded_mesh,
     origin_graded_rule,
@@ -75,6 +82,17 @@ def test_ray_exit_disk():
     iv = interval(2.0)
     assert ray_exit(iv, 0.5, np.array([1.0])) == pytest.approx(1.5, rel=1e-15)
     assert ray_exit(iv, 0.5, np.array([[-1.0], [1.0]])).tolist() == [2.5, 1.5]
+    # e.x by column sums is bitwise the reduction np.sum(e * x, axis=-1)
+    rng = np.random.default_rng(3)
+    for domain in (dk, disk(2.5), iv):
+        dirs = np.concatenate([rays(domain)[0], ray_directions(12)[:, : domain.N],
+                               rng.standard_normal((40, domain.N))])
+        dirs /= np.sqrt(squared_norm(dirs))[:, None]
+        for x in rng.uniform(-0.6, 0.6, (20, domain.N)) * domain.R:
+            b = np.sum(dirs * x, axis=-1)
+            ref = -b + np.sqrt(b * b - (float(x @ x) - domain.R**2))
+            assert ray_exit(domain, x, dirs).tobytes() == ref.tobytes()
+            assert [ray_exit(domain, x, e) for e in dirs] == ref.tolist()
 
 
 @pytest.mark.parametrize("domain, measure", [(interval(3.0), 2.0), (disk(3.0), 2.0 * math.pi)])
@@ -431,6 +449,65 @@ def test_origin_graded_rule_endpoint_weight(beta, panels):
     exact = panels ** (-2.0 * (beta + k + 1.0)) / (beta + k + 1.0)
     np.testing.assert_allclose((s[first] ** (beta + k[:, None])) @ w[first], exact,
                                rtol=5e-14, atol=0.0)
+
+
+def _fresh_mass_rule(kind, panels, a):
+    # green's mass rule, built from the public rules with no memo
+    if kind == "interval":
+        return panel_nodes_weights(np.concatenate([
+            graded_mesh(0.0, 0.5, panels, 2.0 / a, toward="lo"),
+            graded_mesh(0.5, 1.0, panels, 2.0 / a, toward="hi"),
+        ]))
+    s0, w0 = origin_graded_rule(panels, 2.0, 2.0 * a - 1.0)
+    s1, w1 = exit_graded_rule(panels, 2.0, a)
+    return np.concatenate([0.5 * s0, 0.5 + 0.5 * s1]), 0.5 * np.concatenate([w0, w1])
+
+
+_MEMOS = (_gl_nodes, _gj_nodes, _graded_rule, _exit_rule, _mass_rule)
+
+
+def test_memoized_rules_equal_fresh_builds_bitwise_and_are_read_only():
+    memo_and_fresh = [
+        ((_gl_nodes, (order,)), np.polynomial.legendre.leggauss(order)) for order in (12, 24)
+    ]
+    for beta in (-0.75, 0.0, 0.4):
+        memo_and_fresh.append(((_gj_nodes, (12, beta)), inspect.unwrap(_gj_nodes)(12, beta)))
+    for panels in (4, 16, 32, 64):
+        for exponent in (2.0, 2.0 / 0.3, 8.0):
+            memo_and_fresh.append((
+                (_graded_rule, (panels, exponent)),
+                panel_nodes_weights(graded_mesh(0.0, 1.0, panels, exponent, toward="lo"))))
+            for beta in (-0.75, 0.0, 0.4):
+                memo_and_fresh.append(((_exit_rule, (panels, exponent, beta)),
+                                       exit_graded_rule(panels, exponent, beta)))
+        for kind in ("interval", "disk"):
+            for a in (0.1, 0.25, 0.75, 0.9):
+                memo_and_fresh.append(((_mass_rule, (kind, panels, a)),
+                                       _fresh_mass_rule(kind, panels, a)))
+    for (memo, args), fresh in memo_and_fresh:
+        rule = memo(*args)
+        # built once: a second request returns the same arrays
+        assert memo(*args) is rule
+        assert [arr.tobytes() for arr in rule] == [arr.tobytes() for arr in fresh], args
+        for arr in rule:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+    for domain in (interval(2.0), disk(2.0)):
+        dirs, weight = rays(domain)
+        assert rays(domain)[0] is dirs
+        with pytest.raises(ValueError, match="read-only"):
+            dirs[0] = 0.0
+    assert rays(disk())[0].tobytes() == ray_directions(N_ANGLES).tobytes()
+
+
+def test_rule_memos_are_bounded():
+    # a property test over random a requests a new rule per draw; each
+    # memo keeps at most _RULE_CACHE_SIZE of them
+    for memo in _MEMOS:
+        assert memo.cache_info().maxsize == _RULE_CACHE_SIZE
+    for i in range(_RULE_CACHE_SIZE + 8):
+        _exit_rule(4, 2.0, 0.01 * i)
+    assert _exit_rule.cache_info().currsize == _RULE_CACHE_SIZE
 
 
 # Jacobi exponents of the Gauss-Jacobi exactness and reference tests

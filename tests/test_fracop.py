@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import IntegrationWarning, quad
 
 from kernel_lab import debug, domains, fracop
-from kernel_lab.domains import disk, interval, ray_directions, ray_exit, rays
+from kernel_lab.domains import disk, interval, ray_directions, ray_exit, rays, squared_norm
 from kernel_lab.errors import DomainError, ToleranceError
 from kernel_lab.fracop import (
     TAG_DEGENERATE,
@@ -54,12 +54,14 @@ _FIELD_POINTS = {
 def test_field_call_profile_once_and_zero_extension(domain):
     # the d^(a-1) profile is infinite on the boundary and NaN outside, so
     # every zero below comes from the extension, not from the profile
-    inner = boundary_singular_field(domain, 0.5).profile
-    calls = []
+    field_profile = boundary_singular_field(domain, 0.5).profile
+    inner = lambda p: field_profile(p, squared_norm(p))
+    calls, r2s = [], []
 
-    def profile(p):
+    def profile(p, r2):
         calls.append(p.copy())
-        return inner(p)
+        r2s.append(r2.copy())
+        return field_profile(p, r2)
 
     u = SampledInteriorField(domain, profile, TAG_SINGULAR)
     inside, mixed, mask, one = _FIELD_POINTS[domain.kind]
@@ -71,13 +73,17 @@ def test_field_call_profile_once_and_zero_extension(domain):
     assert not np.shares_memory(got, inside)
     assert len(calls) == 1 and np.array_equal(calls[0], col(inside))
     assert np.array_equal(got, inner(col(inside)))
+    # the profile gets the field's own |y|^2 of the points it gets
+    assert len(r2s) == 1 and r2s[0].tobytes() == squared_norm(calls[0]).tobytes()
 
     calls.clear()
+    r2s.clear()
     got = u(mixed)
     assert got.shape == (len(mixed),) and got.dtype == np.float64
     assert len(calls) == 1 and np.array_equal(calls[0], col(mixed)[mask])
     assert np.array_equal(got[mask], inner(col(mixed)[mask]))
     assert np.all(got[~mask] == 0.0)
+    assert len(r2s) == 1 and r2s[0].tobytes() == squared_norm(calls[0]).tobytes()
 
     value = u(one)
     assert isinstance(value, float)
@@ -442,7 +448,7 @@ def test_linearity_via_superposition():
     R2 = IV.R**2
     combo = SampledInteriorField(
         IV,
-        lambda p: (R2 - p[..., 0] ** 2) ** a + 2.0 * (R2 - p[..., 0] ** 2) ** (a - 1.0),
+        lambda p, r2: (R2 - p[..., 0] ** 2) ** a + 2.0 * (R2 - p[..., 0] ** 2) ** (a - 1.0),
         "boundary-singular",
     )
     quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-3, resolution=64, budget=10**6)

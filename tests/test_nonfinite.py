@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 from kernel_lab import green
 from kernel_lab.domains import BoundaryGrid, disk, interval, squared_norm
 from kernel_lab.errors import DomainError, KernelLabError, ToleranceError
-from kernel_lab.fracop import TAG_DEGENERATE, SampledInteriorField, frac_laplacian_apply
+from kernel_lab.fracop import (
+    TAG_DEGENERATE,
+    MollifierSpec,
+    SampledInteriorField,
+    frac_laplacian_apply,
+    getoor_field,
+)
 from kernel_lab.green import green_mass
 from kernel_lab.hadamard import hadamard_report
 from kernel_lab.rkhs import gram_matrix, poisson_extend_classical, poisson_extend_fractional
@@ -51,10 +57,33 @@ def test_route_guard_refuses_nan_multiplier_route():
 
 def test_principal_value_refuses_nan_field_values():
     # 1 - |y|^2, NaN outside |y|^2 <= 0.8: the far field's nodes meet the NaN
-    profile = lambda p: np.where(squared_norm(p) <= 0.8, 1.0 - squared_norm(p), math.nan)
+    profile = lambda p, r2: np.where(squared_norm(p) <= 0.8, 1.0 - squared_norm(p), math.nan)
     field = SampledInteriorField(DK, profile, TAG_DEGENERATE)
     with pytest.raises(ToleranceError, match="estimate nan"):
         frac_laplacian_apply(field, 0.5, np.array([0.1, 0.0]))
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_field_and_mollifier_refuse_a_nan_point(domain):
+    # NaN fails every inside test, so a NaN point read as one outside the
+    # domain or the bump's support, where both are 0.  It raises, alone or
+    # among inside and outside points; +-inf stays outside and reads 0
+    field = getoor_field(domain, 0.5)
+    moll = MollifierSpec(domain, _point(domain, 0.1, 0.0), 0.4)
+    if domain is IV:
+        nan, named = math.nan, r"point \[nan\] has a NaN coordinate"
+        mixed = np.array([0.2, 3.0, math.nan, 0.3])
+        infs = np.array([math.inf, -math.inf])
+    else:
+        nan, named = np.array([math.nan, 0.0]), r"point \[nan, 0\.0\] has a NaN coordinate"
+        mixed = np.array([[0.2, 0.0], [3.0, 0.0], [math.nan, 0.0], [0.3, 0.1]])
+        infs = np.array([[math.inf, 0.0], [0.0, -math.inf], [math.inf, -math.inf]])
+    for evaluate in (field, moll.density):
+        with pytest.raises(DomainError, match=named):
+            evaluate(nan)
+        with pytest.raises(DomainError, match=named):
+            evaluate(mixed)
+        assert evaluate(infs).tolist() == [0.0] * len(infs)
 
 
 @pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
@@ -84,7 +113,7 @@ def test_principal_value_refuses_non_finite_field(kind, bad, a, radius, angle, c
     else:
         e = _point(domain, 1.0, cut_angle)
 
-    def profile(p):
+    def profile(p, r2):
         out = (1.0 - squared_norm(p)) ** a
         out[p @ e > cut] = bad
         return out

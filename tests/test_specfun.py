@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from kernel_lab.errors import DomainError
 from kernel_lab.specfun import (
+    _B_BLOCK,
     FracParams,
     boundary_integral_B_array,
     boundary_integral_B_derivative,
@@ -14,7 +17,7 @@ from kernel_lab.specfun import (
     green_constant,
     torsion_constant,
 )
-from reference import boundary_integral_B
+from reference import B_gauss_jacobi_all_points, boundary_integral_B
 
 
 def test_frac_laplacian_constant_anchors():
@@ -142,3 +145,22 @@ def test_constant_domain_validation():
     for a in (1e-154, 1e-200, 5e-324):
         with pytest.raises(DomainError, match="too small"):
             green_constant(2, a)
+
+
+# r0 values at the seams of the two Gauss-Jacobi forms and at the ends of
+# the doubles; NaN takes the r0 <= 1 form
+_R0_EDGES = [0.0, 1.0, float(np.nextafter(1.0, np.inf)), float(np.nextafter(1.0, -np.inf)),
+             1e-300, 1e300, math.nan]
+
+
+@settings(max_examples=60)
+@given(a=st.floats(0.01, 0.99).filter(lambda a: a != 0.5), N=st.sampled_from([1, 2]),
+       pool=st.lists(st.sampled_from(_R0_EDGES) | st.floats(0.0, 1e3), min_size=1, max_size=12),
+       size=st.sampled_from([1, 7, _B_BLOCK - 1, _B_BLOCK + 3, 2 * _B_BLOCK + 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_B_array_matches_the_all_points_loop_bitwise(a, N, pool, size, seed):
+    # each form's sum runs only at its own points, B(1) once: the values,
+    # NaN included, are those of the sums run at every point
+    r0 = np.random.default_rng(seed).choice(np.array(pool), size)
+    got = boundary_integral_B_array(r0, a, N)
+    assert got.tobytes() == B_gauss_jacobi_all_points(r0, a, 0.5 * N).tobytes()
