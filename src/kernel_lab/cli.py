@@ -74,16 +74,9 @@ def cmd_kernel(scenario, out_dir):
     # a classical kernel only echoes a, so the FracParams constraint on
     # (a, s) applies in kernel_report to the fractional kernel alone
     a, s = scenario.params()
-    rep, columns, checks = kernel_report(domain, kind, a, s,
-                                         scenario.interior_points("points"),
-                                         n_nodes=scenario.n_nodes())
+    rep, columns = kernel_report(domain, kind, a, s, scenario.interior_points("points"),
+                                 n_nodes=scenario.n_nodes())
     i, j = columns.pop("i"), columns.pop("j")
-    if checks is not None:
-        # K, K_oracle and discrepancy are the oracle checks' computed,
-        # reference and abs_error: each double is formatted once, for the
-        # report and the CSV alike
-        columns.update(K=checks.cells("computed"), K_oracle=checks.cells("reference"),
-                       discrepancy=checks.cells("abs_error"))
     # each point's index and coordinate cells are formatted once, then
     # taken by i and by j
     m = len(rep.scenario["points"])

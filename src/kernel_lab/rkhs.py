@@ -34,7 +34,7 @@ from .boundary import apply_M_power, boundary_integrate, dual_pairing
 from .domains import DISK, INTERVAL, boundary_grid
 from .errors import ConsistencyError, DomainError, GridMismatchError, ToleranceError
 from .green import boundary_representer, fractional_trace_green, poisson_kernel_classical
-from .report import Report, check, check_columns, flag
+from .report import Report, check, flag
 from .specfun import FracParams, _gamma_checked
 
 # default circle quadrature resolution for kernel assembly; acceptance
@@ -328,13 +328,16 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
 
     kind is "classical" (order s; a is only echoed) or "fractional"
     (FracParams(a, s)).  On the classical disk every pair (i, j >= i) is
-    checked against kernel_classical_spectral_oracle at relative 1e-8, as
-    one CheckColumns block; elsewhere the report holds no check.
-    Returns (report, columns, checks):
-    columns maps "i", "j" and "K" to arrays over the pairs in row-major
-    order; checks is the oracle block, whose computed, reference and
-    abs_error columns are K, the oracle values and their discrepancy, or
-    None off the classical disk.
+    compared with kernel_classical_spectral_oracle at relative 1e-8, in
+    one array pass whose IEEE operations are check's: the report holds a
+    check record for each failing pair (NaN fails), in row-major order,
+    or, if none fails, the one record of the pair of largest
+    abs_error / tolerance (0/0 read as 0, inf/inf's NaN above any number,
+    the first such pair on a tie), and metadata["oracle_pairs"] counts
+    the pairs compared.  Elsewhere the report holds no check.
+    Returns (report, columns): columns maps "i", "j" and "K" to arrays
+    over the pairs in row-major order, and on the classical disk also
+    "K_oracle" and "discrepancy", the oracle values and |K - K_oracle|.
     """
     params = float(s) if kind == "classical" else FracParams(a, s)
     km = gram_matrix(domain, kind, params, points, n_nodes=n_nodes)
@@ -354,12 +357,21 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
     i, j = np.triu_indices(len(km.points))
     K = km.entries[i, j]
     columns = {"i": i, "j": j, "K": K}
-    checks = None
     if kind == "classical" and domain.kind == DISK:
         oracle = kernel_classical_spectral_oracle(domain, s, km.points[i], km.points[j])
-        names = [f"K[{pi},{pj}] vs spectral oracle" for pi, pj in zip(i.tolist(), j.tolist())]
-        checks = rep.add(check_columns(names, K, oracle, 1e-8, rel=True))
-    return rep, columns, checks
+        # a broken oracle's NaN and inf propagate silently, as in check
+        with np.errstate(all="ignore"):
+            gap = np.abs(K - oracle)
+            tol = 1e-8 * np.abs(oracle)
+            picks = np.flatnonzero(~(gap <= tol)).tolist()
+            if not picks:
+                margin = np.divide(gap, tol, out=np.zeros_like(gap), where=gap != 0.0)
+                picks = [int(np.argmax(margin))]
+        rep.extend([check(f"K[{i[k]},{j[k]}] vs spectral oracle", K[k], oracle[k], 1e-8, rel=True)
+                    for k in picks])
+        rep.metadata["oracle_pairs"] = len(K)
+        columns.update(K_oracle=oracle, discrepancy=gap)
+    return rep, columns
 
 
 def reproducing_residual(domain, a, s, phi, x):

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from kernel_lab import rkhs
+from kernel_lab import acceptance, green, rkhs
 from kernel_lab.acceptance import CRITERIA, DEFAULT_SEED, run_selftest
 from kernel_lab.debug import DEBUG_CONTROLS
 from kernel_lab.rkhs import KernelMatrix
@@ -60,7 +60,8 @@ def test_criterion_04_classical_hadamard_routes():
 
 
 def test_criterion_05_kernel_matches_spectral_oracle(monkeypatch):
-    # per s: 10 pair checks, and no eigensolve
+    # per s: 10 pairs compared, one record (the worst pair), and no
+    # eigensolve
     solves = []
     eigenvalues = KernelMatrix.eigenvalues
     monkeypatch.setattr(
@@ -68,7 +69,7 @@ def test_criterion_05_kernel_matches_spectral_oracle(monkeypatch):
     )
     records = _run(5)
     _assert_all_pass(records)
-    assert len(records) == 30
+    assert len(records) == 3
     assert not solves
 
 
@@ -164,6 +165,49 @@ def test_control_matrix(control, tripped):
     failed = {r.name for r in records if not r.passed}
     assert {int(name.split(":")[0][1:]) for name in failed} == tripped
     assert failed == _TRIPPED_RECORDS[control]
+
+
+# the classical criteria, which no control reaches, each pinned by a
+# mutant that fails it: C5 at every pair and s, C4's and C11's Poisson
+# boundary integrals
+_C5_PAIRS = {f"C5: s={s:g}: K[{i},{j}] vs spectral oracle"
+             for s in (-1.0, 0.0, 1.0) for i in range(4) for j in range(i, 4)}
+
+
+def _scaled_gram(mp):
+    gram = rkhs._gram
+    mp.setattr(rkhs, "_gram", lambda front, V, weights: gram(front, V, weights) * (1.0 + 1e-7))
+
+
+def _scaled_poisson(mp):
+    # at every module attribute that binds the classical Poisson kernel
+    poisson = green.poisson_kernel_classical
+    for module in (green, rkhs, acceptance):
+        mp.setattr(module, "poisson_kernel_classical",
+                   lambda grid, x: poisson(grid, x) * (1.0 + 1e-6))
+
+
+_MUTANTS = {
+    "gram-1e-7": (_scaled_gram, _C5_PAIRS | {"C6: interval K_{1/2,0}(0,0)"}),
+    "poisson-1e-6": (_scaled_poisson, _C5_PAIRS | {
+        "C4: disk boundary integral equals 1/(2 pi)",
+        "C4: disk: pair 0: boundary integral vs exact",
+        "C4: interval boundary integral",
+        "C4: interval: pair 0: boundary integral vs exact",
+        "C11: circle Poisson mass, n=64",
+        "C11: interval Poisson mass at x=-0.5",
+        "C11: interval Poisson mass at x=0",
+        "C11: interval Poisson mass at x=0.5",
+    }),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_MUTANTS))
+def test_mutant_matrix(monkeypatch, mutant):
+    # the exact records a mutant fails
+    patch, tripped = _MUTANTS[mutant]
+    patch(monkeypatch)
+    assert {r.name for r in run_selftest().records if not r.passed} == tripped
 
 
 def test_criterion_12_selftest_determinism(tmp_path, cli_env):

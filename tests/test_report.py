@@ -1,11 +1,10 @@
 import json
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernel_lab.report import CheckRecord, Report, check, check_columns, flag
+from kernel_lab.report import CheckRecord, Report, check, flag
 
 # names that exercise JSON string escaping: quotes, backslashes, control
 # characters, non-ASCII text and astral code points
@@ -92,7 +91,7 @@ def _check_reference(name, computed, reference, tolerance, rel):
                        abs_error <= tol)
 
 
-# columns of (computed, reference) pairs, zero references among them
+# lists of (computed, reference) pairs, zero references among them
 _PAIRS = st.lists(st.tuples(_FLOATS, st.one_of(_FLOATS, st.sampled_from([0.0, -0.0]))),
                   max_size=12)
 _TOLERANCES = st.one_of(st.floats(min_value=0.0, allow_infinity=True),
@@ -101,37 +100,12 @@ _TOLERANCES = st.one_of(st.floats(min_value=0.0, allow_infinity=True),
 
 @settings(max_examples=150)
 @given(pairs=_PAIRS, tolerance=_TOLERANCES, rel=st.booleans())
-def test_check_columns_rows_are_check_records(pairs, tolerance, rel):
-    names = [f"pair {k}" for k in range(len(pairs))]
-    computed = [c for c, _ in pairs]
-    reference = [r for _, r in pairs]
-    block = check_columns(names, computed, reference, tolerance, rel=rel)
-    assert len(block) == len(pairs)
-    rows = list(block)
-    for name, c, r, row in zip(names, computed, reference, rows):
-        for want in (check(name, c, r, tolerance, rel=rel),
-                     _check_reference(name, c, r, tolerance, rel)):
-            assert _cells(vars(row)) == _cells(vars(want))
-    assert _rows(block.failing()) == _rows(row for row in rows if not row.passed)
-    assert block.cells("rel_error") == [repr(row.rel_error) for row in rows]
-
-
-@settings(max_examples=80)
-@given(before=st.lists(_RECORDS, max_size=3), pairs=_PAIRS,
-       after=st.lists(_RECORDS, max_size=3), rel=st.booleans())
-def test_to_json_mixes_blocks_and_records(before, pairs, after, rel):
-    fixed = _FixedClock("kernel")
-    fixed.extend(before)
-    names = [f"K[{k},{k}] \"quoted\" é" for k in range(len(pairs))]
-    block = fixed.add(check_columns(names, [c for c, _ in pairs], [r for _, r in pairs],
-                                    1e-8, rel=rel))
-    fixed.extend(after)
-    records = [*before, *block, *after]
-    assert _rows(fixed.records) == _rows(records)
-    assert len(fixed.records) == len(records)
-    assert _rows(fixed.failing()) == _rows(r for r in records if not r.passed)
-    assert fixed.overall_pass == all(r.passed for r in records)
-    assert fixed.to_json() == json.dumps(fixed.to_dict(), indent=2) + "\n"
+def test_check_is_the_reference_formula(pairs, tolerance, rel):
+    for k, (c, r) in enumerate(pairs):
+        got = check(f"pair {k}", c, r, tolerance, rel=rel)
+        want = _check_reference(f"pair {k}", c, r, tolerance, rel)
+        assert _cells(vars(got)) == _cells(vars(want))
+        assert type(got.passed) is bool
 
 
 def _flag_reference(name, ok):
@@ -157,7 +131,6 @@ _ONE = st.one_of(_CHECKS, _FLAGS, _RECORDS)
 _OPERATIONS = st.lists(st.one_of(
     st.tuples(st.just("add"), _ONE),
     st.tuples(st.just("extend"), st.lists(_ONE, max_size=4)),
-    st.tuples(st.just("columns"), _PAIRS, _TOLERANCES, st.booleans()),
 ), max_size=8)
 
 
@@ -165,69 +138,17 @@ _OPERATIONS = st.lists(st.one_of(
 @given(operations=_OPERATIONS)
 def test_report_reads_back_what_was_added(operations):
     # the report against a plain list of its records, whatever mix of
-    # single records, lists and column blocks built it
+    # single records and lists built it
     rep, model = _FixedClock("selftest"), []
     for op, *args in operations:
         if op == "add":
             assert rep.add(args[0]) is args[0]
             model.append(args[0])
-        elif op == "extend":
+        else:
             rep.extend(args[0])
             model += args[0]
-        else:
-            pairs, tolerance, rel = args
-            block = check_columns([f"c{k}" for k in range(len(pairs))], [c for c, _ in pairs],
-                                  [r for _, r in pairs], tolerance, rel=rel)
-            assert rep.add(block) is block
-            model += list(block)
     assert _rows(rep.records) == _rows(model)
     assert len(rep.records) == len(model)
     assert _rows(rep.failing()) == _rows(r for r in model if not r.passed)
     assert rep.overall_pass is all(r.passed for r in model)
     assert rep.to_json() == json.dumps(rep.to_dict(), indent=2) + "\n"
-
-
-@settings(max_examples=60)
-@given(operations=_OPERATIONS, data=st.data())
-def test_records_index_as_a_list(operations, data):
-    # ints from either end, slices of any step and out-of-range ints, on
-    # reports of several blocks, against the list of their records
-    rep = Report("selftest")
-    for op, *args in operations:
-        if op == "add":
-            rep.add(args[0])
-        elif op == "extend":
-            rep.extend(args[0])
-        else:
-            pairs, tolerance, rel = args
-            rep.add(check_columns([f"c{k}" for k in range(len(pairs))], [c for c, _ in pairs],
-                                  [r for _, r in pairs], tolerance, rel=rel))
-    model, records = list(rep.records), rep.records
-    n = len(model)
-    for i in range(-n, n):
-        assert _rows([records[i]]) == _rows([model[i]])
-    for i in (n, -n - 1):
-        with pytest.raises(IndexError):
-            records[i]
-    bound = st.one_of(st.none(), st.integers(-n - 2, n + 2))
-    for _ in range(4):
-        cut = slice(data.draw(bound), data.draw(bound),
-                    data.draw(st.one_of(st.none(), st.sampled_from([-3, -1, 1, 2]))))
-        assert _rows(records[cut]) == _rows(model[cut])
-
-
-def test_records_index_reads_one_block():
-    # a record is built from the block that holds it: the other blocks'
-    # rows are not built
-    rep = Report("kernel")
-    rep.add(check("first", 1.0, 1.0, 0.0))
-    rep.add(check_columns(["b0", "b1", "b2"], [1.0, 2.0, 3.0], [1.0, 2.0, 4.0], 0.5))
-    rep.add(flag("last", True))
-    built = []
-    for block in rep._blocks:
-        rows = block._rows
-        block._rows = lambda index, rows=rows: built.append(list(index)) or rows(index)
-    assert rep.records[3].name == "b2" and rep.records[-4].name == "b0"
-    assert built == [[2], [0]]
-    with pytest.raises(TypeError):
-        rep.records[1.0]

@@ -17,6 +17,7 @@ from kernel_lab.rkhs import (
     kernel_classical,
     kernel_classical_spectral_oracle,
     kernel_fractional,
+    kernel_report,
     limit_consistency,
     poisson_extend_classical,
     poisson_extend_fractional,
@@ -24,6 +25,7 @@ from kernel_lab.rkhs import (
     reproducing_residual,
 )
 from kernel_lab.green import boundary_representer, fractional_trace_green
+from kernel_lab.report import check
 from kernel_lab.specfun import FracParams, green_constant
 
 IV = interval(1.0)
@@ -107,6 +109,53 @@ def test_classical_kernel_matches_spectral_oracle(s):
             grid_route = kernel_classical(DK, s, pts[i], pts[j], n_nodes=256)
             oracle = kernel_classical_spectral_oracle(DK, s, pts[i], pts[j])
             assert abs(grid_route - oracle) < 1e-10 * max(1.0, abs(oracle))
+
+
+# an oracle value as a perturbation leaves it: NaN fails, and an infinite
+# reference passes a relative check, as check reads inf <= inf
+_SLIPS = {
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "1e-7": lambda v: v * (1.0 + 1e-7),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), s=st.sampled_from([-1.0, 0.0, 1.0]),
+       slips=st.lists(st.tuples(st.integers(0, 77), st.sampled_from(sorted(_SLIPS))),
+                      max_size=4))
+def test_kernel_report_verdict_is_the_pairwise_conjunction(seed, m, s, slips):
+    # the oracle perturbed at drawn pairs: the report names exactly the
+    # pairs check fails, in row-major order, or else the one pair of
+    # largest margin, and its verdict is the conjunction of all of them
+    rng = np.random.default_rng(seed)
+    r, th = 0.7 * np.sqrt(rng.uniform(0.0, 1.0, m)), rng.uniform(0.0, 2.0 * math.pi, m)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    i, j = np.triu_indices(m)
+    oracle = kernel_classical_spectral_oracle(DK, s, pts[i], pts[j]).tolist()
+    for k, slip in slips:
+        oracle[k % len(oracle)] = _SLIPS[slip](oracle[k % len(oracle)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rkhs, "kernel_classical_spectral_oracle",
+                   lambda domain, s, x, y: np.array(oracle))
+        rep, columns = kernel_report(DK, "classical", 1.0, s, pts, n_nodes=256)
+    K = columns["K"].tolist()
+    assert repr(columns["K_oracle"].tolist()) == repr(oracle)
+    assert repr(columns["discrepancy"].tolist()) == repr(
+        [abs(k - o) for k, o in zip(K, oracle)])
+    pairs = [check(f"K[{pi},{pj}] vs spectral oracle", k, o, 1e-8, rel=True)
+             for pi, pj, k, o in zip(i.tolist(), j.tolist(), K, oracle)]
+    assert rep.metadata["oracle_pairs"] == len(pairs) == m * (m + 1) // 2
+    assert rep.overall_pass == all(c.passed for c in pairs)
+    failing = [c for c in pairs if not c.passed]
+    if not failing:
+        # abs_error / tolerance with 0/0 read as 0; a NaN margin (inf / inf)
+        # ranks first, and a tie goes to the first pair
+        margins = [c.abs_error / c.tolerance if c.abs_error else 0.0 for c in pairs]
+        failing = [max(zip(pairs, margins), key=lambda cm: (math.isnan(cm[1]), cm[1]))[0]]
+    assert repr(rep.records) == repr(failing)
 
 
 def _scalar_series(R, s, x, y):
