@@ -180,28 +180,40 @@ def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
     samples, one pair of rays at least.  With 32 pairs on the disk the
     blocks are equal, and at b >= 4 each block's row dot products f @ w
     round as the whole array's do (OpenBLAS's gemv takes rows in fours),
-    so the blocked sums are bitwise the unblocked ones there.  r is the
-    block's (2b, m) radii start + lengths[idx] * s and pts its (2b, m, N)
-    points x + r e.  With the rule's weights w and the ray
-    weight of rays(), filling rows[idx] = (f(pts) * r^(N-1)) @ w block by
-    block and summing weight * lengths @ rows integrates f over the rays'
-    [start, stop] in polar coordinates.  pts is filled in place one
-    coordinate at a time, bitwise equal to the broadcast
+    so the blocked sums are bitwise the unblocked ones there.  s may be two
+    rules concatenated, as the principal value walks its coarse and fine
+    rules at once; the block then holds as many pairs as s.size allows,
+    which is 4 pairs for the disk's 1152 near-field nodes at resolution 64
+    (16 and 8 for its two rules apart), and below 4 from resolution 128 on,
+    where a sum can move in its last bits from that of a walk per rule.
+    r is the block's (2b, m) radii start + lengths[idx] * s and pts its
+    (2b, m, N) points x + r e.  Under one stop for every ray the radii are
+    the same on every ray: r is then the one row start + length * s,
+    built once and broadcast read-only to (2b, m) in every block; under the
+    rays' exits each block gets its own r.  With the rule's weights w and
+    the ray weight of rays(), filling rows[idx] = (f(pts) * r^(N-1)) @ w
+    block by block and summing weight * lengths @ rows integrates f over
+    the rays' [start, stop] in polar coordinates.  pts is filled in place
+    one coordinate at a time, bitwise equal to the broadcast
     x + r[..., None] * dirs[idx, None], which numpy would run two elements
     at a time.
     """
     xv = np.reshape(domain.point(x), domain.N)
+    shared = None
     if stop is None:
-        stop = ray_exit(domain, xv, dirs)
+        lengths = ray_exit(domain, xv, dirs) - start
     else:
-        stop = np.full(len(dirs), float(stop))
-    lengths = stop - start
+        lengths = np.full(len(dirs), float(stop)) - start
+        shared = start + lengths[0] * s
     half = len(dirs) // 2
     b = min(half, 1 << max(0, (_RAY_BLOCK_ELEMENTS // (2 * s.size)).bit_length() - 1))
     for j in range(0, half, b):
         pair = np.arange(j, min(j + b, half))
         idx = np.concatenate([pair, pair + half])
-        r = start + lengths[idx, None] * s[None, :]
+        if shared is None:
+            r = start + lengths[idx, None] * s[None, :]
+        else:
+            r = np.broadcast_to(shared, (len(idx), s.size))
         pts = np.empty(r.shape + (domain.N,))
         for k in range(domain.N):
             coord = pts[..., k]

@@ -18,14 +18,17 @@ at an interior point x is split three ways:
                support, integrated analytically.
 
 Both domains run the same rules: the interval is the 1-D ball, with the
-two rays -1 and +1 of measure 1 each (domains.rays).  Every rule on [0, 1]
-is built once per process (quadrature's memoized rules) and reaches the
-rays through domains.ray_nodes, and the field is evaluated once per block
-of rays on all (ray, node) points of the block, which holds a ray's
-antipode along with it; the field hands its profile the |y|^2 its inside
-test computed, so no point's norm is formed twice.  The convergence
+two rays -1 and +1 of measure 1 each (domains.rays).  The convergence
 estimate compares the half-resolution and full-resolution rules in both
-the near and the far field.
+the near and the far field.  Each field's two rules on [0, 1] are built
+once per process as one concatenated rule (quadrature's memoized rules)
+and reach the rays through one domains.ray_nodes walk: the field is
+evaluated once per block of rays on all (ray, node) points of both rules,
+and each block's row sums split by slice into the coarse and the fine
+value.  A block holds a ray's antipode along with it, the far walk finds
+each ray's exit distance once, u(x) is evaluated once per principal
+value, and the field hands its profile the |y|^2 its inside test
+computed, so no point's norm is formed twice.
 
 The same machinery powers the mollified-Green residual oracle: with
 v(z) = int G_a(z,y) rho_eps(y-x) dy one must get (-Delta)^a v = rho_eps(.-x),
@@ -45,6 +48,7 @@ from .quadrature import (
     QuadratureSpec,
     _exit_rule,
     _graded_rule,
+    _memoized_rule,
     graded_mesh,
     panel_nodes_weights,
 )
@@ -92,7 +96,8 @@ class SampledInteriorField:
     principal value's quadrature nodes always are, the profile is called
     once on the whole array; otherwise it is called on the inside points
     and their r2 entries alone and the wrapper writes 0 elsewhere (also at
-    +-inf).  Either way the result is a new float array.  A NaN point
+    +-inf).  Either way the result is a new float array, the profile's
+    own when it returns one of the right shape that is no view.  A NaN point
     fails the inside test too; it raises DomainError instead of reading
     as 0.  The smoothness tag states the boundary behavior (d^a, d^(a-1),
     or compactly supported smooth) and fixes the clearance delta_min below
@@ -114,13 +119,20 @@ class SampledInteriorField:
 
     def __call__(self, pts):
         y, single = self.domain.points(pts)
-        out = np.zeros(y.shape[:-1])
         r2 = squared_norm(y)
         inside = r2 < self.domain.R**2
         if inside.all():
-            out[...] = self.profile(y, r2)
+            out = self.profile(y, r2)
+            # the profile's own new float array is the result as it stands;
+            # a view (of pts, say), a read-only array, another shape or
+            # another dtype is copied
+            if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                    and out.shape == r2.shape and out.flags.owndata
+                    and out.flags.writeable):
+                out = np.array(np.broadcast_to(out, r2.shape), dtype=float)
         else:
             _refuse_nan(y, r2)
+            out = np.zeros(r2.shape)
             if inside.any():
                 out[inside] = self.profile(y[inside], r2[inside])
         return float(out[0]) if single else out
@@ -218,9 +230,12 @@ class MollifierSpec:
 def frac_laplacian_apply(field, a, x, quad=None):
     """c_{N,a} p.v. integral of (u(x)-u(y)) |x-y|^(-N-2a) over R^N.
 
-    The near-field panel count follows quad.resolution; a half-resolution
-    re-evaluation serves as the convergence estimate and trips a tolerance
-    error when it exceeds the quad spec (as does budget exhaustion).
+    The near and far fields' panel counts follow quad.resolution.  The
+    same walk along the rays also evaluates the rules at half that
+    resolution, and the gap between the two values is the convergence
+    estimate; it trips a tolerance error when it exceeds the quad spec.
+    The budget is charged every evaluation of both resolutions before the
+    field is first called, so a budget below it refuses at once.
     """
     if quad is None:
         quad = _DEFAULT_QUAD
@@ -242,32 +257,31 @@ def frac_laplacian_apply(field, a, x, quad=None):
     return value
 
 
+@_memoized_rule
+def _coarse_and_fine(rule, panels, *args):
+    """The nodes and weights of rule(panels // 2, *args) followed by those
+    of rule(panels, *args), so that one walk along the rays evaluates both."""
+    coarse, fine = rule(panels // 2, *args), rule(panels, *args)
+    return np.concatenate([coarse[0], fine[0]]), np.concatenate([coarse[1], fine[1]])
+
+
+def _pv_rules(tag, a, panels):
+    """The near and far fields' (nodes, weights, m) on [0, 1]: the coarse
+    and fine rules concatenated, the coarse one in the first m entries."""
+    beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[tag]
+    return [
+        (*_coarse_and_fine(rule, panels, *args), rule(panels // 2, *args)[0].size)
+        for rule, args in ((_graded_rule, (2.0,)), (_exit_rule, (2.0, beta)))
+    ]
+
+
 def _apply(u, a, x, h0, quad, budget, c):
-    ux = u(x)
     dirs, weight = rays(u.domain)
-    half = len(dirs) // 2
-
-    def near(panels):
-        # one unit rule graded toward h = 0 on every ray's [0, h0]; ray
-        # j + n/2 is minus ray j, so pairing the two cancels the first-order
-        # term, and each pair at twice the ray weight cancels the 1/2.
-        # Graded as j^2, the rule converges like panels^(-p), p = 4(1 - a),
-        # on the h^(1-2a) integrand
-        s, w = _graded_rule(panels, 2.0)
-        budget.spend(len(dirs) * s.size)
-        rows = np.empty(half)
-        for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
-            b = len(idx) // 2
-            vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
-            f = (2.0 * ux - vals[b:] - vals[:b]) * r[0] ** (-1.0 - 2.0 * a)
-            rows[idx[:b]] = f @ w
-        return weight * float(lengths[half:] @ rows)
-
-    coarse = quad.resolution // 2
-    near_half = near(coarse)
-    near_full = near(quad.resolution)
-    far_half = _far(u, a, x, h0, dirs, weight, coarse, budget)
-    far_full = _far(u, a, x, h0, dirs, weight, quad.resolution, budget)
+    near, far = _pv_rules(u.tag, a, quad.resolution)
+    budget.spend(len(dirs) * (near[0].size + far[0].size))
+    ux = u(x)
+    near_half, near_full = _near(u, a, x, h0, dirs, weight, ux, *near)
+    far_half, far_full = _far(u, a, x, h0, dirs, weight, ux, *far)
     value = c * (near_full + far_full)
     # the near field's |Q_m - Q_(m/2)| is Q_m's error times 2^p - 1, which
     # is below 1 for a > 3/4; scaled by its inverse there, the estimate is
@@ -277,24 +291,44 @@ def _apply(u, a, x, h0, quad, budget, c):
     return value, estimate
 
 
-def _far(u, a, x, h0, dirs, weight, panels, budget):
-    """Far field plus exact tail of the principal value, summed over rays.
+def _near(u, a, x, h0, dirs, weight, ux, s, w, m):
+    """Near field of the principal value, summed over rays, by the coarse
+    rule s[:m] and the fine rule s[m:].
+
+    One unit rule graded toward h = 0 maps onto every ray's [0, h0]; ray
+    j + n/2 is minus ray j, so pairing the two cancels the first-order
+    term, and each pair at twice the ray weight cancels the 1/2.  Graded as
+    j^2, the rule converges like panels^(-p), p = 4(1 - a), on the
+    h^(1-2a) integrand.
+    """
+    half = len(dirs) // 2
+    coarse, fine = np.empty(half), np.empty(half)
+    for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
+        b = len(idx) // 2
+        vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
+        f = (2.0 * ux - vals[b:] - vals[:b]) * r[0] ** (-1.0 - 2.0 * a)
+        coarse[idx[:b]] = f[:, :m] @ w[:m]
+        fine[idx[:b]] = f[:, m:] @ w[m:]
+    return (weight * float(lengths[half:] @ coarse), weight * float(lengths[half:] @ fine))
+
+
+def _far(u, a, x, h0, dirs, weight, ux, s, w, m):
+    """Far field plus exact tail of the principal value, summed over rays,
+    by the coarse rule s[:m] and the fine rule s[m:].
 
     Per ray e, int_{h0}^{T} (u(x) - u(x+re)) r^(-1-2a) dr and the tail
     u(x) T^(-2a)/(2a) add up to u(x) h0^(-2a)/(2a) - int_{h0}^{T} u(x+re)
-    r^(-1-2a) dr.  One exit_graded_rule on [0, 1] maps onto every ray's
+    r^(-1-2a) dr.  Each exit_graded_rule on [0, 1] maps onto every ray's
     [h0, T], its exit panel fitted to the boundary exponent that the field's
-    tag declares, and the field is evaluated once per block of rays.
+    tag declares.
     """
-    beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[u.tag]
-    s, w = _exit_rule(panels, 2.0, beta)
-    budget.spend(len(dirs) * s.size)
-    rows = np.empty(len(dirs))
+    coarse, fine = np.empty(len(dirs)), np.empty(len(dirs))
     for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
         vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
-        rows[idx] = vals @ w
-    tails = weight * len(dirs) * u(x) * h0 ** (-2.0 * a) / (2.0 * a)
-    return tails - weight * float(lengths @ rows)
+        coarse[idx] = vals[:, :m] @ w[:m]
+        fine[idx] = vals[:, m:] @ w[m:]
+    tails = weight * len(dirs) * ux * h0 ** (-2.0 * a) / (2.0 * a)
+    return (tails - weight * float(lengths @ coarse), tails - weight * float(lengths @ fine))
 
 
 # Chebyshev resolution of the interval mollified_green build

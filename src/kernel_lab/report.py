@@ -9,6 +9,7 @@ may then compare bytes.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -31,13 +32,16 @@ def check(name, computed, reference, tolerance, rel=False):
 
     tolerance is absolute; with rel=True it is scaled by |reference| first.
     rel_error falls back to the absolute error where the reference is zero.
-    inf - inf and inf * 0 give NaN, which fails.
+    inf - inf and inf * 0 give NaN, which fails.  A reference or tolerance
+    that is not finite fails too: against an infinite tolerance, or
+    (rel=True) an infinite reference, inf <= inf would pass any value.
     """
     computed, reference, tolerance = float(computed), float(reference), float(tolerance)
     abs_error = abs(computed - reference)
     rel_error = abs_error / abs(reference) if reference != 0.0 else abs_error
     tol = tolerance * abs(reference) if rel else tolerance
-    return CheckRecord(name, computed, reference, abs_error, rel_error, tol, abs_error <= tol)
+    passed = abs_error <= tol and math.isfinite(reference) and math.isfinite(tolerance)
+    return CheckRecord(name, computed, reference, abs_error, rel_error, tol, passed)
 
 
 def flag(name, ok):

@@ -330,11 +330,11 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
     (FracParams(a, s)).  On the classical disk every pair (i, j >= i) is
     compared with kernel_classical_spectral_oracle at relative 1e-8, in
     one array pass whose IEEE operations are check's: the report holds a
-    check record for each failing pair (NaN fails), in row-major order,
-    or, if none fails, the one record of the pair of largest
-    abs_error / tolerance (0/0 read as 0, inf/inf's NaN above any number,
-    the first such pair on a tie), and metadata["oracle_pairs"] counts
-    the pairs compared.  Elsewhere the report holds no check.
+    check record for each failing pair (NaN fails, and so does an infinite
+    oracle value), in row-major order, or, if none fails, the one record of
+    the pair of largest abs_error / tolerance (0/0 read as 0, the first
+    such pair on a tie), and metadata["oracle_pairs"] counts the pairs
+    compared.  Elsewhere the report holds no check.
     Returns (report, columns): columns maps "i", "j" and "K" to arrays
     over the pairs in row-major order, and on the classical disk also
     "K_oracle" and "discrepancy", the oracle values and |K - K_oracle|.
@@ -363,7 +363,7 @@ def kernel_report(domain, kind, a, s, points, n_nodes):
         with np.errstate(all="ignore"):
             gap = np.abs(K - oracle)
             tol = 1e-8 * np.abs(oracle)
-            picks = np.flatnonzero(~(gap <= tol)).tolist()
+            picks = np.flatnonzero(~((gap <= tol) & np.isfinite(oracle))).tolist()
             if not picks:
                 margin = np.divide(gap, tol, out=np.zeros_like(gap), where=gap != 0.0)
                 picks = [int(np.argmax(margin))]

@@ -2,17 +2,21 @@
 
 The scalar adaptive-quadrature B(r0; a, N), the independent check on
 specfun.boundary_integral_B_array; that array route's Gauss-Jacobi sums as
-they ran at every point, its bitwise reference; and the composite
-Gauss-Legendre integrator, the reference rule of the mass and trace tests.  They live
-here, beside the tests, so that the package itself needs no SciPy.
+they ran at every point, its bitwise reference; the composite
+Gauss-Legendre integrator, the reference rule of the mass and trace tests;
+and the principal value's coarse and fine rules with one walk along the
+rays each, the bitwise reference of fracop._apply.  They live here, beside
+the tests, so that the package itself needs no SciPy and keeps one walk.
 """
 
 import math
 
 import numpy as np
 
+from kernel_lab.domains import ray_nodes, rays
 from kernel_lab.errors import DomainError
-from kernel_lab.quadrature import GL_ORDER, panel_nodes_weights
+from kernel_lab.fracop import TAG_DEGENERATE, TAG_SINGULAR, TAG_SMOOTH
+from kernel_lab.quadrature import GL_ORDER, _exit_rule, _graded_rule, panel_nodes_weights
 from kernel_lab.specfun import _check_domain, _unit_jacobi
 
 
@@ -108,3 +112,46 @@ def panel_integrate(fn, breakpoints, order=GL_ORDER):
     """
     nodes, weights = panel_nodes_weights(breakpoints, order)
     return float(np.dot(weights, fn(nodes)))
+
+
+def pv_apply_four_walks(u, a, x, h0, quad, budget, c):
+    """fracop._apply as it ran with one walk along the rays per rule: the
+    coarse and the fine near field, then the coarse and the fine far field,
+    each spending its own budget, rebuilding its points and calling the
+    field, the far walks each with their own exit distances and u(x).
+    (value, estimate), the bitwise reference of the one-walk _apply."""
+    ux = u(x)
+    dirs, weight = rays(u.domain)
+    half = len(dirs) // 2
+
+    def near(panels):
+        s, w = _graded_rule(panels, 2.0)
+        budget.spend(len(dirs) * s.size)
+        rows = np.empty(half)
+        for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
+            b = len(idx) // 2
+            vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
+            f = (2.0 * ux - vals[b:] - vals[:b]) * r[0] ** (-1.0 - 2.0 * a)
+            rows[idx[:b]] = f @ w
+        return weight * float(lengths[half:] @ rows)
+
+    def far(panels):
+        beta = {TAG_DEGENERATE: a, TAG_SINGULAR: a - 1.0, TAG_SMOOTH: 0.0}[u.tag]
+        s, w = _exit_rule(panels, 2.0, beta)
+        budget.spend(len(dirs) * s.size)
+        rows = np.empty(len(dirs))
+        for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
+            vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
+            rows[idx] = vals @ w
+        tails = weight * len(dirs) * u(x) * h0 ** (-2.0 * a) / (2.0 * a)
+        return tails - weight * float(lengths @ rows)
+
+    coarse = quad.resolution // 2
+    near_half = near(coarse)
+    near_full = near(quad.resolution)
+    far_half = far(coarse)
+    far_full = far(quad.resolution)
+    value = c * (near_full + far_full)
+    rate = max(1.0, 1.0 / (2.0 ** (4.0 * (1.0 - a)) - 1.0))
+    estimate = c * (rate * abs(near_full - near_half) + abs(far_full - far_half))
+    return value, estimate

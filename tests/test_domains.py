@@ -182,6 +182,28 @@ def test_ray_blocks_cover_every_ray_once_in_antipodal_pairs(domain, m):
         assert len(blocks) < 2 * n * m / _RAY_BLOCK_ELEMENTS + 1
 
 
+@pytest.mark.parametrize("domain", [interval(1.0), disk(1.0)], ids=["interval", "disk"])
+@pytest.mark.parametrize("start", [0.0, 0.05])
+def test_ray_blocks_share_one_radii_row_under_one_stop(domain, start):
+    # one stop for every ray: every block's radii are one row, start +
+    # length * s, broadcast read-only; per-ray exits give each block its own
+    dirs, _ = rays(domain)
+    x = np.full(domain.N, 0.1)
+    s = np.linspace(0.0, 1.0, 1200)
+    blocks = list(ray_nodes(domain, x, dirs, s, start=start, stop=0.3))
+    # several blocks on the disk, one on the interval
+    assert (len(blocks) > 1) == (domain.kind == "disk")
+    row = blocks[0][1][0]
+    for idx, r, pts, lengths in blocks:
+        assert r.tobytes() == (start + lengths[idx, None] * s[None, :]).tobytes()
+        assert not r.flags.writeable and r.strides[0] == 0 and np.shares_memory(r, row)
+        ref = x + r[..., None] * dirs[idx, None]
+        assert pts.tobytes() == ref.tobytes() and pts.flags.writeable
+    for idx, r, pts, lengths in ray_nodes(domain, x, dirs, s, start=start):
+        assert r.flags.writeable and r.strides[0] != 0
+        assert r.tobytes() == (start + lengths[idx, None] * s[None, :]).tobytes()
+
+
 # ModelDomain.points: input, expected array shape, expected single flag
 _POINTS_TABLE = {
     "interval": [

@@ -27,7 +27,7 @@ from kernel_lab.fracop import (
 from kernel_lab.green import green_classical, green_fractional, green_mass
 from kernel_lab.quadrature import EvalBudget, QuadratureSpec
 from kernel_lab.specfun import frac_laplacian_constant, green_constant
-from reference import panel_integrate
+from reference import panel_integrate, pv_apply_four_walks
 
 IV = interval(1.0)
 DK = disk(1.0)
@@ -268,7 +268,8 @@ def test_disk_far_field_matches_per_ray_quad(a, make, domain, x):
             warnings.simplefilter("ignore", IntegrationWarning)
             val, _ = quad(g, h0, T, epsabs=1e-12, epsrel=1e-12, limit=200)
         ref += weight * (val + ux * T ** (-2.0 * a) / (2.0 * a))
-    got = fracop._far(u, a, x, h0, dirs, weight, 64, EvalBudget(10**9))
+    _, far = fracop._pv_rules(u.tag, a, 64)
+    _, got = fracop._far(u, a, x, h0, dirs, weight, ux, *far)
     assert abs(got - ref) < 1e-9
 
 
@@ -298,10 +299,10 @@ def test_near_field_matches_per_ray_quad(a, make, domain, x):
     h0 = min(0.5 * domain.distance_to_boundary(x), 0.1 * domain.R)
     c = frac_laplacian_constant(domain.N, a)
     spec = fracop._DEFAULT_QUAD
-    budget = EvalBudget(10**9)
-    value, _ = fracop._apply(u, a, x, h0, spec, budget, c)
+    value, _ = fracop._apply(u, a, x, h0, spec, EvalBudget(10**9), c)
     dirs, weight = rays(domain)
-    near = value / c - fracop._far(u, a, x, h0, dirs, weight, spec.resolution, budget)
+    _, far = fracop._pv_rules(u.tag, a, spec.resolution)
+    near = value / c - fracop._far(u, a, x, h0, dirs, weight, u(x), *far)[1]
     xs = np.reshape(x, -1).tolist()
     c0 = domain.R**2 - sum(xi * xi for xi in xs)
     ref = 0.0
@@ -365,6 +366,75 @@ def test_disk_budget_counts_every_node(monkeypatch):
     assert [b.used for b in budgets] == [
         2 * 64 * 12 * (32 + 64), 2 * 2 * 12 * (32 + 64)
     ]
+
+
+def _pv_outcome(u, a, x, quad):
+    # the value, or a refusal's (estimate, achieved_tol), as bytes
+    try:
+        return np.float64(frac_laplacian_apply(u, a, x, quad)).tobytes()
+    except ToleranceError as exc:
+        return np.array([exc.estimate, exc.achieved_tol]).tobytes()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(domain=st.sampled_from([IV, DK]), a=st.floats(0.2, 0.95),
+       make=st.sampled_from([getoor_field, boundary_singular_field]),
+       frac=st.floats(0.0, 0.99), angle=st.floats(0.0, 2.0 * math.pi),
+       resolution=st.sampled_from([8, 16, 32, 64]))
+def test_one_walk_is_bitwise_the_four_walks(domain, a, make, frac, angle, resolution):
+    # the coarse and fine rules of each field in one walk along the rays
+    # against one walk per rule: the same value, or the same refusal
+    u = make(domain, a)
+    x = _interior_point(domain, u.delta_min, frac, angle)
+    quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=resolution, budget=10**6)
+    got = _pv_outcome(u, a, x, quad)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracop, "_apply", pv_apply_four_walks)
+        assert got == _pv_outcome(u, a, x, quad)
+
+
+@pytest.mark.parametrize("domain, x", [(DK, np.array([0.3, -0.2])), (IV, 0.3)],
+                         ids=["disk", "interval"])
+def test_budget_below_the_total_refuses_before_the_field_is_called(domain, x):
+    # 2 * rays * 12 * (32 + 64) evaluations at the default resolution
+    total = 2 * len(rays(domain)[0]) * 12 * (32 + 64)
+    profile = getoor_field(domain, 0.5).profile
+    calls = []
+
+    def counted(p, r2):
+        calls.append(len(r2))
+        return profile(p, r2)
+
+    u = SampledInteriorField(domain, counted, TAG_DEGENERATE)
+    quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=64, budget=total - 1)
+    with pytest.raises(ToleranceError, match="budget"):
+        frac_laplacian_apply(u, 0.5, x, quad)
+    assert calls == []
+    quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=64, budget=total)
+    frac_laplacian_apply(u, 0.5, x, quad)
+    # u(x) once, then every sample of the rules, the two u(x) of the far
+    # walks gone
+    assert calls[0] == 1 and sum(calls) == 1 + total
+
+
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+@pytest.mark.parametrize("profile", [
+    lambda p, r2: p[..., 0],
+    lambda p, r2: r2,
+    lambda p, r2: 1.0 - r2,
+], ids=["view-of-points", "its-r2", "new-array"])
+def test_field_result_never_aliases_the_points(domain, profile):
+    # writing into a field call's result leaves the caller's points as
+    # they were, also when the profile hands back a view of its input
+    inside = _FIELD_POINTS[domain.kind][0]
+    pts = inside.copy()
+    u = SampledInteriorField(domain, profile, TAG_SMOOTH)
+    got = u(pts)
+    assert got.flags.writeable and not np.shares_memory(got, pts)
+    want = got.copy()
+    got[...] = 7.0
+    assert np.array_equal(pts, inside)
+    assert np.array_equal(u(pts), want)
 
 
 # certifies any value: the block tests compare values, not convergence

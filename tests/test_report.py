@@ -1,6 +1,7 @@
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,12 +84,14 @@ def _rows(records):
 
 
 def _check_reference(name, computed, reference, tolerance, rel):
-    # the check formula in Python floats, one record at a time
+    # the check formula in Python floats, one record at a time; a reference
+    # or tolerance that is not finite fails
     abs_error = abs(computed - reference)
     rel_error = abs_error / abs(reference) if reference != 0.0 else abs_error
     tol = tolerance * abs(reference) if rel else tolerance
+    finite = math.isfinite(reference) and math.isfinite(tolerance)
     return CheckRecord(name, computed, reference, abs_error, rel_error, tol,
-                       abs_error <= tol)
+                       finite and abs_error <= tol)
 
 
 # lists of (computed, reference) pairs, zero references among them
@@ -106,6 +109,20 @@ def test_check_is_the_reference_formula(pairs, tolerance, rel):
         want = _check_reference(f"pair {k}", c, r, tolerance, rel)
         assert _cells(vars(got)) == _cells(vars(want))
         assert type(got.passed) is bool
+
+
+@pytest.mark.parametrize("computed, reference, tolerance, rel", [
+    (1.0, math.inf, 1e-8, True),
+    (math.inf, -math.inf, 1e-8, True),
+    (1.0, 1.0, math.inf, False),
+], ids=["finite-vs-inf-reference", "inf-vs-minus-inf", "inf-tolerance"])
+def test_check_fails_a_reference_or_tolerance_that_is_not_finite(computed, reference,
+                                                                 tolerance, rel):
+    # inf <= inf held in each case, so each record passed
+    got = check("not finite", computed, reference, tolerance, rel=rel)
+    assert got.passed is False
+    assert _cells(vars(got)) == _cells(vars(
+        _check_reference("not finite", computed, reference, tolerance, rel)))
 
 
 def _flag_reference(name, ok):

@@ -111,8 +111,8 @@ def test_classical_kernel_matches_spectral_oracle(s):
             assert abs(grid_route - oracle) < 1e-10 * max(1.0, abs(oracle))
 
 
-# an oracle value as a perturbation leaves it: NaN fails, and an infinite
-# reference passes a relative check, as check reads inf <= inf
+# an oracle value as a perturbation leaves it: NaN fails, and so does an
+# infinite reference, where inf <= inf would have passed a relative check
 _SLIPS = {
     "nan": lambda v: math.nan,
     "inf": lambda v: math.inf,
