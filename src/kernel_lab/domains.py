@@ -158,14 +158,14 @@ def ray_exit(domain, x, direction):
     return float(dist) if direction.ndim == 1 else dist
 
 
-# samples (rays x nodes) per block of ray_nodes: a block's radii, points
+# samples (rays x nodes) per block of ray_nodes: a block's radii, |y|^2
 # and field values stay in a core's L2 cache, where one array of every
 # (ray, node) sample of a disk rule does not
 _RAY_BLOCK_ELEMENTS = 1 << 14
 
 
 def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
-    """Yield (idx, r, pts, lengths): the rule s on [0, 1] mapped onto
+    """Yield (idx, r, y2, lengths): the rule s on [0, 1] mapped onto
     [start, stop] along the rays of dirs from the interior point x, in
     blocks of rays.
 
@@ -186,17 +186,19 @@ def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
     which is 4 pairs for the disk's 1152 near-field nodes at resolution 64
     (16 and 8 for its two rules apart), and below 4 from resolution 128 on,
     where a sum can move in its last bits from that of a walk per rule.
-    r is the block's (2b, m) radii start + lengths[idx] * s and pts its
-    (2b, m, N) points x + r e.  Under one stop for every ray the radii are
-    the same on every ray: r is then the one row start + length * s,
-    built once and broadcast read-only to (2b, m) in every block; under the
-    rays' exits each block gets its own r.  With the rule's weights w and
-    the ray weight of rays(), filling rows[idx] = (f(pts) * r^(N-1)) @ w
-    block by block and summing weight * lengths @ rows integrates f over
-    the rays' [start, stop] in polar coordinates.  pts is filled in place
-    one coordinate at a time, bitwise equal to the broadcast
-    x + r[..., None] * dirs[idx, None], which numpy would run two elements
-    at a time.
+    r is the block's (2b, m) radii start + lengths[idx] * s.  Under one
+    stop for every ray the radii are the same on every ray: r is then the
+    one row start + length * s, built once and broadcast read-only to
+    (2b, m) in every block; under the rays' exits each block gets its own
+    r.  y2 is the block's (2b, m) array of |y|^2 at the points
+    y = x + r e, summed one coordinate at a time in contiguous temporaries
+    with no point array formed: the same operations in the same order as
+    squared_norm(ray_points(x, dirs[idx], r)), so bitwise equal to it.  A
+    caller that needs the points themselves builds them with ray_points.
+    With the rule's weights w and the ray weight of rays(), filling
+    rows[idx] = (f(y) * r^(N-1)) @ w block by block and summing
+    weight * lengths @ rows integrates f over the rays' [start, stop] in
+    polar coordinates.
     """
     xv = np.reshape(domain.point(x), domain.N)
     shared = None
@@ -214,12 +216,35 @@ def ray_nodes(domain, x, dirs, s, start=0.0, stop=None):
             r = start + lengths[idx, None] * s[None, :]
         else:
             r = np.broadcast_to(shared, (len(idx), s.size))
-        pts = np.empty(r.shape + (domain.N,))
-        for k in range(domain.N):
-            coord = pts[..., k]
-            np.multiply(r, dirs[idx, k, None], out=coord)
-            coord += xv[k]
-        yield idx, r, pts, lengths
+        e = dirs[idx]
+        y2 = np.multiply(r, e[:, :1])
+        y2 += xv[0]
+        y2 *= y2
+        if domain.N > 1:
+            c = np.empty_like(y2)
+            for k in range(1, domain.N):
+                np.multiply(r, e[:, k, None], out=c)
+                c += xv[k]
+                c *= c
+                y2 += c
+        yield idx, r, y2, lengths
+
+
+def ray_points(x, dirs, r):
+    """The (n, m, N) points x + r e of a block of ray_nodes, for the rays'
+    (n, N) directions dirs (dirs[idx]) and their (n, m) radii r.
+
+    The array is filled in place one coordinate at a time, bitwise equal to
+    the broadcast x + r[..., None] * dirs[:, None], which numpy would run
+    two elements at a time.
+    """
+    x = np.reshape(x, -1)
+    pts = np.empty(r.shape + (len(x),))
+    for k in range(len(x)):
+        coord = pts[..., k]
+        np.multiply(r, dirs[:, k, None], out=coord)
+        coord += x[k]
+    return pts
 
 
 def interval(R=1.0):

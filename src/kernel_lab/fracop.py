@@ -28,7 +28,10 @@ and each block's row sums split by slice into the coarse and the fine
 value.  A block holds a ray's antipode along with it, the far walk finds
 each ray's exit distance once, u(x) is evaluated once per principal
 value, and the field hands its profile the |y|^2 its inside test
-computed, so no point's norm is formed twice.
+computed, so no point's norm is formed twice.  The walk yields each
+block's |y|^2 rather than its points: a radial field (the Getoor and
+a-harmonic profiles) is evaluated on it with no point array at all, and
+only the other fields' blocks are turned into points (domains.ray_points).
 
 The same machinery powers the mollified-Green residual oracle: with
 v(z) = int G_a(z,y) rho_eps(y-x) dy one must get (-Delta)^a v = rho_eps(.-x),
@@ -40,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domains import DISK, INTERVAL, ModelDomain, ray_nodes, rays, squared_norm
+from .domains import DISK, INTERVAL, ModelDomain, ray_nodes, ray_points, rays, squared_norm
 from .errors import DomainError, ToleranceError
 from .green import green_fractional_radial
 from .quadrature import (
@@ -105,10 +108,13 @@ class SampledInteriorField:
     domains it also sets the exponent beta (a, a-1, 0) of the far field's
     Gauss-Jacobi exit panel; a tag that claims a milder boundary than the
     profile has makes that rule disagree with itself under refinement, and
-    the principal value refuses.
+    the principal value refuses.  radial marks a profile that reads r2
+    alone (getoor_field and boundary_singular_field set it): the polar
+    rules then evaluate it on the |y|^2 of their walk, with pts None, and
+    never form the points.
     """
 
-    def __init__(self, domain, profile, tag, grid=None):
+    def __init__(self, domain, profile, tag, grid=None, radial=False):
         if tag not in _DELTA_FRACTION:
             raise DomainError(f"unknown smoothness tag {tag!r}")
         self.domain = domain
@@ -116,10 +122,16 @@ class SampledInteriorField:
         self.tag = tag
         self.delta_min = _DELTA_FRACTION[tag] * domain.R
         self.grid = grid
+        self.radial = radial
 
     def __call__(self, pts):
         y, single = self.domain.points(pts)
-        r2 = squared_norm(y)
+        out = self._values(y, squared_norm(y))
+        return float(out[0]) if single else out
+
+    def _values(self, y, r2):
+        # the field at the points y with |y|^2 = r2; y is None on a radial
+        # field's polar route
         inside = r2 < self.domain.R**2
         if inside.all():
             out = self.profile(y, r2)
@@ -134,8 +146,16 @@ class SampledInteriorField:
             _refuse_nan(y, r2)
             out = np.zeros(r2.shape)
             if inside.any():
-                out[inside] = self.profile(y[inside], r2[inside])
-        return float(out[0]) if single else out
+                out[inside] = self.profile(None if y is None else y[inside], r2[inside])
+        return out
+
+    def _on_rays(self, x, dirs, r, y2):
+        """The field at the points x + r e of a ray_nodes block, whose
+        |y|^2 is y2: from y2 alone for a radial field, otherwise through
+        __call__ on the block's points."""
+        if self.radial:
+            return self._values(None, y2)
+        return self(ray_points(x, dirs, r).reshape(-1, dirs.shape[1])).reshape(r.shape)
 
     def require_evaluable(self, x):
         d = self.domain.distance_to_boundary(x)
@@ -149,9 +169,12 @@ class SampledInteriorField:
 
 def _refuse_nan(y, r2):
     # a NaN coordinate makes |y|^2 NaN, which fails every inside test: the
-    # point would read as lying outside, where the field is 0
+    # point would read as lying outside, where the field is 0.  Without
+    # the points y (a radial field's polar route) the error names none
     nan = np.isnan(r2)
     if nan.any():
+        if y is None:
+            raise DomainError("a point has a NaN |y|^2")
         point = y.reshape(-1, y.shape[-1])[np.argmax(nan.reshape(-1))]
         raise DomainError(f"point {point.tolist()} has a NaN coordinate")
 
@@ -161,7 +184,7 @@ def getoor_field(domain, a):
     1/kappa*(N, a) on the whole domain (the Getoor identity)."""
     R2 = domain.R**2
     profile = lambda pts, r2: (R2 - r2) ** a
-    return SampledInteriorField(domain, profile, TAG_DEGENERATE)
+    return SampledInteriorField(domain, profile, TAG_DEGENERATE, radial=True)
 
 
 def getoor_reference(N, a):
@@ -173,7 +196,7 @@ def boundary_singular_field(domain, a):
     """u = (R^2 - |y|^2)^(a-1)_+, a-harmonic inside the domain."""
     R2 = domain.R**2
     profile = lambda pts, r2: (R2 - r2) ** (a - 1.0)
-    return SampledInteriorField(domain, profile, TAG_SINGULAR)
+    return SampledInteriorField(domain, profile, TAG_SINGULAR, radial=True)
 
 
 @lru_cache(maxsize=None)
@@ -303,10 +326,14 @@ def _near(u, a, x, h0, dirs, weight, ux, s, w, m):
     """
     half = len(dirs) // 2
     coarse, fine = np.empty(half), np.empty(half)
-    for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
+    kernel = None
+    for idx, r, y2, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
         b = len(idx) // 2
-        vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
-        f = (2.0 * ux - vals[b:] - vals[:b]) * r[0] ** (-1.0 - 2.0 * a)
+        vals = u._on_rays(x, dirs[idx], r, y2)
+        if kernel is None:
+            # one stop: every block shares this radii row
+            kernel = r[0] ** (-1.0 - 2.0 * a)
+        f = (2.0 * ux - vals[b:] - vals[:b]) * kernel
         coarse[idx[:b]] = f[:, :m] @ w[:m]
         fine[idx[:b]] = f[:, m:] @ w[m:]
     return (weight * float(lengths[half:] @ coarse), weight * float(lengths[half:] @ fine))
@@ -323,8 +350,8 @@ def _far(u, a, x, h0, dirs, weight, ux, s, w, m):
     tag declares.
     """
     coarse, fine = np.empty(len(dirs)), np.empty(len(dirs))
-    for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
-        vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
+    for idx, r, y2, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
+        vals = u._on_rays(x, dirs[idx], r, y2) * r ** (-1.0 - 2.0 * a)
         coarse[idx] = vals[:, :m] @ w[:m]
         fine[idx] = vals[:, m:] @ w[m:]
     tails = weight * len(dirs) * ux * h0 ** (-2.0 * a) / (2.0 * a)
@@ -433,13 +460,13 @@ def _moll_value_disk(domain, a, moll, z, quad):
     s, w = panel_nodes_weights(np.linspace(0.0, 1.0, max(8, quad.resolution // 4) + 1))
     dirs, weight = rays(domain)
     rows = np.empty(len(dirs))
-    for idx, r, pts, lengths in ray_nodes(domain, moll.center, dirs, s, stop=moll.width):
-        pts = pts.reshape(-1, 2)
+    for idx, r, y2, lengths in ray_nodes(domain, moll.center, dirs, s, stop=moll.width):
+        pts = ray_points(moll.center, dirs[idx], r).reshape(-1, 2)
         dist2 = squared_norm(pts - z)
-        y2 = squared_norm(pts)
         vals = np.zeros(len(pts))
         ok = dist2 > 0.0
-        vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2[ok], dist2[ok])
+        vals[ok] = green_fractional_radial(2, a, domain.R, float(z @ z), y2.reshape(-1)[ok],
+                                           dist2[ok])
         rows[idx] = ((vals * moll.density(pts)).reshape(r.shape) * r) @ w
     return weight * float(lengths @ rows)
 

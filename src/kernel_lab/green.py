@@ -234,16 +234,20 @@ def _mass_rule(kind, panels, a):
 
 def _mass(domain, a, x, panels, budget):
     # the mass rule maps onto every ray's [0, T] (ray_nodes), a block of
-    # rays at a time.  The singular factor is computed from r itself, so
-    # grading toward r = 0 cannot collide with the singularity in floating
-    # point
+    # rays at a time, and G_a reads each node through the walk's |y|^2.
+    # The singular factor is computed from r itself, so grading toward
+    # r = 0 cannot collide with the singularity in floating point.  At a
+    # small a, r * r underflows at the first nodes and G_a overflows there;
+    # the mass is then not finite and _refine refuses it, so those
+    # operations raise no warning
     dirs, weight = rays(domain)
     s, w = _mass_rule(domain.kind, panels, a)
     budget.spend(len(dirs) * s.size)
     xv = np.reshape(x, -1)
     x2, N = float(xv @ xv), domain.N
     rows = np.empty(len(dirs))
-    for idx, r, pts, T in ray_nodes(domain, x, dirs, s):
-        g = green_fractional_radial(N, a, domain.R, x2, squared_norm(pts), r * r)
-        rows[idx] = (g * r ** (N - 1)) @ w
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for idx, r, y2, T in ray_nodes(domain, x, dirs, s):
+            g = green_fractional_radial(N, a, domain.R, x2, y2, r * r)
+            rows[idx] = (g * r ** (N - 1)) @ w
     return weight * float(T @ rows)

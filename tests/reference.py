@@ -118,19 +118,25 @@ def pv_apply_four_walks(u, a, x, h0, quad, budget, c):
     """fracop._apply as it ran with one walk along the rays per rule: the
     coarse and the fine near field, then the coarse and the fine far field,
     each spending its own budget, rebuilding its points and calling the
-    field, the far walks each with their own exit distances and u(x).
-    (value, estimate), the bitwise reference of the one-walk _apply."""
+    field on them, the far walks each with their own exit distances and
+    u(x).  The points are the broadcast x + r e and every field, radial or
+    not, is evaluated through u(pts).  (value, estimate), the bitwise
+    reference of the one-walk _apply."""
     ux = u(x)
     dirs, weight = rays(u.domain)
     half = len(dirs) // 2
+
+    def field(idx, r):
+        pts = np.reshape(x, -1) + r[..., None] * dirs[idx, None]
+        return u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
 
     def near(panels):
         s, w = _graded_rule(panels, 2.0)
         budget.spend(len(dirs) * s.size)
         rows = np.empty(half)
-        for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
+        for idx, r, _, lengths in ray_nodes(u.domain, x, dirs, s, stop=h0):
             b = len(idx) // 2
-            vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape)
+            vals = field(idx, r)
             f = (2.0 * ux - vals[b:] - vals[:b]) * r[0] ** (-1.0 - 2.0 * a)
             rows[idx[:b]] = f @ w
         return weight * float(lengths[half:] @ rows)
@@ -140,8 +146,8 @@ def pv_apply_four_walks(u, a, x, h0, quad, budget, c):
         s, w = _exit_rule(panels, 2.0, beta)
         budget.spend(len(dirs) * s.size)
         rows = np.empty(len(dirs))
-        for idx, r, pts, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
-            vals = u(pts.reshape(-1, dirs.shape[1])).reshape(r.shape) * r ** (-1.0 - 2.0 * a)
+        for idx, r, _, lengths in ray_nodes(u.domain, x, dirs, s, start=h0):
+            vals = field(idx, r) * r ** (-1.0 - 2.0 * a)
             rows[idx] = vals @ w
         tails = weight * len(dirs) * u(x) * h0 ** (-2.0 * a) / (2.0 * a)
         return tails - weight * float(lengths @ rows)

@@ -16,6 +16,7 @@ from kernel_lab.domains import (
     ray_directions,
     ray_exit,
     ray_nodes,
+    ray_points,
     rays,
     squared_norm,
 )
@@ -132,12 +133,16 @@ def test_ray_nodes_map_a_unit_rule_onto_every_ray(kind, R, rho, angle, start_fra
     def polar_measure(lo, blocks):
         # the callers' reduction: rows filled block by block, then one dot
         rows = np.full(len(dirs), np.nan)
-        for idx, r, pts, lengths in blocks:
-            # the broadcast formulas, bit for bit
+        for idx, r, y2, lengths in blocks:
+            # the broadcast formulas, bit for bit: the radii, the points
+            # ray_points builds and the |y|^2 the walk yields of them
             assert r.tobytes() == (lo + lengths[idx, None] * s[None, :]).tobytes()
             ref = np.reshape(x, -1) + r[..., None] * dirs[idx, None, :]
+            pts = ray_points(x, dirs[idx], r)
             assert pts.shape == ref.shape == (len(idx), s.size, N)
             assert pts.tobytes() == ref.tobytes()
+            assert y2.shape == r.shape
+            assert y2.tobytes() == squared_norm(ref).tobytes()
             rows[idx] = r ** (N - 1) @ w
         return lengths, weight * float(lengths @ rows)
 
@@ -163,7 +168,7 @@ def test_ray_blocks_cover_every_ray_once_in_antipodal_pairs(domain, m):
     blocks = list(ray_nodes(domain, x, dirs, s))
     seen = np.concatenate([idx for idx, *_ in blocks])
     assert sorted(seen.tolist()) == list(range(n))
-    for idx, r, pts, block_lengths in blocks:
+    for idx, r, y2, block_lengths in blocks:
         b = len(idx) // 2
         assert len(idx) == 2 * b and b >= 1
         # rays j.. then their antipodes j + n/2.., so vals[b:] + vals[:b]
@@ -171,7 +176,9 @@ def test_ray_blocks_cover_every_ray_once_in_antipodal_pairs(domain, m):
         assert idx[b:].tolist() == (idx[:b] + half).tolist()
         np.testing.assert_allclose(dirs[idx[b:]], -dirs[idx[:b]], rtol=0.0, atol=1e-15)
         assert r.tobytes() == (lengths[idx, None] * s[None, :]).tobytes()
-        assert pts.shape == (2 * b, m, domain.N)
+        assert y2.shape == (2 * b, m)
+        ref = x + r[..., None] * dirs[idx, None]
+        assert y2.tobytes() == squared_norm(ref).tobytes()
         assert block_lengths.tobytes() == lengths.tobytes()
         # within the sample cap, unless a single pair of rays exceeds it
         assert r.size <= max(_RAY_BLOCK_ELEMENTS, 2 * m)
@@ -194,14 +201,21 @@ def test_ray_blocks_share_one_radii_row_under_one_stop(domain, start):
     # several blocks on the disk, one on the interval
     assert (len(blocks) > 1) == (domain.kind == "disk")
     row = blocks[0][1][0]
-    for idx, r, pts, lengths in blocks:
+    for idx, r, y2, lengths in blocks:
         assert r.tobytes() == (start + lengths[idx, None] * s[None, :]).tobytes()
         assert not r.flags.writeable and r.strides[0] == 0 and np.shares_memory(r, row)
+        # |y|^2 is the block's own contiguous array, however r is laid out
         ref = x + r[..., None] * dirs[idx, None]
-        assert pts.tobytes() == ref.tobytes() and pts.flags.writeable
-    for idx, r, pts, lengths in ray_nodes(domain, x, dirs, s, start=start):
+        assert y2.tobytes() == squared_norm(ref).tobytes()
+        assert y2.flags.writeable and y2.flags.c_contiguous
+        assert ray_points(x, dirs[idx], r).tobytes() == ref.tobytes()
+    for (_, _, y2, _), (_, _, other, _) in zip(blocks, blocks[1:]):
+        assert not np.shares_memory(y2, other)
+    for idx, r, y2, lengths in ray_nodes(domain, x, dirs, s, start=start):
         assert r.flags.writeable and r.strides[0] != 0
         assert r.tobytes() == (start + lengths[idx, None] * s[None, :]).tobytes()
+        ref = x + r[..., None] * dirs[idx, None]
+        assert y2.tobytes() == squared_norm(ref).tobytes()
 
 
 # ModelDomain.points: input, expected array shape, expected single flag

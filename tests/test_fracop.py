@@ -9,7 +9,16 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import IntegrationWarning, quad
 
 from kernel_lab import debug, domains, fracop
-from kernel_lab.domains import disk, interval, ray_directions, ray_exit, rays, squared_norm
+from kernel_lab.domains import (
+    disk,
+    interval,
+    ray_directions,
+    ray_exit,
+    ray_nodes,
+    ray_points,
+    rays,
+    squared_norm,
+)
 from kernel_lab.errors import DomainError, ToleranceError
 from kernel_lab.fracop import (
     TAG_DEGENERATE,
@@ -376,14 +385,21 @@ def _pv_outcome(u, a, x, quad):
         return np.array([exc.estimate, exc.achieved_tol]).tobytes()
 
 
+def _plain_getoor_field(domain, a):
+    # the Getoor profile in a field not marked radial: the polar rules
+    # evaluate it through __call__ on the points of every block
+    return SampledInteriorField(domain, getoor_field(domain, a).profile, TAG_DEGENERATE)
+
+
 @settings(max_examples=120, derandomize=True, deadline=None)
 @given(domain=st.sampled_from([IV, DK]), a=st.floats(0.2, 0.95),
-       make=st.sampled_from([getoor_field, boundary_singular_field]),
+       make=st.sampled_from([getoor_field, boundary_singular_field, _plain_getoor_field]),
        frac=st.floats(0.0, 0.99), angle=st.floats(0.0, 2.0 * math.pi),
        resolution=st.sampled_from([8, 16, 32, 64]))
 def test_one_walk_is_bitwise_the_four_walks(domain, a, make, frac, angle, resolution):
     # the coarse and fine rules of each field in one walk along the rays
-    # against one walk per rule: the same value, or the same refusal
+    # against one walk per rule on broadcast points through u(pts): the
+    # same value, or the same refusal, on the radial and the point route
     u = make(domain, a)
     x = _interior_point(domain, u.delta_min, frac, angle)
     quad = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6, resolution=resolution, budget=10**6)
@@ -391,6 +407,47 @@ def test_one_walk_is_bitwise_the_four_walks(domain, a, make, frac, angle, resolu
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fracop, "_apply", pv_apply_four_walks)
         assert got == _pv_outcome(u, a, x, quad)
+
+
+@pytest.mark.parametrize("domain, x", [(DK, np.array([0.3, -0.2])), (IV, 0.3)],
+                         ids=["disk", "interval"])
+def test_radial_fields_and_the_mass_form_no_points(monkeypatch, domain, x):
+    # a radial field's principal value calls the field on points only for
+    # u(x), and the Green mass never
+    calls = []
+    call = SampledInteriorField.__call__
+
+    def counted(self, pts):
+        calls.append(np.size(pts) // domain.N)
+        return call(self, pts)
+
+    monkeypatch.setattr(SampledInteriorField, "__call__", counted)
+    for make in (getoor_field, boundary_singular_field):
+        calls.clear()
+        frac_laplacian_apply(make(domain, 0.5), 0.5, x, _LOOSE_QUAD)
+        assert calls == [1]
+    calls.clear()
+    green_mass(domain, 0.5, x)
+    assert calls == []
+
+
+@pytest.mark.parametrize("make", [getoor_field, boundary_singular_field])
+@pytest.mark.parametrize("domain", [IV, DK], ids=["interval", "disk"])
+def test_radial_route_extends_by_zero_and_refuses_nan_as_call_does(domain, make):
+    # radii out beyond the boundary: a radial field on the walk's |y|^2
+    # gives __call__'s values on the block's points bit for bit, 0
+    # outside, and refuses a NaN |y|^2 as __call__ refuses a NaN point
+    u = make(domain, 0.5)
+    dirs = rays(domain)[0]
+    x = np.full(domain.N, 0.1)
+    for idx, r, y2, _ in ray_nodes(domain, x, dirs, np.linspace(0.0, 1.0, 7), stop=2.0):
+        got = u._on_rays(x, dirs[idx], r, y2)
+        want = u(ray_points(x, dirs[idx], r).reshape(-1, domain.N)).reshape(r.shape)
+        assert got.tobytes() == want.tobytes()
+        assert (got == 0.0).any() and (got > 0.0).any()
+        y2[0, 1] = np.nan
+        with pytest.raises(DomainError, match="NaN"):
+            u._on_rays(x, dirs[idx], r, y2)
 
 
 @pytest.mark.parametrize("domain, x", [(DK, np.array([0.3, -0.2])), (IV, 0.3)],

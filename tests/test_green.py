@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,18 @@ def test_green_mass_budget_exhaustion():
         green_mass(IV, 0.5, 0.0, quad=quad)
     assert exc.value.estimate is not None
     assert abs(exc.value.estimate - torsion_reference(IV, 0.5, 0.0)) < 0.05
+
+
+@pytest.mark.parametrize("a", [0.01, 0.02, 0.03])
+def test_interval_mass_at_small_order_refuses_without_warning(a):
+    # the 2/a-graded rule's first nodes lie so close to x that r * r
+    # underflows and G_a overflows there: the mass is not finite, and the
+    # refusal says so with no RuntimeWarning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ToleranceError, match="not finite"):
+            green_mass(IV, a, 0.3)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_disk_mass_budget_refusal_level():

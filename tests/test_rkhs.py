@@ -151,10 +151,11 @@ def test_kernel_report_verdict_is_the_pairwise_conjunction(seed, m, s, slips):
     assert rep.overall_pass == all(c.passed for c in pairs)
     failing = [c for c in pairs if not c.passed]
     if not failing:
-        # abs_error / tolerance with 0/0 read as 0; a NaN margin (inf / inf)
-        # ranks first, and a tie goes to the first pair
+        # abs_error / tolerance with 0/0 read as 0, and a tie goes to the
+        # first pair.  No margin is NaN: an infinite oracle value, whose
+        # margin would be inf / inf, fails check
         margins = [c.abs_error / c.tolerance if c.abs_error else 0.0 for c in pairs]
-        failing = [max(zip(pairs, margins), key=lambda cm: (math.isnan(cm[1]), cm[1]))[0]]
+        failing = [max(zip(pairs, margins), key=lambda cm: cm[1])[0]]
     assert repr(rep.records) == repr(failing)
 
 
